@@ -1,9 +1,8 @@
 """Numba/numpy backend selection for the hot kernels.
 
 The compiled path is the default. Set ``SWARM_MIMO_NO_NUMBA=1`` to force the
-pure-numpy fallback (useful on platforms without a working numba, and for the
-benchmark in ``benchmarks/bench_kernels.py``). ``SWARM_MIMO_THREADS`` caps the
-number of threads used by compiled kernels.
+pure-numpy fallback (useful on platforms without a working numba).
+``SWARM_MIMO_THREADS`` caps the number of threads used by compiled kernels.
 """
 
 from __future__ import annotations

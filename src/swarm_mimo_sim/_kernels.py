@@ -1,9 +1,9 @@
-"""Hot numeric kernels, each with a compiled and a pure-numpy implementation.
+"""Hot numeric kernels: sine/cosine integrals and the cross-dipole response.
 
-Public entry points (``si_ci_arrays``, ``response_batch``) dispatch on
-``_accel.USE_NUMBA``; the two implementations are kept in lockstep and are
-compared against each other in the test suite and in
-``benchmarks/bench_kernels.py``.
+``si_ci_arrays`` has one implementation, in numpy. ``response_batch``
+dispatches on ``_accel.USE_NUMBA`` between a compiled and a pure-numpy
+implementation; the two are compared against each other only by a test that
+is skipped when numba is absent, and their last bits may differ.
 
 The response kernel evaluates, for every (sample, element) pair, the complex
 cross-dipole coupling factor
@@ -37,58 +37,80 @@ _SING_EPS = 1e-14
 # ~1e-15 for all arguments that arise here.
 
 
-def _si_ci_scalar(x: float):
-    if x <= 0.0:
-        raise ValueError("si/ci kernel requires x > 0")
-    if x <= 2.0:
-        x2 = x * x
-        term = x
-        si = x
-        for k in range(1, 40):
-            term *= -x2 * (2 * k - 1) / ((2 * k) * (2 * k + 1) * (2 * k + 1))
-            si += term
-            if abs(term) < 1e-18:
-                break
-        ci = EULER_GAMMA + np.log(x)
-        t = 1.0
-        for k in range(1, 40):
-            t *= -x2 / ((2 * k - 1) * (2 * k))
-            d = t / (2 * k)
-            ci += d
-            if abs(d) < 1e-18:
-                break
-        return si, ci
-    b = complex(1.0, x)
-    c = complex(1e308, 0.0)
+def _cmul_unfused(p, q):
+    "Complex product with every real operation rounded on its own."
+    out = np.empty_like(p)
+    out.real = p.real * q.real - p.imag * q.imag
+    out.imag = p.real * q.imag + p.imag * q.real
+    return out
+
+
+def _e1_lentz(x, groups):
+    """``E1(i x)`` for x > 2 by the continued fraction, stopped per group.
+
+    A group's lanes leave the working arrays after the first step at which
+    all of them have converged, so each lane's value depends only on the
+    lanes of its own group. numpy multiplies a one-element complex array in
+    place without the fused multiply-add of its vector loop, so while other
+    lanes share the working arrays, the lane of a one-lane group is
+    multiplied that way by hand.
+    """
+    order = np.argsort(groups, kind="stable")
+    _, sizes = np.unique(groups[order], return_counts=True)
+    starts = np.cumsum(sizes) - sizes
+    solo = np.repeat(sizes == 1, sizes)
+    fix_solo = solo.size > 1 and solo.any()
+    lane = order
+    b = 1.0 + 1j * x[order]
+    c = np.full_like(b, 1e308)
     d = 1.0 / b
-    h = d
+    h = d.copy()
+    out = np.empty_like(b)
     for i in range(1, 400):
         a = -float(i * i)
-        b += 2.0
+        b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
+        if fix_solo:
+            h_solo = _cmul_unfused(h[solo], delta[solo])
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    e1 = h * np.exp(complex(0.0, -x))
-    return np.pi / 2 + e1.imag, -e1.real
+        if fix_solo:
+            h[solo] = h_solo
+        done = np.maximum.reduceat(np.abs(delta - 1.0), starts) < 1e-16
+        if done.any():
+            fin = np.repeat(done, sizes)
+            out[lane[fin]] = h[fin]
+            keep = ~fin
+            lane, b, c, d, h = lane[keep], b[keep], c[keep], d[keep], h[keep]
+            solo, sizes = solo[keep], sizes[~done]
+            if lane.size == 0:
+                break
+            starts = np.cumsum(sizes) - sizes
+            fix_solo = solo.size > 1 and solo.any()
+    out[lane] = h
+    return out * np.exp(-1j * x)
 
 
-if USE_NUMBA:
-    _si_ci_scalar_jit = njit(_si_ci_scalar)
+def si_ci_arrays(x: np.ndarray, groups=None):
+    """Vectorized (Si(x), Ci(x)) for strictly positive ``x``.
 
-    @njit(parallel=True)
-    def _si_ci_arrays_numba(x):
-        n = x.shape[0]
-        si = np.empty(n)
-        ci = np.empty(n)
-        for i in prange(n):
-            si[i], ci[i] = _si_ci_scalar_jit(x[i])
-        return si, ci
-
-
-def _si_ci_arrays_numpy(x):
+    ``groups`` holds one integer id per lane. Above x = 2 every group stops
+    its continued fraction on its own, so a group's values are bit-identical
+    to those of a separate call on just its lanes. ``None`` makes the whole
+    call one group.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.size == 0:
+        return np.empty(0), np.empty(0)
+    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
+        raise ValueError("si_ci_arrays requires finite x > 0")
+    if groups is None:
+        groups = np.zeros(x.shape, dtype=np.int64)
+    else:
+        groups = np.asarray(groups)
+        if groups.shape != x.shape:
+            raise ValueError("groups must have the shape of x")
     si = np.empty_like(x)
     ci = np.empty_like(x)
     small = x <= 2.0
@@ -109,36 +131,10 @@ def _si_ci_arrays_numpy(x):
         ci[small] = acc
     big = ~small
     if np.any(big):
-        xb = x[big]
-        b = 1.0 + 1j * xb
-        c = np.full_like(b, 1e308)
-        d = 1.0 / b
-        h = d.copy()
-        for i in range(1, 400):
-            a = -float(i * i)
-            b = b + 2.0
-            d = 1.0 / (a * d + b)
-            c = b + a / c
-            delta = c * d
-            h *= delta
-            if np.max(np.abs(delta - 1.0)) < 1e-16:
-                break
-        e1 = h * np.exp(-1j * xb)
+        e1 = _e1_lentz(x[big], groups[big])
         si[big] = np.pi / 2 + e1.imag
         ci[big] = -e1.real
     return si, ci
-
-
-def si_ci_arrays(x: np.ndarray):
-    """Vectorized (Si(x), Ci(x)) for strictly positive ``x``."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.size == 0:
-        return np.empty(0), np.empty(0)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValueError("si_ci_arrays requires finite x > 0")
-    if USE_NUMBA:
-        return _si_ci_arrays_numba(x)
-    return _si_ci_arrays_numpy(x)
 
 
 # ---------------------------------------------------------------------------

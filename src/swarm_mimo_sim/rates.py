@@ -47,17 +47,20 @@ def ci(x):
     return float(c[0]) if scalar else c
 
 
-def cb_db(b, region: ShellRegion):
+def cb_db(b, region: ShellRegion, groups=None):
     """Moments E[cos(b/d)] and E[sin(b/d)] for a shell-distributed radius d.
 
     The radius density is ``3 r^2 / (r_max^3 - r_min^3)`` on the shell; both
     moments are available in closed form through Si and Ci. Even/odd parity
     in ``b`` is applied, and the surface limit returns
-    ``(cos(b/R), sin(b/R))`` exactly.
+    ``(cos(b/R), sin(b/R))`` exactly. ``groups`` (one integer id per value of
+    ``b``) is passed on to :func:`si_ci_arrays`.
     """
     arr = np.asarray(b, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    if groups is not None:
+        groups = np.atleast_1d(np.asarray(groups))
     sign = np.sign(arr)
     mag = np.abs(arr)
     c = np.ones_like(mag)
@@ -69,19 +72,20 @@ def cb_db(b, region: ShellRegion):
             c[pos] = np.cos(m / region.r_max)
             d[pos] = np.sin(m / region.r_max)
         else:
-            c[pos], d[pos] = _cd_shell(m, region.r_min, region.r_max)
+            g = None if groups is None else groups[pos]
+            c[pos], d[pos] = _cd_shell(m, region.r_min, region.r_max, g)
     d *= sign
     if scalar:
         return float(c[0]), float(d[0])
     return c, d
 
 
-def _cd_shell(b, r_min, r_max):
+def _cd_shell(b, r_min, r_max, groups=None):
     "Closed-form shell moments for strictly positive b."
 
     def endpoint(r):
         arg = b / r
-        s, c_int = si_ci_arrays(arg)
+        s, c_int = si_ci_arrays(arg, groups)
         cosv = np.cos(arg)
         sinv = np.sin(arg)
         f = (2.0 * r * r - b * b) * r * cosv - b * r * r * sinv - b**3 * s
@@ -117,18 +121,42 @@ def _offset_products(count: int, delta: int):
     return delta * (2 * a - delta)
 
 
+# lanes per cd_of_b call in _omega_sum; bounds the working set of a large array
+_CHUNK_LANES = 4096
+
+
+def _group_chunks(group_of_lane, limit):
+    "(lo, hi) slices of whole runs of equal ids, each within ``limit`` unless one run exceeds it."
+    n = group_of_lane.size
+    lo = prev = 0
+    for end in [*(np.flatnonzero(np.diff(group_of_lane)) + 1).tolist(), n]:
+        if end - lo > limit and prev > lo:
+            yield lo, prev
+            lo = prev
+        prev = end
+    yield lo, n
+
+
 def _omega_sum(geometry: ArrayGeometry, lam: float, cd_of_b) -> float:
     """Shared pair-sum: sinc^2 weight times the radial moment factor.
 
-    ``cd_of_b`` maps an array of b values to C^2 + D^2; evaluation is
-    memoized on the exact integer index products so repeated geometry pairs
-    cost one special-function call.
+    ``cd_of_b(b, groups)`` maps an array of b values to C^2 + D^2. Each
+    distinct integer index product (p, q) is evaluated once, in three passes:
+
+    1. list the (dp, dq) offsets in order and the products each one needs;
+       the products first needed at an offset form that offset's group;
+    2. evaluate all new products in a few calls of whole groups, where each
+       group stops its Si/Ci continued fraction as if it had a call of its
+       own (see :func:`si_ci_arrays`);
+    3. add each offset's terms one after another, offset by offset.
+
+    The result is bit-identical to one ``cd_of_b`` call per offset.
     """
     mx, my = geometry.m_x, geometry.m_y
     dx2, dy2 = geometry.delta_x**2, geometry.delta_y**2
     scale = math.pi / lam
-    cache: dict[tuple[int, int], float] = {}
-    total = 0.0
+    qspan = 2 * (my - 1) ** 2 + 1  # code p * qspan + q orders keys as (p, q)
+    weights, codes = [], []
     for dp in range(-(mx - 1), mx):
         px = _offset_products(mx, dp)
         for dq in range(-(my - 1), my):
@@ -138,13 +166,36 @@ def _omega_sum(geometry: ArrayGeometry, lam: float, cd_of_b) -> float:
             if w < 1e-30:
                 continue
             qy = _offset_products(my, dq)
-            keys = [(int(p), int(q)) for p in px for q in qy]
-            missing = sorted({k for k in keys if k not in cache})
-            if missing:
-                bvals = np.array([scale * (p * dx2 + q * dy2) for p, q in missing])
-                vals = cd_of_b(bvals)
-                cache.update(zip(missing, vals))
-            total += w * sum(cache[k] for k in keys)
+            weights.append(w)
+            codes.append((px[:, None] * qspan + qy[None, :]).ravel())
+    if not weights:
+        return 0.0
+    sizes = [c.size for c in codes]
+    codes = np.concatenate(codes)
+    order = np.argsort(codes, kind="stable")  # stable: first occurrence first
+    sorted_codes = codes[order]
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = sorted_codes[1:] != sorted_codes[:-1]
+    inverse = np.empty(codes.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    keys = sorted_codes[first]
+    group = np.repeat(np.arange(len(sizes)), sizes)[order[first]]
+    del codes, order, sorted_codes, first  # free the sort's arrays before the chunks
+
+    vals = np.empty(keys.size)
+    ev = np.lexsort((keys, group))
+    for lo, hi in _group_chunks(group[ev], _CHUNK_LANES):
+        k = ev[lo:hi]
+        p = (keys[k] + (qspan - 1) // 2) // qspan
+        q = keys[k] - p * qspan
+        vals[k] = cd_of_b(scale * (p * dx2 + q * dy2), group[k])
+
+    total = 0.0
+    start = 0
+    for w, n in zip(weights, sizes):
+        # cumsum adds in order, bit-equal to sum() over the terms
+        total += w * np.cumsum(vals[inverse[start:start + n]])[-1]
+        start += n
     return total
 
 
@@ -161,8 +212,8 @@ def omega(geometry: ArrayGeometry, lam: float, region: ShellRegion) -> float:
             f"{geometry.aperture():.3f}"
         )
 
-    def cd_of_b(b):
-        c, d = cb_db(b, region)
+    def cd_of_b(b, groups):
+        c, d = cb_db(b, region, groups)
         return np.atleast_1d(c) ** 2 + np.atleast_1d(d) ** 2
 
     return _omega_sum(geometry, lam, cd_of_b)
@@ -170,7 +221,7 @@ def omega(geometry: ArrayGeometry, lam: float, region: ShellRegion) -> float:
 
 def omega_surface(geometry: ArrayGeometry, lam: float) -> float:
     """Limit of :func:`omega` when drones sit on a far sphere (C^2+D^2 = 1)."""
-    return _omega_sum(geometry, lam, lambda b: np.ones_like(np.atleast_1d(b)))
+    return _omega_sum(geometry, lam, lambda b, groups: np.ones_like(b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Backend agreement and special-function accuracy for the hot kernels."""
+"""Special-function accuracy and grouping, and backend agreement of the response kernel."""
 
 import numpy as np
 import pytest
@@ -38,6 +38,49 @@ def test_si_ci_rejects_nonpositive():
         si_ci_arrays(np.array([0.0]))
     with pytest.raises(ValueError):
         si_ci_arrays(np.array([-1.0]))
+
+
+# one group per kind of lane set; the lone lane at 2.28... is one whose value
+# changes if it is multiplied with a fused multiply-add
+SI_CI_GROUPS = {
+    "all_small": np.linspace(0.01, 2.0, 7),
+    "all_big": np.array([3.5, 10.0, 47.3, 300.0, 2.5e4]),
+    "mixed": np.array([0.5, 1.9, 2.4, 8.8, 120.0]),
+    "just_above_2": 2.0 + np.array([1e-9, 1e-4, 3e-3, 2e-2]),
+    "one_lane": np.array([float.fromhex("0x1.241045c4b1bddp+1")]),
+    "one_small_lane": np.array([0.7]),
+}
+
+
+def _bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("names", [
+    ("all_small", "all_big", "mixed", "just_above_2", "one_lane", "one_small_lane"),
+    ("all_big", "one_lane"),
+    ("just_above_2", "all_big"),
+    ("one_lane", "mixed"),
+])
+def test_si_ci_groups_match_separate_calls(names):
+    x = np.concatenate([SI_CI_GROUPS[n] for n in names])
+    ids = np.repeat(np.arange(len(names)) * 7 - 3, [SI_CI_GROUPS[n].size for n in names])
+    perm = np.random.default_rng(0).permutation(x.size)  # groups need not be runs
+    x, ids = x[perm], ids[perm]
+    si, ci = si_ci_arrays(x, ids)
+    for g in np.unique(ids):
+        lanes = ids == g
+        assert _bits(si[lanes], ci[lanes]) == _bits(*si_ci_arrays(x[lanes]))
+
+
+def test_si_ci_no_groups_is_one_group():
+    for x in (np.concatenate(list(SI_CI_GROUPS.values())), SI_CI_GROUPS["one_lane"]):
+        assert _bits(*si_ci_arrays(x)) == _bits(*si_ci_arrays(x, np.zeros(x.size, int)))
+
+
+def test_si_ci_groups_shape_checked():
+    with pytest.raises(ValueError):
+        si_ci_arrays(np.array([1.0, 3.0]), np.array([0]))
 
 
 @pytest.mark.skipif(not USE_NUMBA, reason="single-backend run")

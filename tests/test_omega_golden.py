@@ -1,0 +1,104 @@
+"""``omega`` pinned to the last bit.
+
+Two checks: fixed values for shapes the experiments use, and equality with a
+reference loop that makes one ``cd_of_b`` call per (dp, dq) offset. The fixed
+values are ``float.hex`` of ``omega`` as computed with one Si/Ci call per
+offset, before the offsets were grouped into a few calls; a change to the pair
+sum, the shell moments or the sine and cosine integrals that moves any of
+their bits fails here. The line-array ratios 1.1, 2.05 and 2.6 each have an
+offset whose Si/Ci call holds a single argument above 2.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from swarm_mimo_sim import geometry as geo
+from swarm_mimo_sim import rates
+
+LAM = geo.wavelength(2.4e9)
+
+# (m_x, m_y, delta_x / lambda, delta_y / lambda, shell or None for the surface limit)
+GOLDEN = [
+    *(
+        ((50, 1, ratio, 0.0, (499.0, 500.0)), value)
+        for ratio, value in (
+            (0.05, "0x1.8f44a6d64c733p+8"),
+            (0.3, "0x1.f9b828191fad6p+4"),
+            (0.5, "0x0.0p+0"),
+            (0.77, "0x1.3e48a4148a5cap+2"),
+            (1.0, "0x0.0p+0"),
+            (1.1, "0x1.88db7f8d6871bp+0"),
+            (1.37, "0x1.33c365d8045ecp+0"),
+            (1.5, "0x0.0p+0"),
+            (2.05, "0x1.e66fece79aa1ap-3"),
+            (2.2, "0x1.2cec82e324c9ep-1"),
+            (2.6, "0x1.1946c7e16e4e3p-2"),
+            (3.0, "0x0.0p+0"),
+        )
+    ),
+    ((50, 1, 0.3, 0.0, (20.0, 500.0)), "0x1.f9ab991199968p+4"),
+    ((16, 16, 0.3, 0.4, (499.0, 500.0)), "0x1.7e0ba9c13932dp+8"),
+    ((8, 1, 0.3, 0.0, (100.0, 500.0)), "0x1.07e42b0a3e41bp+2"),
+    ((4, 3, 0.21, 0.4, (50.0, 300.0)), "0x1.99af7ba737c31p+3"),
+    ((16, 16, 0.3, 0.4, None), "0x1.7e0ba9c151c26p+8"),
+    ((5, 5, 2.5, 2.5, None), "0x1.affb5a9ed4999p-5"),
+    ((50, 1, 0.3, 0.0, None), "0x1.f9b82819918e2p+4"),
+]
+
+
+def _case_id(case):
+    m_x, m_y, rx, ry, shell = case
+    return f"{m_x}x{m_y}-{rx}-{ry}-" + ("surface" if shell is None else "%g-%g" % shell)
+
+
+@pytest.mark.parametrize("case, expected", GOLDEN, ids=[_case_id(c) for c, _ in GOLDEN])
+def test_omega_bits(case, expected):
+    m_x, m_y, rx, ry, shell = case
+    g = geo.ArrayGeometry(m_x, m_y, rx * LAM, ry * LAM)
+    if shell is None:
+        value = rates.omega_surface(g, LAM)
+    else:
+        value = rates.omega(g, LAM, geo.ShellRegion(*shell))
+    assert float(value).hex() == expected
+
+
+def _omega_per_offset(geometry, lam, cd_of_b):
+    "Reference pair sum: one cd_of_b call per (dp, dq) offset, summed with sum()."
+    mx, my = geometry.m_x, geometry.m_y
+    dx2, dy2 = geometry.delta_x**2, geometry.delta_y**2
+    scale = math.pi / lam
+    cache = {}
+    total = 0.0
+    for dp in range(-(mx - 1), mx):
+        px = rates._offset_products(mx, dp)
+        for dq in range(-(my - 1), my):
+            w = rates.expected_phase_sinc(dp, dq, geometry, lam) ** 2
+            if (dp == 0 and dq == 0) or w < 1e-30:
+                continue
+            keys = [(int(p), int(q)) for p in px for q in rates._offset_products(my, dq)]
+            missing = sorted({k for k in keys if k not in cache})
+            if missing:
+                b = np.array([scale * (p * dx2 + q * dy2) for p, q in missing])
+                cache.update(zip(missing, cd_of_b(b)))
+            total += w * sum(cache[k] for k in keys)
+    return total
+
+
+@pytest.mark.parametrize("m_x, m_y, rx, ry, shell", [
+    (50, 1, 1.1, 0.0, (499.0, 500.0)),
+    (8, 4, 0.37, 0.61, (30.0, 400.0)),
+    (12, 7, 1.13, 0.29, (50.0, 60.0)),
+    (3, 9, 0.8, 0.45, (10.0, 11.0)),
+])
+def test_omega_matches_per_offset_reference(m_x, m_y, rx, ry, shell):
+    g = geo.ArrayGeometry(m_x, m_y, rx * LAM, ry * LAM)
+    region = geo.ShellRegion(*shell)
+
+    def cd_of_b(b):
+        c, d = rates.cb_db(b, region)
+        return c**2 + d**2
+
+    assert rates.omega(g, LAM, region).hex() == _omega_per_offset(g, LAM, cd_of_b).hex()
+    assert rates.omega_surface(g, LAM).hex() == _omega_per_offset(g, LAM, np.ones_like).hex()
