@@ -1,12 +1,7 @@
 """Hot numeric kernels: sine/cosine integrals and the cross-dipole response.
 
-``si_ci_arrays`` has one implementation, in numpy. ``response_batch``
-dispatches on ``_accel.USE_NUMBA`` between a compiled and a pure-numpy
-implementation; the two are compared against each other only by a test that
-is skipped when numba is absent, and their last bits may differ.
-
-The response kernel evaluates, for every (sample, element) pair, the complex
-cross-dipole coupling factor
+Both have one implementation, in numpy. The response kernel evaluates, for
+every (sample, element) pair, the complex cross-dipole coupling factor
 
     h = conj(E_tx)^T  T  E_rx
 
@@ -14,13 +9,30 @@ where the 2x2 matrix ``T`` projects the transmit-side field polarization
 basis onto the receive dipole axes, all angles being computed in the antennas'
 own (rotated) frames. It also returns the exact distance and the squared
 norms of the two response vectors (used for the polarization loss factor).
+It works element-major on blocks of about ``_BLOCK_LANES`` (element, sample)
+lanes, so a call costs a few dozen numpy operations per block whatever its
+shape.
+
+Last bits depend on which numpy and OpenBLAS code paths run, so outputs are
+bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
+
+- The per-element basis rotation is one dgemm per element, which OpenBLAS
+  computes with fused multiply-adds; written out as separate products it
+  differs in about a third of the entries. numpy hands a one-row product to
+  gemv instead, whose bits differ again: 300 single-sample calls and one
+  batched call of the same drones differ in 5,928 of 15,000 ``h`` lanes,
+  while two-row calls match the batched call, with a shared or a per-sample
+  drone rotation alike. Batching single-sample callers therefore moves their
+  last bits.
+- numpy multiplies a one-element complex array in place without the fused
+  multiply-add of its vector loop (see ``_e1_lentz``).
+- The per-sample ground rotation of the basis goes through ``einsum``;
+  explicit products differ from it in about two thirds of the lanes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ._accel import USE_NUMBA, njit, prange
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -142,6 +154,46 @@ def si_ci_arrays(x: np.ndarray, groups=None):
 # ---------------------------------------------------------------------------
 
 
+# (element, sample) lanes per block of the response kernel
+_BLOCK_LANES = 1 << 14
+
+
+def _fpat(cosang, ratio):
+    "Normalized dipole field pattern at the cosine of the angle from the axis."
+    s2 = 1.0 - cosang * cosang
+    s = np.sqrt(np.maximum(s2, 0.0))
+    safe = s > 1e-12
+    num = np.cos(np.pi * ratio * cosang) - np.cos(np.pi * ratio)
+    return np.where(safe, num / np.where(safe, s, 1.0), 0.0)
+
+
+# The three-term sums below add in the order j = 0, 1, 2 and start from +0.0,
+# as einsum and np.sum do, so a sum of negative zeros comes out +0.0 there too.
+
+
+def _rt(r, rx, ry, rz, i):
+    "Component ``i`` of ``R^T rel``."
+    return 0.0 + r[..., 0, i] * rx + r[..., 1, i] * ry + r[..., 2, i] * rz
+
+
+def _dot3(v, u):
+    return 0.0 + v[..., 0] * u[..., 0] + v[..., 1] * u[..., 1] + v[..., 2] * u[..., 2]
+
+
+def _row_blocks(n, m):
+    """Row slices of about ``_BLOCK_LANES`` lanes, none of one row unless n == 1.
+
+    numpy sends a one-row matrix product to gemv, whose last bits differ from
+    gemm's, so a block holds two rows or more and a one-row remainder joins
+    the block before it.
+    """
+    step = max(2, _BLOCK_LANES // max(m, 1))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def _resp_core_numpy(pos, elem, gs_r, gs_per_sample, uav_r, uav_per_sample,
                      wt0, wt1, wr0, wr1, ratio_t, ratio_r):
     n = pos.shape[0]
@@ -150,137 +202,52 @@ def _resp_core_numpy(pos, elem, gs_r, gs_per_sample, uav_r, uav_per_sample,
     dist = np.empty((n, m))
     n1sq = np.empty((n, m))
     n2sq = np.empty((n, m))
-
-    def fpat(cosang, ratio):
-        s2 = 1.0 - cosang * cosang
-        s = np.sqrt(np.maximum(s2, 0.0))
-        safe = s > 1e-12
-        num = np.cos(np.pi * ratio * cosang) - np.cos(np.pi * ratio)
-        return np.where(safe, num / np.where(safe, s, 1.0), 0.0)
-
-    ez_ref = uav_r[..., :, 2]  # receive dipole axes in the reference frame
-    ey_ref = uav_r[..., :, 1]
-    for l in range(m):
-        rel = pos - elem[l]
-        d = np.sqrt(np.sum(rel * rel, axis=1))
-        rt_mat = gs_r if gs_per_sample else gs_r[l]
-        rloc = np.einsum("...ji,...j->...i", rt_mat, rel)  # R^T rel
-        x, y, z = rloc[:, 0], rloc[:, 1], rloc[:, 2]
-        rr = np.einsum("...ji,...j->...i", uav_r, rel)
+    # element-major blocks: every array below is (m, rows)
+    for rows in _row_blocks(n, m):
+        gs = gs_r[rows] if gs_per_sample else gs_r[:, None]
+        uav = uav_r[rows] if uav_per_sample else uav_r
+        rx = pos[rows, 0] - elem[:, 0, None]
+        ry = pos[rows, 1] - elem[:, 1, None]
+        rz = pos[rows, 2] - elem[:, 2, None]
+        d = np.sqrt(rx * rx + ry * ry + rz * rz)
+        x, y, z = (_rt(gs, rx, ry, rz, i) for i in range(3))
         ct_t = z / d
         cp_t = y / d
-        ct_r = -rr[..., 2] / d
-        cp_r = -rr[..., 1] / d
+        ct_r = -_rt(uav, rx, ry, rz, 2) / d
+        cp_r = -_rt(uav, rx, ry, rz, 1) / d
         rho_t = np.hypot(x, y)
         rho_p = np.hypot(x, z)
         bad = (rho_t <= _SING_EPS * d) | (rho_p <= _SING_EPS * d)
         rho_t = np.where(bad, 1.0, rho_t)
         rho_p = np.where(bad, 1.0, rho_p)
-        th_loc = np.stack([-x * z, -y * z, x * x + y * y], axis=-1) / (d * rho_t)[:, None]
-        ps_loc = np.stack([-x * y, x * x + z * z, -y * z], axis=-1) / (d * rho_p)[:, None]
+        th_loc = np.stack([-x * z, -y * z, x * x + y * y], axis=-1) / (d * rho_t)[..., None]
+        ps_loc = np.stack([-x * y, x * x + z * z, -y * z], axis=-1) / (d * rho_p)[..., None]
         if gs_per_sample:
-            th_ref = np.einsum("...ij,...j->...i", rt_mat, th_loc)
-            ps_ref = np.einsum("...ij,...j->...i", rt_mat, ps_loc)
+            th_ref = np.einsum("nij,lnj->lni", gs, th_loc)
+            ps_ref = np.einsum("nij,lnj->lni", gs, ps_loc)
         else:
-            th_ref = th_loc @ rt_mat.T
-            ps_ref = ps_loc @ rt_mat.T
-        t11 = np.sum(th_ref * ez_ref, axis=-1)
-        t12 = np.sum(th_ref * ey_ref, axis=-1)
-        t21 = np.sum(ps_ref * ez_ref, axis=-1)
-        t22 = np.sum(ps_ref * ey_ref, axis=-1)
-        a = np.conj(wt0) * fpat(ct_t, ratio_t)
-        b = np.conj(wt1) * fpat(cp_t, ratio_t)
-        c = wr0 * fpat(ct_r, ratio_r)
-        e = wr1 * fpat(cp_r, ratio_r)
+            rt = np.swapaxes(gs_r, 1, 2)
+            th_ref = th_loc @ rt
+            ps_ref = ps_loc @ rt
+        ez = uav[..., :, 2]  # receive dipole axes in the reference frame
+        ey = uav[..., :, 1]
+        t11 = _dot3(th_ref, ez)
+        t12 = _dot3(th_ref, ey)
+        t21 = _dot3(ps_ref, ez)
+        t22 = _dot3(ps_ref, ey)
+        a = np.conj(wt0) * _fpat(ct_t, ratio_t)
+        b = np.conj(wt1) * _fpat(cp_t, ratio_t)
+        c = wr0 * _fpat(ct_r, ratio_r)
+        e = wr1 * _fpat(cp_r, ratio_r)
         hv = a * (t11 * c + t12 * e) + b * (t21 * c + t22 * e)
         cross = -y * z / (rho_t * rho_p)  # cos angle between the two basis vectors
         n1 = np.abs(a) ** 2 + np.abs(b) ** 2 + 2.0 * np.real(np.conj(a) * b) * cross
         n2 = np.abs(c) ** 2 + np.abs(e) ** 2
-        h[:, l] = np.where(bad, np.nan + 0j, hv)
-        dist[:, l] = d
-        n1sq[:, l] = np.where(bad, np.nan, n1)
-        n2sq[:, l] = np.where(bad, np.nan, n2)
+        h[rows].T[...] = np.where(bad, np.nan + 0j, hv)
+        dist[rows].T[...] = d
+        n1sq[rows].T[...] = np.where(bad, np.nan, n1)
+        n2sq[rows].T[...] = np.where(bad, np.nan, n2)
     return h, dist, n1sq, n2sq
-
-
-if USE_NUMBA:
-
-    @njit(inline="always")
-    def _fpat_scalar(cosang, ratio):
-        s2 = 1.0 - cosang * cosang
-        if s2 < 1e-24:
-            return 0.0
-        return (np.cos(np.pi * ratio * cosang) - np.cos(np.pi * ratio)) / np.sqrt(s2)
-
-    @njit(parallel=True)
-    def _resp_core_numba(pos, elem, gs_r, gs_step, uav_r, uav_step,
-                         wt0, wt1, wr0, wr1, ratio_t, ratio_r):
-        n = pos.shape[0]
-        m = elem.shape[0]
-        h = np.empty((n, m), dtype=np.complex128)
-        dist = np.empty((n, m))
-        n1sq = np.empty((n, m))
-        n2sq = np.empty((n, m))
-        wt0c = np.conj(wt0)
-        wt1c = np.conj(wt1)
-        for i in prange(n):
-            iu = i * uav_step
-            ez0 = uav_r[iu, 0, 2]
-            ez1 = uav_r[iu, 1, 2]
-            ez2 = uav_r[iu, 2, 2]
-            ey0 = uav_r[iu, 0, 1]
-            ey1 = uav_r[iu, 1, 1]
-            ey2 = uav_r[iu, 2, 1]
-            for l in range(m):
-                rx = pos[i, 0] - elem[l, 0]
-                ry = pos[i, 1] - elem[l, 1]
-                rz = pos[i, 2] - elem[l, 2]
-                d = np.sqrt(rx * rx + ry * ry + rz * rz)
-                ig = i * gs_step + l * (1 - gs_step)
-                # rel in the rotated transmit frame: R^T rel
-                x = gs_r[ig, 0, 0] * rx + gs_r[ig, 1, 0] * ry + gs_r[ig, 2, 0] * rz
-                y = gs_r[ig, 0, 1] * rx + gs_r[ig, 1, 1] * ry + gs_r[ig, 2, 1] * rz
-                z = gs_r[ig, 0, 2] * rx + gs_r[ig, 1, 2] * ry + gs_r[ig, 2, 2] * rz
-                zr = uav_r[iu, 0, 2] * rx + uav_r[iu, 1, 2] * ry + uav_r[iu, 2, 2] * rz
-                yr = uav_r[iu, 0, 1] * rx + uav_r[iu, 1, 1] * ry + uav_r[iu, 2, 1] * rz
-                rho_t = np.sqrt(x * x + y * y)
-                rho_p = np.sqrt(x * x + z * z)
-                dist[i, l] = d
-                if rho_t <= _SING_EPS * d or rho_p <= _SING_EPS * d:
-                    h[i, l] = complex(np.nan, np.nan)
-                    n1sq[i, l] = np.nan
-                    n2sq[i, l] = np.nan
-                    continue
-                # transmit-side polarization basis in local coordinates
-                st = 1.0 / (d * rho_t)
-                sp = 1.0 / (d * rho_p)
-                ta0 = -x * z * st
-                ta1 = -y * z * st
-                ta2 = (x * x + y * y) * st
-                pa0 = -x * y * sp
-                pa1 = (x * x + z * z) * sp
-                pa2 = -y * z * sp
-                # rotate into the reference frame
-                t0 = gs_r[ig, 0, 0] * ta0 + gs_r[ig, 0, 1] * ta1 + gs_r[ig, 0, 2] * ta2
-                t1 = gs_r[ig, 1, 0] * ta0 + gs_r[ig, 1, 1] * ta1 + gs_r[ig, 1, 2] * ta2
-                t2 = gs_r[ig, 2, 0] * ta0 + gs_r[ig, 2, 1] * ta1 + gs_r[ig, 2, 2] * ta2
-                p0 = gs_r[ig, 0, 0] * pa0 + gs_r[ig, 0, 1] * pa1 + gs_r[ig, 0, 2] * pa2
-                p1 = gs_r[ig, 1, 0] * pa0 + gs_r[ig, 1, 1] * pa1 + gs_r[ig, 1, 2] * pa2
-                p2 = gs_r[ig, 2, 0] * pa0 + gs_r[ig, 2, 1] * pa1 + gs_r[ig, 2, 2] * pa2
-                t11 = t0 * ez0 + t1 * ez1 + t2 * ez2
-                t12 = t0 * ey0 + t1 * ey1 + t2 * ey2
-                t21 = p0 * ez0 + p1 * ez1 + p2 * ez2
-                t22 = p0 * ey0 + p1 * ey1 + p2 * ey2
-                a = wt0c * _fpat_scalar(z / d, ratio_t)
-                b = wt1c * _fpat_scalar(y / d, ratio_t)
-                c = wr0 * _fpat_scalar(-zr / d, ratio_r)
-                e = wr1 * _fpat_scalar(-yr / d, ratio_r)
-                h[i, l] = a * (t11 * c + t12 * e) + b * (t21 * c + t22 * e)
-                cross = -y * z / (rho_t * rho_p)
-                n1sq[i, l] = (abs(a) ** 2 + abs(b) ** 2
-                              + 2.0 * (a.conjugate() * b).real * cross)
-                n2sq[i, l] = abs(c) ** 2 + abs(e) ** 2
-        return h, dist, n1sq, n2sq
 
 
 def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.5,
@@ -330,13 +297,6 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
         uav_per_sample = True
     w_tx = np.asarray(w_tx, dtype=np.complex128)
     w_rx = np.asarray(w_rx, dtype=np.complex128)
-    if USE_NUMBA:
-        return _resp_core_numba(
-            pos, elem, gs_r, 1 if gs_per_sample else 0, uav_r,
-            1 if uav_per_sample else 0,
-            complex(w_tx[0]), complex(w_tx[1]), complex(w_rx[0]), complex(w_rx[1]),
-            float(ratio_tx), float(ratio_rx),
-        )
     ur = uav_r if uav_per_sample else uav_r[0]
     return _resp_core_numpy(
         pos, elem, gs_r, gs_per_sample, ur, uav_per_sample,

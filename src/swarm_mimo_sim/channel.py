@@ -20,7 +20,7 @@ from .errors import (
     SingularDirectionError,
     SwarmMimoError,
 )
-from .polarization import AntennaConfig, _common_excitation, _gs_rotations
+from .polarization import AntennaConfig, GroundArray
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,9 @@ def pilot_power(cfg: PowerControlConfig, lam: float) -> float:
 
 
 def channel_vector(
-    geometry: geo.ArrayGeometry,
-    gs_configs,
+    ground: GroundArray,
     uav_position: np.ndarray,
     uav_orientation: geo.RotationAngles,
-    f_c: float,
     uav_config: AntennaConfig | None = None,
 ) -> np.ndarray:
     """Complex channel vector of one drone to all array elements.
@@ -129,47 +127,37 @@ def channel_vector(
     per-element propagation phase.
     """
     g = channel_matrix(
-        geometry,
-        gs_configs,
+        ground,
         np.asarray(uav_position, float)[None, :],
         geo.rotation_matrix(uav_orientation)[None, :, :],
-        f_c,
         uav_config,
     )
     return g[:, 0]
 
 
 def channel_matrix(
-    geometry: geo.ArrayGeometry,
-    gs_configs,
+    ground: GroundArray,
     uav_positions: np.ndarray,
     uav_rotations: np.ndarray,
-    f_c: float,
     uav_config: AntennaConfig | None = None,
 ) -> np.ndarray:
-    """Channel matrix ``G`` of shape ``(M, K)`` for ``K`` drones."""
-    if len(gs_configs) != geometry.m:
-        raise SwarmMimoError("geometry and gs_configs disagree on element count")
-    lam = geo.wavelength(f_c)
-    aperture = geometry.aperture()
+    """Channel matrix ``G`` of shape ``(M, K)`` for ``K`` drones at ``ground.f0``."""
+    lam = geo.wavelength(ground.f0)
     pos = np.asarray(uav_positions, float)
     norms = np.linalg.norm(pos, axis=1)
-    if np.any(norms <= aperture):
+    if np.any(norms <= ground.aperture):
         raise SwarmMimoError("drone inside the array aperture")
-    if uav_config is None:
-        uav_config = AntennaConfig(gs_configs[0].excitation)
-    w_tx, ratio_tx, gain_tx = _common_excitation(gs_configs, f_c)
-    w_rx = uav_config.excitation.weights()
-    gains = gain_tx * uav_config.dipole_for(f_c).gain
+    w_rx, ratio_rx, gain_rx = ground.drone_feed(uav_config)
+    gains = ground.gain * gain_rx
     h, dist, _, _ = response_batch(
         pos,
-        geo.element_positions(geometry),
-        _gs_rotations(gs_configs),
+        ground.elem,
+        ground.rotations,
         uav_rotations,
-        w_tx,
+        ground.w,
         w_rx,
-        ratio_tx,
-        uav_config.dipole_for(f_c).length_ratio(f_c),
+        ground.ratio,
+        ratio_rx,
         gs_per_sample=False,
     )
     if not np.all(np.isfinite(h.real)):

@@ -24,7 +24,7 @@ from .channel import (
 )
 from .errors import SwarmMimoError
 from .montecarlo import substream
-from .polarization import AntennaConfig, DipoleExcitation
+from .polarization import AntennaConfig, DipoleExcitation, GroundArray
 
 BOLTZMANN = 1.380649e-23
 
@@ -216,6 +216,25 @@ def _cell_waypoints(spec: MissionSpec, k: int) -> np.ndarray:
     return np.asarray(pts)
 
 
+def _path_table(spec: MissionSpec, k: int):
+    "Waypoints, segment vectors, segment lengths and cumulative lengths of drone k."
+    pts = _cell_waypoints(spec, k)
+    seg = np.diff(pts, axis=0)
+    lengths = np.linalg.norm(seg, axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    return pts, seg, lengths, cum
+
+
+def _position_on_path(path, s: float):
+    "Point at arc length ``s`` along a path table; clamps past the end."
+    pts, seg, lengths, cum = path
+    if s >= cum[-1]:
+        return pts[-1].copy(), True
+    idx = int(np.searchsorted(cum, s, side="right")) - 1
+    frac = (s - cum[idx]) / lengths[idx]
+    return pts[idx] + frac * seg[idx], False
+
+
 def trajectory_position(spec: MissionSpec, k: int, t: float):
     """Drone position at time ``t`` along its sweep; clamps past the end.
 
@@ -225,16 +244,7 @@ def trajectory_position(spec: MissionSpec, k: int, t: float):
         raise SwarmMimoError("time must be nonnegative")
     if not 1 <= k <= spec.k:
         raise SwarmMimoError(f"drone index {k} outside 1..{spec.k}")
-    pts = _cell_waypoints(spec, k)
-    seg = np.diff(pts, axis=0)
-    lengths = np.linalg.norm(seg, axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    s = spec.speed * t
-    if s >= cum[-1]:
-        return pts[-1].copy(), True
-    idx = int(np.searchsorted(cum, s, side="right")) - 1
-    frac = (s - cum[idx]) / lengths[idx]
-    return pts[idx] + frac * seg[idx], False
+    return _position_on_path(_path_table(spec, k), spec.speed * t)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +312,8 @@ def run_mission(
         duration = mission_time(spec)
     lam = geo.wavelength(spec.f_c)
     t_len, prelog = coherence_prelog(spec.coherence(), spec.k)
-    gs_configs = _gs_configs(spec)
-    uav_cfg = AntennaConfig(gs_configs[0].excitation)
+    ground = GroundArray.build(_gs_configs(spec), spec.f_c, spec.geometry)
+    paths = [_path_table(spec, k) for k in range(1, spec.k + 1)]
     # dipoles along the x and z axes: yaw the antenna frame by a quarter turn
     uav_rot = geo.rotation_matrix(geo.RotationAngles(yaw=math.pi / 2))
     uav_rots = np.broadcast_to(uav_rot, (spec.k, 3, 3)).copy()
@@ -324,8 +334,8 @@ def run_mission(
     )
     out = 0
     for t in times:
-        pos = np.stack([trajectory_position(spec, k, t)[0] for k in range(1, spec.k + 1)])
-        g = channel_matrix(spec.geometry, gs_configs, pos, uav_rots, spec.f_c, uav_cfg)
+        pos = np.stack([_position_on_path(path, spec.speed * t)[0] for path in paths])
+        g = channel_matrix(ground, pos, uav_rots)
         mean_gain = np.mean(np.abs(g) ** 2, axis=0)
         powers = np.minimum(spec.rho_u / mean_gain, spec.p_u_max)
         if csi == "estimated":

@@ -113,6 +113,60 @@ class PolarizationResult:
     chi: float
 
 
+@dataclass(frozen=True, eq=False)
+class GroundArray:
+    """Ground-side setup of an array, built once by :meth:`build`.
+
+    Holds the element positions ``elem`` (``(m, 3)``, all at the origin when
+    built without a geometry), the per-element rotations (``(m, 3, 3)``), the
+    feed weights, dipole length ratio and gain that every element shares, and
+    the aperture. Its arrays are read-only.
+    """
+
+    f0: float
+    elem: np.ndarray
+    rotations: np.ndarray
+    w: np.ndarray
+    ratio: float
+    gain: float
+    excitation: DipoleExcitation
+    aperture: float
+
+    @classmethod
+    def build(cls, gs_configs, f0: float, geometry: geo.ArrayGeometry | None = None):
+        "Check that all elements share one feed, then fix the array for ``f0``."
+        if len(gs_configs) < 1:
+            raise SwarmMimoError("need at least one array element")
+        first = gs_configs[0]
+        w = first.excitation.weights()
+        for c in gs_configs[1:]:
+            if not np.allclose(c.excitation.weights(), w):
+                raise SwarmMimoError("array elements must share one excitation")
+        if geometry is not None:
+            if geometry.m != len(gs_configs):
+                raise SwarmMimoError("geometry and gs_configs disagree on element count")
+            elem, aperture = geo.element_positions(geometry), geometry.aperture()
+        else:
+            elem, aperture = np.zeros((len(gs_configs), 3)), 0.0
+        rotations = np.stack([geo.rotation_matrix(c.orientation) for c in gs_configs])
+        for a in (elem, rotations, w):
+            a.flags.writeable = False
+        dipole = first.dipole_for(f0)
+        return cls(f0, elem, rotations, w, dipole.length_ratio(f0), dipole.gain,
+                   first.excitation, aperture)
+
+    def drone_feed(self, uav_config: AntennaConfig | None = None):
+        """Feed weights, dipole length ratio and gain of a drone antenna.
+
+        Without ``uav_config`` the drone carries a half-wave cross-dipole with
+        the array's own feed.
+        """
+        if uav_config is None:
+            uav_config = AntennaConfig(self.excitation)
+        dipole = uav_config.dipole_for(self.f0)
+        return uav_config.excitation.weights(), dipole.length_ratio(self.f0), dipole.gain
+
+
 def field_pattern(theta: float, dipole: DipoleGeometry, f0: float) -> float:
     """Normalized dipole field pattern at elevation ``theta`` from the axis.
 
@@ -217,22 +271,6 @@ def channel_factor(
 # ---------------------------------------------------------------------------
 
 
-def _gs_rotations(gs_configs) -> np.ndarray:
-    return np.stack([geo.rotation_matrix(c.orientation) for c in gs_configs])
-
-
-def _common_excitation(gs_configs, f0):
-    "All array elements must share a feed and dipole geometry."
-    first = gs_configs[0]
-    w = first.excitation.weights()
-    ratio = first.dipole_for(f0).length_ratio(f0)
-    gain = first.dipole_for(f0).gain
-    for c in gs_configs[1:]:
-        if not np.allclose(c.excitation.weights(), w):
-            raise SwarmMimoError("array elements must share one excitation")
-    return w, ratio, gain
-
-
 def effective_gain_array(
     gs_configs,
     uav_position: np.ndarray,
@@ -248,32 +286,20 @@ def effective_gain_array(
     element whose direction is singular raises; elements are never silently
     skipped.
     """
-    if len(gs_configs) < 1:
-        raise SwarmMimoError("need at least one array element")
-    if uav_config is None:
-        uav_config = AntennaConfig(gs_configs[0].excitation)
-    w_tx, ratio_tx, gain_tx = _common_excitation(gs_configs, f0)
-    w_rx = uav_config.excitation.weights()
-    ratio_rx = uav_config.dipole_for(f0).length_ratio(f0)
-    gain_rx = uav_config.dipole_for(f0).gain
-    if geometry is not None:
-        if geometry.m != len(gs_configs):
-            raise SwarmMimoError("geometry and gs_configs disagree on element count")
-        elem = geo.element_positions(geometry)
-    else:
-        elem = np.zeros((len(gs_configs), 3))
+    ground = GroundArray.build(gs_configs, f0, geometry)
+    w_rx, ratio_rx, gain_rx = ground.drone_feed(uav_config)
     h, _, _, _ = response_batch(
         np.asarray(uav_position, float)[None, :],
-        elem,
-        _gs_rotations(gs_configs),
+        ground.elem,
+        ground.rotations,
         geo.rotation_matrix(uav_orientation),
-        w_tx,
+        ground.w,
         w_rx,
-        ratio_tx,
+        ground.ratio,
         ratio_rx,
         gs_per_sample=False,
     )
-    chi = gain_tx * gain_rx * np.abs(h[0]) ** 2
+    chi = ground.gain * gain_rx * np.abs(h[0]) ** 2
     if not np.all(np.isfinite(chi)):
         raise SingularDirectionError("singular direction for at least one element")
     return chi, float(chi.mean())
@@ -321,14 +347,9 @@ def worst_case_gain(
     """
     if budget < 1:
         raise SwarmMimoError("search budget must be positive")
-    if uav_config is None:
-        uav_config = AntennaConfig(gs_configs[0].excitation)
-    w_tx, ratio_tx, gain_tx = _common_excitation(gs_configs, f0)
-    w_rx = uav_config.excitation.weights()
-    ratio_rx = uav_config.dipole_for(f0).length_ratio(f0)
-    gains = gain_tx * uav_config.dipole_for(f0).gain
-    gs_rots = _gs_rotations(gs_configs)
-    elem = np.zeros((len(gs_configs), 3))
+    ground = GroundArray.build(gs_configs, f0)
+    w_rx, ratio_rx, gain_rx = ground.drone_feed(uav_config)
+    gains = ground.gain * gain_rx
 
     def mean_gain(x):
         theta = min(max(x[0], 1e-6), math.pi - 1e-6)
@@ -338,8 +359,8 @@ def worst_case_gain(
         roll = min(max(x[2], -math.pi / 2), math.pi / 2)
         pitch = min(max(x[3], -math.pi / 2), math.pi / 2)
         rot = geo.rotation_matrices(roll, pitch, x[4])
-        chi = chi_batch(pos[None, :], elem, gs_rots, rot, w_tx, w_rx, gains,
-                        ratio_tx, ratio_rx, gs_per_sample=False)
+        chi = chi_batch(pos[None, :], ground.elem, ground.rotations, rot, ground.w, w_rx,
+                        gains, ground.ratio, ratio_rx, gs_per_sample=False)
         if not np.all(np.isfinite(chi)):
             return np.inf
         return float(chi.mean())
@@ -390,13 +411,9 @@ def kappa_estimate(
         raise SwarmMimoError("sample count must be positive")
     if unit_gain:
         return 1.0, 0.0, 0
-    if uav_config is None:
-        uav_config = AntennaConfig(gs_configs[0].excitation)
-    w_tx, ratio_tx, gain_tx = _common_excitation(gs_configs, f0)
-    w_rx = uav_config.excitation.weights()
-    gains = gain_tx * uav_config.dipole_for(f0).gain
-    gs_rots = _gs_rotations(gs_configs)
-    elem = np.zeros((len(gs_configs), 3))
+    ground = GroundArray.build(gs_configs, f0)
+    w_rx, ratio_rx, gain_rx = ground.drone_feed(uav_config)
+    gains = ground.gain * gain_rx
     region = geo.ShellRegion(distance, distance)
 
     total = 0.0
@@ -411,9 +428,8 @@ def kappa_estimate(
         pos = geo.sample_shell_positions(region, rng, take)
         ang = geo.sample_orientations(rng, take, orientation_ranges)
         rots = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
-        chi = chi_batch(pos, elem, gs_rots, rots, w_tx, w_rx, gains,
-                        ratio_tx, uav_config.dipole_for(f0).length_ratio(f0),
-                        gs_per_sample=False)
+        chi = chi_batch(pos, ground.elem, ground.rotations, rots, ground.w, w_rx, gains,
+                        ground.ratio, ratio_rx, gs_per_sample=False)
         mean = chi.mean(axis=1)
         good = np.isfinite(mean) & (mean >= chi_floor)
         excluded += int(np.size(mean) - np.count_nonzero(good))

@@ -46,8 +46,8 @@ class TestPathloss:
 class TestChannelVector:
     def test_single_element_magnitude(self):
         g = ch.channel_vector(
-            line_array(1), circular_configs(1), np.array([70.0, 10.0, 40.0]),
-            geo.RotationAngles(), F0,
+            pol.GroundArray.build(circular_configs(1), F0, line_array(1)),
+            np.array([70.0, 10.0, 40.0]), geo.RotationAngles(),
         )
         res = pol.channel_factor(
             pol.AntennaConfig(pol.DipoleExcitation.circular()),
@@ -64,7 +64,8 @@ class TestChannelVector:
         geometry = line_array(16)
         cfgs = circular_configs(16, rng)
         pos = geo.SphericalPosition(300.0, 1.2, 0.4).to_cartesian()
-        g = ch.channel_vector(geometry, cfgs, pos, geo.RotationAngles(0.1, 0.2, 0.3), F0)
+        g = ch.channel_vector(pol.GroundArray.build(cfgs, F0, geometry), pos,
+                              geo.RotationAngles(0.1, 0.2, 0.3))
         chi, _ = pol.effective_gain_array(
             cfgs, pos, geo.RotationAngles(0.1, 0.2, 0.3), F0, geometry=geometry
         )
@@ -76,7 +77,7 @@ class TestChannelVector:
         geometry = line_array(32)
         cfgs = circular_configs(32)
         pos = geo.SphericalPosition(50_000.0, 1.1, 0.9).to_cartesian()
-        g = ch.channel_vector(geometry, cfgs, pos, geo.RotationAngles(), F0)
+        g = ch.channel_vector(pol.GroundArray.build(cfgs, F0, geometry), pos, geo.RotationAngles())
         d = np.linalg.norm(pos)
         res = pol.channel_factor(cfgs[0], pol.AntennaConfig(cfgs[0].excitation), pos, F0)
         expected = 32 * ch.pathloss(d, LAM) * res.chi
@@ -90,7 +91,7 @@ class TestChannelVector:
             geo.SphericalPosition(2_000.0, 1.0, 0.6).to_cartesian(),
             geo.SphericalPosition(3_000.0, 1.0, 0.6).to_cartesian(),
         ])
-        g = ch.channel_matrix(geometry, cfgs, pos, rot, F0)
+        g = ch.channel_matrix(pol.GroundArray.build(cfgs, F0, geometry), pos, rot)
         g1, g2 = g[:, 0], g[:, 1]
         corr = abs(np.vdot(g1, g2)) ** 2
         full = (np.linalg.norm(g1) * np.linalg.norm(g2)) ** 2
@@ -100,9 +101,28 @@ class TestChannelVector:
         geometry = line_array(100)
         with pytest.raises(SwarmMimoError):
             ch.channel_vector(
-                geometry, circular_configs(100), np.array([1.0, 0.5, 0.5]),
-                geo.RotationAngles(), F0,
+                pol.GroundArray.build(circular_configs(100), F0, geometry),
+                np.array([1.0, 0.5, 0.5]), geo.RotationAngles(),
             )
+
+
+class TestGroundArray:
+    def test_rejects_mixed_excitations(self):
+        cfgs = circular_configs(3) + [pol.AntennaConfig(pol.DipoleExcitation.linear())]
+        with pytest.raises(SwarmMimoError, match="share one excitation"):
+            pol.GroundArray.build(cfgs, F0, line_array(4))
+
+    def test_rejects_element_count_mismatch(self):
+        with pytest.raises(SwarmMimoError):
+            pol.GroundArray.build(circular_configs(3), F0, line_array(4))
+
+    def test_arrays_read_only(self):
+        ground = pol.GroundArray.build(circular_configs(4, np.random.default_rng(1)), F0,
+                                       line_array(4))
+        for arr in (ground.elem, ground.rotations, ground.w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert ground.elem.shape == (4, 3) and ground.rotations.shape == (4, 3, 3)
 
 
 class TestCoherence:

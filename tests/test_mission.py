@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from swarm_mimo_sim import channel as ch
 from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import mission as msn
 from swarm_mimo_sim.errors import SwarmMimoError
+from swarm_mimo_sim.montecarlo import substream
+from swarm_mimo_sim.polarization import GroundArray
 
 CAMERA = msn.CameraModel(r_px=1496, r_py=2664)
 
@@ -217,6 +220,38 @@ class TestRunMission:
         a = msn.run_mission(spec, step=10.0, seed=3, duration=30.0)
         b = msn.run_mission(spec, step=10.0, seed=3, duration=30.0)
         assert np.array_equal(a, b)
+
+
+    def test_matches_per_step_assembly(self):
+        # reference: every step rebuilds the ground array and each drone's path
+        # through the public per-step functions
+        spec = make_spec()
+        rows = msn.run_mission(spec, step=5.0, seed=4, duration=20.0)
+        lam = geo.wavelength(spec.f_c)
+        _, prelog = ch.coherence_prelog(spec.coherence(), spec.k)
+        uav_rot = geo.rotation_matrix(geo.RotationAngles(yaw=math.pi / 2))
+        uav_rots = np.broadcast_to(uav_rot, (spec.k, 3, 3)).copy()
+        p_p = spec.rho_p * (4.0 * math.pi * spec.d_wc / lam) ** 2 / spec.chi_wc
+        rng = substream(4, 0x51)
+        expected = np.zeros_like(rows)
+        times = np.arange(0.0, 20.0 + 2.5, 5.0)
+        assert times.size == 5
+        for step, t in enumerate(times):
+            pos = np.stack([msn.trajectory_position(spec, k, t)[0] for k in range(1, spec.k + 1)])
+            ground = GroundArray.build(msn._gs_configs(spec), spec.f_c, spec.geometry)
+            g = ch.channel_matrix(ground, pos, uav_rots)
+            mean_gain = np.mean(np.abs(g) ** 2, axis=0)
+            powers = np.minimum(spec.rho_u / mean_gain, spec.p_u_max)
+            sinr = ch.instantaneous_sinr_mrc(g, ch.ml_estimate(g, p_p, rng).g_hat, powers)
+            throughput = prelog * spec.bandwidth * np.log2(1.0 + sinr)
+            dist = np.linalg.norm(pos, axis=1)
+            chi_mean = mean_gain / (lam / (4.0 * math.pi * dist)) ** 2
+            for i in range(spec.k):
+                expected[step * spec.k + i] = (
+                    t, i + 1, *pos[i], throughput[i],
+                    msn.instantaneous_power(spec, dist[i], chi_mean[i]),
+                )
+        assert rows.tobytes() == expected.tobytes()
 
 
 class TestExtremaCounter:
