@@ -26,8 +26,12 @@ bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
   last bits.
 - numpy multiplies a one-element complex array in place without the fused
   multiply-add of its vector loop (see ``_e1_lentz``).
-- The per-sample ground rotation of the basis goes through ``einsum``;
-  explicit products differ from it in about two thirds of the lanes.
+- The per-sample ground rotation of the basis is written out as three-term
+  sums in the order in which numpy's einsum ``"nij,lnj->lni"`` adds, j = 0,
+  2, 1, unfused, from +0.0, so it keeps the bits of the einsum it replaced; in
+  the order j = 0, 1, 2 about a quarter of the components differ. A test
+  compares the sums with a live einsum, so a numpy that adds in another order
+  shows there.
 """
 
 from __future__ import annotations
@@ -167,8 +171,10 @@ def _fpat(cosang, ratio):
     return np.where(safe, num / np.where(safe, s, 1.0), 0.0)
 
 
-# The three-term sums below add in the order j = 0, 1, 2 and start from +0.0,
-# as einsum and np.sum do, so a sum of negative zeros comes out +0.0 there too.
+# The three-term sums below start from +0.0, as einsum and np.sum do, so a sum
+# of negative zeros comes out +0.0 there too. ``_rt`` and ``_dot3`` add in the
+# order j = 0, 1, 2; ``_rot`` adds in the order j = 0, 2, 1, which is the order
+# of numpy's einsum ``"nij,lnj->lni"`` over ``r`` and ``v``.
 
 
 def _rt(r, rx, ry, rz, i):
@@ -176,8 +182,14 @@ def _rt(r, rx, ry, rz, i):
     return 0.0 + r[..., 0, i] * rx + r[..., 1, i] * ry + r[..., 2, i] * rz
 
 
+def _rot(r, v):
+    "Components of ``R v`` for per-sample rotations ``r`` (rows, 3, 3)."
+    return [0.0 + r[:, i, 0] * v[0] + r[:, i, 2] * v[2] + r[:, i, 1] * v[1] for i in range(3)]
+
+
 def _dot3(v, u):
-    return 0.0 + v[..., 0] * u[..., 0] + v[..., 1] * u[..., 1] + v[..., 2] * u[..., 2]
+    "``v . u`` over the components of ``v`` and ``u``."
+    return 0.0 + v[0] * u[0] + v[1] * u[1] + v[2] * u[2]
 
 
 def _row_blocks(n, m):
@@ -220,17 +232,20 @@ def _resp_core_numpy(pos, elem, gs_r, gs_per_sample, uav_r, uav_per_sample,
         bad = (rho_t <= _SING_EPS * d) | (rho_p <= _SING_EPS * d)
         rho_t = np.where(bad, 1.0, rho_t)
         rho_p = np.where(bad, 1.0, rho_p)
-        th_loc = np.stack([-x * z, -y * z, x * x + y * y], axis=-1) / (d * rho_t)[..., None]
-        ps_loc = np.stack([-x * y, x * x + z * z, -y * z], axis=-1) / (d * rho_p)[..., None]
+        # the basis vectors in the reference frame, by component
+        dt = d * rho_t
+        dp = d * rho_p
         if gs_per_sample:
-            th_ref = np.einsum("nij,lnj->lni", gs, th_loc)
-            ps_ref = np.einsum("nij,lnj->lni", gs, ps_loc)
+            th_ref = _rot(gs, (-x * z / dt, -y * z / dt, (x * x + y * y) / dt))
+            ps_ref = _rot(gs, (-x * y / dp, (x * x + z * z) / dp, -y * z / dp))
         else:
             rt = np.swapaxes(gs_r, 1, 2)
-            th_ref = th_loc @ rt
-            ps_ref = ps_loc @ rt
-        ez = uav[..., :, 2]  # receive dipole axes in the reference frame
-        ey = uav[..., :, 1]
+            th_ref = np.stack([-x * z, -y * z, x * x + y * y], axis=-1) / dt[..., None] @ rt
+            ps_ref = np.stack([-x * y, x * x + z * z, -y * z], axis=-1) / dp[..., None] @ rt
+            th_ref, ps_ref = th_ref.transpose(2, 0, 1), ps_ref.transpose(2, 0, 1)
+        # receive dipole axes in the reference frame
+        ez = uav[..., :, 2].T
+        ey = uav[..., :, 1].T
         t11 = _dot3(th_ref, ez)
         t12 = _dot3(th_ref, ey)
         t21 = _dot3(ps_ref, ez)

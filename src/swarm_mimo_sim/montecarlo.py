@@ -165,14 +165,13 @@ def _channel_for(spec: ScenarioSpec, positions, gs_rots, uav_rots, elem):
         rel = positions[:, None, :] - elem[None, :, :]
         dist = np.sqrt(np.sum(rel * rel, axis=-1))
         h = np.ones_like(dist, dtype=np.complex128)
-        n1 = n2 = None
     else:
         w = spec.feed_weights()
         r = spec.pattern_ratio()
-        h, dist, n1, n2 = response_batch(
+        h, dist = response_batch(
             positions, elem, gs_rots, uav_rots, w, w, r, r,
             gs_per_sample=spec.gs_orientation == "identical",
-        )
+        )[:2]
         h = h * math.sqrt(spec.element_gains())
     beta = (lam / (4.0 * math.pi * dist)) ** 2
     return np.sqrt(beta) * h * np.exp(-2j * math.pi * dist / lam), beta, h
@@ -207,6 +206,8 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
     if n < 1:
         raise SwarmMimoError("sample count must be positive")
     elem = geo.element_positions(spec.geometry)
+    frozen = (spec.frozen_gs_rotations()
+              if spec.gs_orientation == "pseudo-random" else None)
     acc = _Accumulator()
     done = 0
     index = 0
@@ -219,8 +220,7 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
         pos_j = geo.sample_shell_positions(spec.region, rng, take)
         rot_k = _uav_rotations(spec, rng, take)
         rot_j = _uav_rotations(spec, rng, take)
-        gs = _gs_rotations_for_chunk(spec, rng, take, spec.frozen_gs_rotations()
-                                     if spec.gs_orientation == "pseudo-random" else None)
+        gs = _gs_rotations_for_chunk(spec, rng, take, frozen)
         g_k, beta_k, h_k = _channel_for(spec, pos_k, gs, rot_k, elem)
         g_j, beta_j, h_j = _channel_for(spec, pos_j, gs, rot_j, elem)
         gain_k = np.mean(np.abs(g_k) ** 2, axis=1)
@@ -390,6 +390,7 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
         pairs = [pairs[i] for i in sorted(keep)]
     rng = substream(seed, 1)
     d, theta, phi = geo._shell_draws(spec.region, rng, n)
+    sin_theta, cos_phi, sin_phi = np.sin(theta), np.cos(phi), np.sin(phi)
     rows = []
     for l, lp in pairs:
         q, p = divmod(l - 1, geometry.m_x)
@@ -401,9 +402,9 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
         cval, dval = cb_db(bval, spec.region)
         sincval = expected_phase_sinc(p - pp, q - qp, geometry, lam)
         closed = complex(cval, dval) * sincval
-        phase = bval / d - (2.0 * math.pi / lam) * np.sin(theta) * (
-            (p - pp) * geometry.delta_x * np.cos(phi)
-            + (q - qp) * geometry.delta_y * np.sin(phi)
+        phase = bval / d - (2.0 * math.pi / lam) * sin_theta * (
+            (p - pp) * geometry.delta_x * cos_phi
+            + (q - qp) * geometry.delta_y * sin_phi
         )
         z = np.exp(1j * phase)
         mc = complex(z.mean())

@@ -134,14 +134,19 @@ class GroundArray:
 
     @classmethod
     def build(cls, gs_configs, f0: float, geometry: geo.ArrayGeometry | None = None):
-        "Check that all elements share one feed, then fix the array for ``f0``."
+        "Check that all elements share one feed and dipole, then fix the array for ``f0``."
         if len(gs_configs) < 1:
             raise SwarmMimoError("need at least one array element")
         first = gs_configs[0]
         w = first.excitation.weights()
+        dipole = first.dipole_for(f0)
+        shape = (dipole.length_ratio(f0), dipole.gain)
         for c in gs_configs[1:]:
             if not np.allclose(c.excitation.weights(), w):
                 raise SwarmMimoError("array elements must share one excitation")
+            other = c.dipole_for(f0)
+            if not np.allclose((other.length_ratio(f0), other.gain), shape):
+                raise SwarmMimoError("array elements must share one dipole")
         if geometry is not None:
             if geometry.m != len(gs_configs):
                 raise SwarmMimoError("geometry and gs_configs disagree on element count")
@@ -151,9 +156,7 @@ class GroundArray:
         rotations = np.stack([geo.rotation_matrix(c.orientation) for c in gs_configs])
         for a in (elem, rotations, w):
             a.flags.writeable = False
-        dipole = first.dipole_for(f0)
-        return cls(f0, elem, rotations, w, dipole.length_ratio(f0), dipole.gain,
-                   first.excitation, aperture)
+        return cls(f0, elem, rotations, w, *shape, first.excitation, aperture)
 
     def drone_feed(self, uav_config: AntennaConfig | None = None):
         """Feed weights, dipole length ratio and gain of a drone antenna.

@@ -112,6 +112,22 @@ class TestGroundArray:
         with pytest.raises(SwarmMimoError, match="share one excitation"):
             pol.GroundArray.build(cfgs, F0, line_array(4))
 
+    @pytest.mark.parametrize("dipole", [
+        pol.DipoleGeometry(0.01, 3.0),
+        pol.DipoleGeometry(0.01),  # length only
+        pol.DipoleGeometry(LAM / 2, 3.0),  # gain only
+    ])
+    def test_rejects_mixed_dipoles(self, dipole):
+        other = pol.AntennaConfig(pol.DipoleExcitation.circular(), dipole=dipole)
+        with pytest.raises(SwarmMimoError, match="share one dipole"):
+            pol.GroundArray.build(circular_configs(1) + [other], F0, line_array(2))
+
+    def test_accepts_explicit_half_wave_dipole(self):
+        half_wave = pol.AntennaConfig(pol.DipoleExcitation.circular(),
+                                      dipole=pol.DipoleGeometry.half_wave(F0))
+        ground = pol.GroundArray.build(circular_configs(1) + [half_wave], F0, line_array(2))
+        assert ground.ratio == pytest.approx(0.5) and ground.gain == pol.HALF_WAVE_DIPOLE_GAIN
+
     def test_rejects_element_count_mismatch(self):
         with pytest.raises(SwarmMimoError):
             pol.GroundArray.build(circular_configs(3), F0, line_array(4))

@@ -138,13 +138,30 @@ ratio_points = 4
         assert summary["interference_moment"]["dev_se"] < 5.0
 
     def test_byte_identical_reruns(self, tmp_path):
-        text = preset("tables.ini")
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        cli.run_experiment("tables", text, 9, a)
-        cli.run_experiment("tables", text, 9, b)
-        assert (a / "table_image.csv").read_bytes() == (b / "table_image.csv").read_bytes()
-        assert (a / "table_video.csv").read_bytes() == (b / "table_video.csv").read_bytes()
+        # every experiment, at a small size, twice with one seed
+        for kind, name, edits in (
+            ("tables", "tables.ini", {}),
+            ("rate-curve", "rate_curve.ini", {"1:256": "16,32"}),
+            ("spacing-sweep", "spacing_sweep_ula.ini", {"ratio_points = 60": "ratio_points = 2"}),
+            ("gain-cdf", "gain_cdf_circular_identical.ini", {"n = 100000": "n = 500"}),
+            ("validate", "validate.ini", {"100000": "1000"}),
+            ("mission-sim", "mission.ini", {"duration_s = 100.0": "duration_s = 3.0"}),
+        ):
+            text = preset(name)
+            for old, new in edits.items():
+                assert old in text
+                text = text.replace(old, new)
+            a = tmp_path / kind / "a"
+            b = tmp_path / kind / "b"
+            files = cli.run_experiment(kind, text, 9, a)
+            assert cli.run_experiment(kind, text, 9, b) == files
+            for f in files:
+                if f.endswith(".json"):  # identical apart from the run's own wall time
+                    ja, jb = (json.loads((d / f).read_text()) for d in (a, b))
+                    assert ja.pop("wall_clock_s") >= 0.0 and jb.pop("wall_clock_s") >= 0.0
+                    assert ja == jb, f
+                else:
+                    assert (a / f).read_bytes() == (b / f).read_bytes(), f
 
     def test_csv_metadata_line(self, tmp_path):
         cli.run_experiment("tables", preset("tables.ini"), 4, tmp_path)

@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import sici
 
-from swarm_mimo_sim._kernels import response_batch, si_ci_arrays
-from swarm_mimo_sim.geometry import rotation_matrices
+from swarm_mimo_sim._kernels import _rot, response_batch, si_ci_arrays
+from swarm_mimo_sim.geometry import (
+    ArrayGeometry,
+    ShellRegion,
+    element_positions,
+    rotation_matrices,
+    sample_shell_positions,
+)
 
 
 def test_si_ci_against_scipy():
@@ -97,6 +104,14 @@ def kernel_layout(name):
         pos = np.array([[0.0, 0.0, 10.0], [3.0, 4.0, 12.0]])
         elem = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
         return (pos, elem, np.stack([np.eye(3)] * 2), np.eye(3), CIRC, CIRC), False
+    if name == "gain_cdf":
+        # the gain-cdf preset's shape: 50-element half-wave line array, one
+        # common ground rotation and one drone rotation per sample, 327-row blocks
+        rng = np.random.default_rng(50)
+        n, m = 700, 50
+        elem = element_positions(ArrayGeometry(m, 1, 0.0625, 0.0))
+        pos = sample_shell_positions(ShellRegion(20.0, 500.0), rng, n)
+        return (pos, elem, _rots(rng, n), _rots(rng, n), CIRC, CIRC, 0.5, 0.5), True
     rng = np.random.default_rng(
         {"mission": 20, "per_sample": 5000, "remainder": 257, "single": 1}[name])
     if name == "mission":  # per-element ground and per-sample drone rotations
@@ -116,8 +131,18 @@ def kernel_layout(name):
 
 # float.hex of (h.real, h.imag, dist, n1sq, n2sq) at a few (sample, element)
 # lanes of each layout, recorded from the per-element loop the blocked kernel
-# replaced; the per_sample lanes sit on both sides of each block edge
+# replaced (gain_cdf: from the kernel whose per-sample rotation was an einsum);
+# the per_sample and gain_cdf lanes sit on both sides of each block edge
 KERNEL_GOLDEN = {
+    "gain_cdf": [
+        ((0, 0), ('0x1.c253d0a2e48f6p-4', '0x1.545a7362a3c0cp-3', '0x1.cdb75b504418cp+8', '0x1.0220f94bdee6dp-1', '0x1.ddc594b476d90p-2')),
+        ((326, 49), ('0x1.ae30ca5404be4p-4', '-0x1.fed318acb6386p-4', '0x1.47e268ede04d8p+8', '0x1.2872173197f31p-1', '0x1.96cdf5716772cp-1')),
+        ((327, 0), ('-0x1.a07ef01491d0ep-3', '0x1.42c72dd25d265p-2', '0x1.f5ef2338d4738p+7', '0x1.eb7a725886a01p-2', '0x1.65e8805ca9371p-1')),
+        ((327, 31), ('-0x1.a748b02d2bafap-3', '0x1.3d0406cecf358p-2', '0x1.f67d7edbf7e53p+7', '0x1.ea0337481054cp-2', '0x1.657001938c4bcp-1')),
+        ((653, 17), ('0x1.4cccd944be380p-2', '0x1.690f4e11cc356p-2', '0x1.e409b5f0c7521p+8', '0x1.54ba0d31a2b14p-1', '0x1.2051f4c9f3ae6p-1')),
+        ((654, 48), ('-0x1.b61492f4c63cep-4', '-0x1.020c7accf14c0p-3', '0x1.6dc89866b31a0p+8', '0x1.0171e5238dabfp-1', '0x1.1e24ee7b4ff9ep-1')),
+        ((699, 49), ('-0x1.27ed5dd0dcd33p-3', '-0x1.52c2d609b437ap-2', '0x1.e11b83e07e949p+7', '0x1.ec56cbb8e13d8p-2', '0x1.5a8edd0cfd6c2p-1')),
+    ],
     "mission": [
         ((0, 0), ('0x1.36967383b427ap-2', '0x1.e2bc93e48c58fp-3', '0x1.c8b99b0ed97f4p+9', '0x1.a0be71c2ac284p-2', '0x1.54d79fad935d8p-1')),
         ((7, 42), ('-0x1.0ecd58a491a41p-2', '0x1.637e83e36357cp-4', '0x1.5758068d2bdb2p+8', '0x1.dfd2db83d9a02p-1', '0x1.5d94d116f70bdp-2')),
@@ -199,3 +224,34 @@ def test_singular_direction_marks_nan():
                                       gs_per_sample=False)
     assert np.isnan(h[0, 0].real)
     assert dist[0, 0] == 10.0
+
+
+@pytest.mark.parametrize("m, rows", [(1, 1), (1, 2), (2, 1), (3, 5), (7, 2340), (50, 327),
+                                     (64, 256), (100, 163), (8192, 2), (16384, 1)])
+def test_per_sample_rotation_matches_einsum(m, rows):
+    # the kernel's per-sample ground rotation keeps the bits of this einsum
+    rng = np.random.default_rng(m * 100003 + rows)
+    g = rng.normal(size=(rows, 3, 3))
+    v = rng.normal(size=(m, rows, 3))
+    for a in (g, v):  # a fifth of the inputs are signed zeros
+        zero = rng.uniform(size=a.shape) < 0.2
+        a[zero] = np.copysign(0.0, rng.uniform(-1.0, 1.0, size=a.shape))[zero]
+    want = np.einsum("nij,lnj->lni", g, v)
+    comps = [np.ascontiguousarray(v[..., j]) for j in range(3)]
+    got = np.stack(_rot(g, comps), axis=-1)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 12),
+       ratio=st.floats(0.05, 1.5), amp=st.floats(0.0, 1.0), phase=st.floats(-3.2, 3.2))
+def test_polarization_loss_factor_at_most_one(seed, n, m, ratio, amp, phase):
+    # |h|^2 <= n1sq * n2sq (Cauchy-Schwarz): the PLF never exceeds 1
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(size=(n, 3)) * rng.uniform(1.0, 500.0)
+    elem = rng.normal(size=(m, 3))
+    w_tx = np.array([np.sqrt(1.0 - amp * amp), amp * np.exp(1j * phase)])
+    h, _, n1, n2 = response_batch(pos, elem, _rots(rng, n), _rots(rng, n), w_tx, CIRC,
+                                  ratio, 0.5, gs_per_sample=True)
+    ok = np.isfinite(h)
+    assert np.all(np.abs(h[ok]) ** 2 <= n1[ok] * n2[ok] * (1.0 + 1e-12))
