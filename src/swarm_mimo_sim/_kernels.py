@@ -206,7 +206,7 @@ def _row_blocks(n, m):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _resp_core_numpy(pos, elem, gs_r, gs_per_sample, uav_r, uav_per_sample,
+def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
                      wt0, wt1, wr0, wr1, ratio_t, ratio_r):
     n = pos.shape[0]
     m = elem.shape[0]
@@ -216,7 +216,7 @@ def _resp_core_numpy(pos, elem, gs_r, gs_per_sample, uav_r, uav_per_sample,
     n2sq = np.empty((n, m))
     # element-major blocks: every array below is (m, rows)
     for rows in _row_blocks(n, m):
-        gs = gs_r[rows] if gs_per_sample else gs_r[:, None]
+        gs = gs_r[rows] if gs_by_sample else gs_r[:, None]
         uav = uav_r[rows] if uav_per_sample else uav_r
         rx = pos[rows, 0] - elem[:, 0, None]
         ry = pos[rows, 1] - elem[:, 1, None]
@@ -235,7 +235,7 @@ def _resp_core_numpy(pos, elem, gs_r, gs_per_sample, uav_r, uav_per_sample,
         # the basis vectors in the reference frame, by component
         dt = d * rho_t
         dp = d * rho_p
-        if gs_per_sample:
+        if gs_by_sample:
             th_ref = _rot(gs, (-x * z / dt, -y * z / dt, (x * x + y * y) / dt))
             ps_ref = _rot(gs, (-x * y / dp, (x * x + z * z) / dp, -y * z / dp))
         else:
@@ -265,21 +265,20 @@ def _resp_core_numpy(pos, elem, gs_r, gs_per_sample, uav_r, uav_per_sample,
     return h, dist, n1sq, n2sq
 
 
-def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.5,
-                   gs_per_sample=None):
+def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.5):
     """Cross-dipole coupling for every (sample, element) pair.
 
     Parameters
     ----------
     pos : (n, 3) drone positions in the reference frame.
     elem : (m, 3) element positions.
-    gs_r : ground-side rotations, ``(m, 3, 3)`` for per-element orientations
-        or ``(n, 3, 3)`` to give every sample its own common orientation.
+    gs_r : ground-side rotations, ``(m, 3, 3)`` for one orientation per
+        element, or ``(n, 1, 3, 3)`` for one common orientation of the whole
+        array per sample (the broadcast shape against ``(n, m)``). The two
+        differ in rank, so the layout never depends on whether n == m.
     uav_r : drone rotations, ``(3, 3)`` shared or ``(n, 3, 3)`` per sample.
     w_tx, w_rx : complex feed coefficients of the (theta, psi) dipoles.
     ratio_tx, ratio_rx : dipole length over wavelength for each side.
-    gs_per_sample : disambiguates the ``gs_r`` layout when n == m; inferred
-        from the shape otherwise.
 
     Returns
     -------
@@ -293,14 +292,12 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
     n, m = pos.shape[0], elem.shape[0]
     gs_r = np.ascontiguousarray(gs_r, dtype=np.float64)
     uav_r = np.ascontiguousarray(uav_r, dtype=np.float64)
-    if gs_r.ndim != 3 or gs_r.shape[0] not in (m, n):
-        raise ValueError("gs_r must be (m, 3, 3) or (n, 3, 3)")
-    if gs_per_sample is None:
-        if n == m and gs_r.shape[0] == n:
-            raise ValueError("ambiguous gs_r layout with n == m; pass gs_per_sample")
-        gs_per_sample = gs_r.shape[0] == n
-    elif gs_r.shape[0] != (n if gs_per_sample else m):
-        raise ValueError("gs_r shape inconsistent with gs_per_sample")
+    if gs_r.shape == (m, 3, 3):
+        gs_by_sample = False
+    elif gs_r.shape == (n, 1, 3, 3):
+        gs_r, gs_by_sample = gs_r[:, 0], True
+    else:
+        raise ValueError("gs_r must be (m, 3, 3) per element or (n, 1, 3, 3) per sample")
     if uav_r.ndim == 2:
         uav_r = uav_r[None, :, :]
         uav_per_sample = False
@@ -314,7 +311,7 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
     w_rx = np.asarray(w_rx, dtype=np.complex128)
     ur = uav_r if uav_per_sample else uav_r[0]
     return _resp_core_numpy(
-        pos, elem, gs_r, gs_per_sample, ur, uav_per_sample,
+        pos, elem, gs_r, gs_by_sample, ur, uav_per_sample,
         complex(w_tx[0]), complex(w_tx[1]), complex(w_rx[0]), complex(w_rx[1]),
         float(ratio_tx), float(ratio_rx),
     )

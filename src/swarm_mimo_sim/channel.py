@@ -73,11 +73,22 @@ class ChannelEstimate:
     p_p: float
 
 
-def pathloss(d: float, lam: float) -> float:
-    "Free-space power gain (lambda / 4 pi d)^2."
-    if d <= 0:
-        raise SwarmMimoError(f"distance must be positive, got {d}")
+def pathloss(d, lam: float):
+    "Free-space power gain (lambda / 4 pi d)^2 of a distance or an array of them."
+    d_min = np.min(d)
+    if d_min <= 0:
+        raise SwarmMimoError(f"distance must be positive, got {d_min}")
     return (lam / (4.0 * math.pi * d)) ** 2
+
+
+def synthesize(h: np.ndarray, dist: np.ndarray, lam: float, gains: float):
+    """Channel entries and pathlosses from couplings ``h`` at distances ``dist``.
+
+    Each entry is sqrt(pathloss * gains) times the coupling times the exact
+    propagation phase. Returns ``(g, beta)`` in the shape of ``h``.
+    """
+    beta = pathloss(dist, lam)
+    return np.sqrt(beta * gains) * h * np.exp(-2j * math.pi * dist / lam), beta
 
 
 def coherence_interval(params: CoherenceParams) -> float:
@@ -142,7 +153,6 @@ def channel_matrix(
     uav_config: AntennaConfig | None = None,
 ) -> np.ndarray:
     """Channel matrix ``G`` of shape ``(M, K)`` for ``K`` drones at ``ground.f0``."""
-    lam = geo.wavelength(ground.f0)
     pos = np.asarray(uav_positions, float)
     norms = np.linalg.norm(pos, axis=1)
     if np.any(norms <= ground.aperture):
@@ -158,12 +168,10 @@ def channel_matrix(
         w_rx,
         ground.ratio,
         ratio_rx,
-        gs_per_sample=False,
     )
     if not np.all(np.isfinite(h.real)):
         raise SingularDirectionError("singular direction for at least one element")
-    beta = (lam / (4.0 * math.pi * dist)) ** 2
-    g = np.sqrt(beta * gains) * h * np.exp(-2j * math.pi * dist / lam)
+    g, _ = synthesize(h, dist, geo.wavelength(ground.f0), gains)
     return g.T.copy()
 
 

@@ -21,6 +21,7 @@ from .channel import (
     channel_matrix,
     instantaneous_sinr_mrc,
     ml_estimate,
+    pathloss,
 )
 from .errors import SwarmMimoError
 from .montecarlo import substream
@@ -345,7 +346,7 @@ def run_mission(
         sinr = instantaneous_sinr_mrc(g, g_hat, powers)
         throughput = prelog * spec.bandwidth * np.log2(1.0 + sinr)
         dist = np.linalg.norm(pos, axis=1)
-        chi_mean = mean_gain / (lam / (4.0 * math.pi * dist)) ** 2
+        chi_mean = mean_gain / pathloss(dist, lam)
         watts = np.array(
             [instantaneous_power(spec, dist[i], chi_mean[i]) for i in range(spec.k)]
         )

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .channel import instantaneous_sinr_mrc, sinr_zf
+from .channel import instantaneous_sinr_mrc, sinr_zf, synthesize
 from .errors import SwarmMimoError
-from .polarization import DipoleExcitation, HALF_WAVE_DIPOLE_GAIN, chi_batch
+from .polarization import DipoleExcitation, GroundArray, HALF_WAVE_DIPOLE_GAIN, chi_batch
 from .rates import cb_db, expected_phase_sinc
 
 #: Samples per substream chunk. Part of the reproducibility contract:
@@ -108,87 +108,71 @@ class ScenarioSpec:
     def lam(self) -> float:
         return geo.wavelength(self.f_c)
 
-    def feed_weights(self) -> np.ndarray:
-        exc = (
-            DipoleExcitation.circular()
-            if self.excitation == "circular"
-            else DipoleExcitation.linear()
-        )
-        return exc.weights()
+    def ground(self) -> GroundArray:
+        """The array's elements, rotations and antenna; the drones carry the same antenna.
 
-    def pattern_ratio(self) -> float:
-        "Dipole length over wavelength; 0 collapses the pattern to 1."
-        return 0.5 if self.pattern == "dipole" else 0.0
-
-    def element_gains(self) -> float:
-        return HALF_WAVE_DIPOLE_GAIN**2 if self.pattern == "dipole" else 1.0
-
-    def frozen_gs_rotations(self) -> np.ndarray:
-        "(M, 3, 3) rotations for the pseudo-random array, frozen per seed."
-        rng = substream(self.orientation_seed, 0xA11A)
-        ang = geo.sample_orientations(rng, self.geometry.m, self.orientation_ranges)
-        return geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
+        Rotations are upright unless ``pseudo-random``; with ``identical`` the
+        estimators rotate the whole array per sample instead.
+        """
+        m = self.geometry.m
+        if self.gs_orientation == "pseudo-random":
+            rotations = _rotations(self, substream(self.orientation_seed, 0xA11A), m)
+        else:
+            rotations = np.broadcast_to(np.eye(3), (m, 3, 3))
+        circular = self.excitation == "circular"
+        exc = DipoleExcitation.circular() if circular else DipoleExcitation.linear()
+        ratio, gain = (0.5, HALF_WAVE_DIPOLE_GAIN) if self.pattern == "dipole" else (0.0, 1.0)
+        return GroundArray(self.f_c, geo.element_positions(self.geometry), rotations,
+                           exc.weights(), ratio, gain, exc, self.geometry.aperture())
 
 
-def _gs_rotations_for_chunk(spec: ScenarioSpec, rng, n: int, frozen):
-    if spec.gs_orientation == "pseudo-random":
-        return frozen
-    if spec.gs_orientation == "identical":
-        ang = geo.sample_orientations(rng, n, spec.orientation_ranges)
-        return geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
-    return np.broadcast_to(np.eye(3), (spec.geometry.m, 3, 3)).copy()
-
-
-def _uav_rotations(spec: ScenarioSpec, rng, n: int) -> np.ndarray:
+def _rotations(spec: ScenarioSpec, rng, n: int) -> np.ndarray:
     ang = geo.sample_orientations(rng, n, spec.orientation_ranges)
     return geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
 
 
-def _chi_for(spec: ScenarioSpec, positions, gs_rots, uav_rots, elem) -> np.ndarray:
+def _gs_rotations(spec: ScenarioSpec, ground: GroundArray, rng, n: int) -> np.ndarray:
+    "The array's own rotations, or one common ``(n, 1, 3, 3)`` draw per sample."
+    identical = spec.gs_orientation == "identical"
+    return _rotations(spec, rng, n)[:, None] if identical else ground.rotations
+
+
+def _chi_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, uav_rots):
     "(n, M) effective gains under the scenario's pattern mode."
     if spec.pattern == "unit":
-        return np.ones((positions.shape[0], elem.shape[0]))
-    w = spec.feed_weights()
-    return chi_batch(
-        positions, elem, gs_rots, uav_rots, w, w,
-        spec.element_gains(), spec.pattern_ratio(), spec.pattern_ratio(),
-        gs_per_sample=spec.gs_orientation == "identical",
-    )
+        return np.ones((positions.shape[0], ground.elem.shape[0]))
+    return chi_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
+                     ground.gain * ground.gain, ground.ratio, ground.ratio)
 
 
-def _channel_for(spec: ScenarioSpec, positions, gs_rots, uav_rots, elem):
-    """(n, M) complex channel rows with exact distances and pathloss."""
+def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, uav_rots):
+    """(n, M) complex channel rows and their pathlosses, from exact distances."""
     from ._kernels import response_batch
 
-    lam = spec.lam
     if spec.pattern == "unit":
-        rel = positions[:, None, :] - elem[None, :, :]
+        rel = positions[:, None, :] - ground.elem[None, :, :]
         dist = np.sqrt(np.sum(rel * rel, axis=-1))
         h = np.ones_like(dist, dtype=np.complex128)
     else:
-        w = spec.feed_weights()
-        r = spec.pattern_ratio()
-        h, dist = response_batch(
-            positions, elem, gs_rots, uav_rots, w, w, r, r,
-            gs_per_sample=spec.gs_orientation == "identical",
-        )[:2]
-        h = h * math.sqrt(spec.element_gains())
-    beta = (lam / (4.0 * math.pi * dist)) ** 2
-    return np.sqrt(beta) * h * np.exp(-2j * math.pi * dist / lam), beta, h
+        h, dist = response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
+                                 ground.ratio, ground.ratio)[:2]
+        # the gain scales h, not synthesize's gains: moving it there changes last bits,
+        # so it waits for a deliberate re-record of the seeded outputs
+        h = h * ground.gain
+    return synthesize(h, dist, spec.lam, 1.0)
 
 
-def _redraw_bad(spec, rng, positions, uav_rots, chi, frozen):
+def _redraw_bad(spec, ground, rng, positions, uav_rots, chi):
     "Resample any singular-direction lanes (probability-zero events)."
-    elem = geo.element_positions(spec.geometry)
     for _ in range(100):
         bad = ~np.all(np.isfinite(chi), axis=1)
         if not np.any(bad):
             return positions, uav_rots, chi
         idx = np.flatnonzero(bad)
         positions[idx] = geo.sample_shell_positions(spec.region, rng, idx.size)
-        uav_rots[idx] = _uav_rotations(spec, rng, idx.size)
-        gs = _gs_rotations_for_chunk(spec, rng, idx.size, frozen)
-        chi[idx] = _chi_for(spec, positions[idx], gs, uav_rots[idx], elem)
+        uav_rots[idx] = _rotations(spec, rng, idx.size)
+        gs = _gs_rotations(spec, ground, rng, idx.size)
+        chi[idx] = _chi_for(spec, ground, positions[idx], gs, uav_rots[idx])
     raise SwarmMimoError("persistent singular directions while sampling")
 
 
@@ -205,9 +189,7 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
     """
     if n < 1:
         raise SwarmMimoError("sample count must be positive")
-    elem = geo.element_positions(spec.geometry)
-    frozen = (spec.frozen_gs_rotations()
-              if spec.gs_orientation == "pseudo-random" else None)
+    ground = spec.ground()
     acc = _Accumulator()
     done = 0
     index = 0
@@ -218,11 +200,11 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
         done += take
         pos_k = geo.sample_shell_positions(spec.region, rng, take)
         pos_j = geo.sample_shell_positions(spec.region, rng, take)
-        rot_k = _uav_rotations(spec, rng, take)
-        rot_j = _uav_rotations(spec, rng, take)
-        gs = _gs_rotations_for_chunk(spec, rng, take, frozen)
-        g_k, beta_k, h_k = _channel_for(spec, pos_k, gs, rot_k, elem)
-        g_j, beta_j, h_j = _channel_for(spec, pos_j, gs, rot_j, elem)
+        rot_k = _rotations(spec, rng, take)
+        rot_j = _rotations(spec, rng, take)
+        gs = _gs_rotations(spec, ground, rng, take)
+        g_k, _ = _channel_for(spec, ground, pos_k, gs, rot_k)
+        g_j, _ = _channel_for(spec, ground, pos_j, gs, rot_j)
         gain_k = np.mean(np.abs(g_k) ** 2, axis=1)
         gain_j = np.mean(np.abs(g_j) ** 2, axis=1)
         cross = np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
@@ -244,7 +226,7 @@ def estimate_zf_inverse_moment(spec: ScenarioSpec, n: int, seed: int) -> Estimat
     draws are rare at the requested sample size.
     """
     m = spec.geometry.m
-    elem = geo.element_positions(spec.geometry)
+    elem = spec.ground().elem
     lam = spec.lam
     acc = _Accumulator()
     done = 0
@@ -288,11 +270,9 @@ def estimate_ergodic_rate(
     if receiver == "zf" and csi != "perfect":
         raise SwarmMimoError("zero-forcing here assumes perfect channel knowledge")
     k = spec.k
-    elem = geo.element_positions(spec.geometry)
+    ground = spec.ground()
     lam = spec.lam
     p_p = spec.rho_p * (4.0 * math.pi * spec.region.r_max / lam) ** 2 / spec.chi_wc
-    frozen = (spec.frozen_gs_rotations()
-              if spec.gs_orientation == "pseudo-random" else None)
     acc = _Accumulator()
     done = 0
     index = 0
@@ -303,13 +283,11 @@ def estimate_ergodic_rate(
         index += 1
         done += take
         pos = geo.sample_shell_positions(spec.region, rng, take * k)
-        rots = _uav_rotations(spec, rng, take * k)
-        if spec.gs_orientation == "identical":
-            # one common array orientation per draw, shared by its k drones
-            gs = np.repeat(_gs_rotations_for_chunk(spec, rng, take, frozen), k, axis=0)
-        else:
-            gs = _gs_rotations_for_chunk(spec, rng, take * k, frozen)
-        g_rows, beta, h = _channel_for(spec, pos, gs, rots, elem)
+        rots = _rotations(spec, rng, take * k)
+        gs = _gs_rotations(spec, ground, rng, take)
+        if gs.ndim == 4:  # one common array orientation per draw, shared by its k drones
+            gs = np.repeat(gs, k, axis=0)
+        g_rows, _ = _channel_for(spec, ground, pos, gs, rots)
         g = g_rows.reshape(take, k, -1)  # (draws, K, M)
         mean_gain = np.mean(np.abs(g) ** 2, axis=2)
         powers = spec.rho_u / mean_gain
@@ -340,9 +318,7 @@ def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
     thr = 10.0 ** (thresholds_db / 10.0)
     counts = np.zeros(thr.shape, dtype=np.int64)
     below_10 = 0
-    elem = geo.element_positions(spec.geometry)
-    frozen = (spec.frozen_gs_rotations()
-              if spec.gs_orientation == "pseudo-random" else None)
+    ground = spec.ground()
     sums = np.empty(n)
     done = 0
     index = 0
@@ -351,10 +327,10 @@ def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
         rng = substream(seed, index)
         index += 1
         pos = geo.sample_shell_positions(spec.region, rng, take)
-        rots = _uav_rotations(spec, rng, take)
-        gs = _gs_rotations_for_chunk(spec, rng, take, frozen)
-        chi = _chi_for(spec, pos, gs, rots, elem)
-        pos, rots, chi = _redraw_bad(spec, rng, pos, rots, chi, frozen)
+        rots = _rotations(spec, rng, take)
+        gs = _gs_rotations(spec, ground, rng, take)
+        chi = _chi_for(spec, ground, pos, gs, rots)
+        pos, rots, chi = _redraw_bad(spec, ground, rng, pos, rots, chi)
         total = chi.sum(axis=1)
         counts += (total[:, None] < thr[None, :]).sum(axis=0)
         below_10 += int(np.count_nonzero(total < 10.0))

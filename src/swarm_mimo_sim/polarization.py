@@ -115,12 +115,12 @@ class PolarizationResult:
 
 @dataclass(frozen=True, eq=False)
 class GroundArray:
-    """Ground-side setup of an array, built once by :meth:`build`.
+    """Ground-side setup of an array, built once by :meth:`build` or directly.
 
     Holds the element positions ``elem`` (``(m, 3)``, all at the origin when
     built without a geometry), the per-element rotations (``(m, 3, 3)``), the
     feed weights, dipole length ratio and gain that every element shares, and
-    the aperture. Its arrays are read-only.
+    the aperture. It keeps read-only copies of its arrays.
     """
 
     f0: float
@@ -131,6 +131,12 @@ class GroundArray:
     gain: float
     excitation: DipoleExcitation
     aperture: float
+
+    def __post_init__(self):
+        for name in ("elem", "rotations", "w"):
+            a = np.array(getattr(self, name))
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
     def build(cls, gs_configs, f0: float, geometry: geo.ArrayGeometry | None = None):
@@ -154,8 +160,6 @@ class GroundArray:
         else:
             elem, aperture = np.zeros((len(gs_configs), 3)), 0.0
         rotations = np.stack([geo.rotation_matrix(c.orientation) for c in gs_configs])
-        for a in (elem, rotations, w):
-            a.flags.writeable = False
         return cls(f0, elem, rotations, w, *shape, first.excitation, aperture)
 
     def drone_feed(self, uav_config: AntennaConfig | None = None):
@@ -255,7 +259,6 @@ def channel_factor(
         wr,
         tx.dipole_for(f0).length_ratio(f0),
         rx.dipole_for(f0).length_ratio(f0),
-        gs_per_sample=False,
     )
     hval = complex(h[0, 0])
     if not np.isfinite(hval.real):
@@ -300,7 +303,6 @@ def effective_gain_array(
         w_rx,
         ground.ratio,
         ratio_rx,
-        gs_per_sample=False,
     )
     chi = ground.gain * gain_rx * np.abs(h[0]) ** 2
     if not np.all(np.isfinite(chi)):
@@ -318,7 +320,6 @@ def chi_batch(
     gains: float,
     ratio_tx: float = 0.5,
     ratio_rx: float = 0.5,
-    gs_per_sample: bool | None = None,
 ) -> np.ndarray:
     """Effective gains for batches of drones, shape ``(n, M)``.
 
@@ -327,7 +328,7 @@ def chi_batch(
     caller, which redraws.
     """
     h, _, _, _ = response_batch(positions, elem, gs_rots, uav_rots, w_tx, w_rx,
-                                ratio_tx, ratio_rx, gs_per_sample=gs_per_sample)
+                                ratio_tx, ratio_rx)
     return gains * np.abs(h) ** 2
 
 
@@ -363,7 +364,7 @@ def worst_case_gain(
         pitch = min(max(x[3], -math.pi / 2), math.pi / 2)
         rot = geo.rotation_matrices(roll, pitch, x[4])
         chi = chi_batch(pos[None, :], ground.elem, ground.rotations, rot, ground.w, w_rx,
-                        gains, ground.ratio, ratio_rx, gs_per_sample=False)
+                        gains, ground.ratio, ratio_rx)
         if not np.all(np.isfinite(chi)):
             return np.inf
         return float(chi.mean())
@@ -432,7 +433,7 @@ def kappa_estimate(
         ang = geo.sample_orientations(rng, take, orientation_ranges)
         rots = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
         chi = chi_batch(pos, ground.elem, ground.rotations, rots, ground.w, w_rx, gains,
-                        ground.ratio, ratio_rx, gs_per_sample=False)
+                        ground.ratio, ratio_rx)
         mean = chi.mean(axis=1)
         good = np.isfinite(mean) & (mean >= chi_floor)
         excluded += int(np.size(mean) - np.count_nonzero(good))

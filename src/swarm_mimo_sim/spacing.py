@@ -49,29 +49,27 @@ def optimal_spacing_ura(
         return [(lam / 2.0, lam / 2.0)]
     limit = 4.0 * r_min**2 / lam**2
 
-    def axis_cap(count_sq: int, start: int, other_min_sq: float) -> int:
+    def axis_cap(count_sq: int, start: int, other_min_sq) -> np.ndarray:
         # largest multiplier keeping the aperture inside the shell; a
         # one-element axis contributes nothing, so only its minimum is used
+        room = limit - np.asarray(other_min_sq, dtype=float)
         if count_sq == 0:
-            return start
-        room = limit - other_min_sq
-        if room <= 0:
-            return start - 1
-        return min(int(math.floor(math.sqrt(room / count_sq))), start + 10_000)
+            return np.full(room.shape, start)
+        cap = np.minimum(np.floor(np.sqrt(np.maximum(room, 0.0) / count_sq)), start + 10_000)
+        return np.where(room <= 0, start - 1, cap).astype(np.int64)
 
     cx = (m_x - 1) ** 2
     cy = (m_y - 1) ** 2
-    n_cap = axis_cap(cx, m_y, cy * m_x**2)
-    out = []
-    for n in range(m_y, n_cap + 1):
-        m_cap = axis_cap(cy, m_x, cx * n**2)
-        for m in range(m_x, m_cap + 1):
-            if cx * n**2 + cy * m**2 >= limit:
-                continue
-            aperture = math.hypot((m_x - 1) * n, (m_y - 1) * m) * lam / 2.0
-            out.append((n * lam / 2.0, m * lam / 2.0, aperture))
-    out.sort(key=lambda t: (t[2], t[0], t[1]))
-    return [(dx, dy) for dx, dy, _ in out]
+    ns = np.arange(m_y, int(axis_cap(cx, m_y, cy * m_x**2)) + 1)
+    counts = np.maximum(axis_cap(cy, m_x, cx * ns**2) - m_x + 1, 0)
+    n = np.repeat(ns, counts)
+    m = m_x + np.arange(n.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # squared aperture in units of (lam/2)^2, exact in integers
+    key = cx * n**2 + cy * m**2
+    keep = key < math.ceil(limit)
+    n, m = n[keep], m[keep]
+    order = np.lexsort((m, n, key[keep]))
+    return list(zip((n[order] * lam / 2.0).tolist(), (m[order] * lam / 2.0).tolist()))
 
 
 def omega_sweep(

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 8b-8e assert
 published tail-probability anchors that the model of record does not
-reproduce (see the project notes); they are intentionally left asserting the
+reproduce (see docs/discrepancies.md); they are intentionally left asserting the
 stated values and fail honestly.
 """
 

@@ -41,6 +41,13 @@ class TestPathloss:
     def test_rejects_nonpositive(self):
         with pytest.raises(SwarmMimoError):
             ch.pathloss(0.0, LAM)
+        with pytest.raises(SwarmMimoError):
+            ch.pathloss(np.array([[100.0, 0.0]]), LAM)
+
+    def test_elementwise_on_arrays(self):
+        d = np.array([[100.0, 250.0], [31.5, 4000.0]])
+        want = [[ch.pathloss(float(x), LAM) for x in row] for row in d]
+        assert np.array_equal(ch.pathloss(d, LAM), want)
 
 
 class TestChannelVector:
@@ -135,10 +142,15 @@ class TestGroundArray:
     def test_arrays_read_only(self):
         ground = pol.GroundArray.build(circular_configs(4, np.random.default_rng(1)), F0,
                                        line_array(4))
-        for arr in (ground.elem, ground.rotations, ground.w):
+        exc = pol.DipoleExcitation.linear()
+        given = (np.zeros((2, 3)), np.stack([np.eye(3)] * 2), exc.weights())
+        direct = pol.GroundArray(F0, *given, 0.5, pol.HALF_WAVE_DIPOLE_GAIN, exc, 0.0)
+        for arr in (ground.elem, ground.rotations, ground.w,
+                    direct.elem, direct.rotations, direct.w):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         assert ground.elem.shape == (4, 3) and ground.rotations.shape == (4, 3, 3)
+        assert all(a.flags.writeable for a in given)  # the caller's arrays stay writable
 
 
 class TestCoherence:

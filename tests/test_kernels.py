@@ -103,7 +103,7 @@ def kernel_layout(name):
         # the first drone sits on the z axis of the unrotated element 0
         pos = np.array([[0.0, 0.0, 10.0], [3.0, 4.0, 12.0]])
         elem = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
-        return (pos, elem, np.stack([np.eye(3)] * 2), np.eye(3), CIRC, CIRC), False
+        return pos, elem, np.stack([np.eye(3)] * 2), np.eye(3), CIRC, CIRC
     if name == "gain_cdf":
         # the gain-cdf preset's shape: 50-element half-wave line array, one
         # common ground rotation and one drone rotation per sample, 327-row blocks
@@ -111,22 +111,22 @@ def kernel_layout(name):
         n, m = 700, 50
         elem = element_positions(ArrayGeometry(m, 1, 0.0625, 0.0))
         pos = sample_shell_positions(ShellRegion(20.0, 500.0), rng, n)
-        return (pos, elem, _rots(rng, n), _rots(rng, n), CIRC, CIRC, 0.5, 0.5), True
+        return pos, elem, _rots(rng, n)[:, None], _rots(rng, n), CIRC, CIRC, 0.5, 0.5
     rng = np.random.default_rng(
         {"mission": 20, "per_sample": 5000, "remainder": 257, "single": 1}[name])
     if name == "mission":  # per-element ground and per-sample drone rotations
-        n, m, gs_per_sample, uav = 20, 100, False, _rots(rng, 20)
+        n, m, per_sample, uav = 20, 100, False, _rots(rng, 20)
     elif name == "per_sample":  # n spans three lane blocks, the last one partly
-        n, m, gs_per_sample, uav = 5000, 7, True, _rots(rng, 5000)
+        n, m, per_sample, uav = 5000, 7, True, _rots(rng, 5000)
     elif name == "remainder":  # blocks of 256 rows and a one-row remainder
-        n, m, gs_per_sample, uav = 257, 64, False, _rots(rng, 1)[0]
+        n, m, per_sample, uav = 257, 64, False, _rots(rng, 1)[0]
     else:  # one drone, one shared rotation
-        n, m, gs_per_sample, uav = 1, 50, False, _rots(rng, 1)[0]
+        n, m, per_sample, uav = 1, 50, False, _rots(rng, 1)[0]
     pos = rng.normal(size=(n, 3)) * 400.0
     elem = rng.normal(size=(m, 3))
-    gs = _rots(rng, n if gs_per_sample else m)
+    gs = _rots(rng, n)[:, None] if per_sample else _rots(rng, m)
     w_tx = np.array([0.6, 0.8j])
-    return (pos, elem, gs, uav, w_tx, CIRC, 0.5, 0.47), gs_per_sample
+    return pos, elem, gs, uav, w_tx, CIRC, 0.5, 0.47
 
 
 # float.hex of (h.real, h.imag, dist, n1sq, n2sq) at a few (sample, element)
@@ -178,8 +178,7 @@ KERNEL_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GOLDEN))
 def test_response_golden_bits(name):
-    args, gs_per_sample = kernel_layout(name)
-    h, dist, n1, n2 = response_batch(*args, gs_per_sample=gs_per_sample)
+    h, dist, n1, n2 = response_batch(*kernel_layout(name))
     for (i, l), want in KERNEL_GOLDEN[name]:
         got = (h[i, l].real, h[i, l].imag, dist[i, l], n1[i, l], n2[i, l])
         assert tuple(float(v).hex() for v in got) == want, (i, l)
@@ -190,29 +189,47 @@ def test_response_golden_bits(name):
     ("per_sample", [slice(0, 2), slice(2338, 2343), slice(1, 4681), slice(4679, 5000)]),
 ])
 def test_response_row_slices_match_whole_call(name, rows):
-    (pos, elem, gs, uav, *rest), gs_per_sample = kernel_layout(name)
-    whole = response_batch(pos, elem, gs, uav, *rest, gs_per_sample=gs_per_sample)
+    pos, elem, gs, uav, *rest = kernel_layout(name)
+    whole = response_batch(pos, elem, gs, uav, *rest)
     for r in rows:
-        part = response_batch(pos[r], elem, gs[r] if gs_per_sample else gs, uav[r], *rest,
-                              gs_per_sample=gs_per_sample)
+        part = response_batch(pos[r], elem, gs[r] if gs.ndim == 4 else gs, uav[r], *rest)
         assert _bits(*part) == _bits(*(a[r] for a in whole)), r
 
 
-def test_response_layout_flags():
+def test_response_layout_shapes():
     rng = np.random.default_rng(1)
-    n = m = 4  # ambiguous without the explicit flag
+    n = m = 4  # the rank of gs_r, not its length, selects the layout
     pos = rng.normal(size=(n, 3)) * 30
     elem = rng.normal(size=(m, 3))
     gs = rotation_matrices(rng.uniform(-1, 1, m), rng.uniform(-1, 1, m), rng.uniform(0, 6, m))
     uav = np.eye(3)
     wt = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        response_batch(pos, elem, gs, uav, wt, wt)
-    h_el, _, _, _ = response_batch(pos, elem, gs, uav, wt, wt, gs_per_sample=False)
-    h_ps, _, _, _ = response_batch(pos, elem, gs, uav, wt, wt, gs_per_sample=True)
+    h_el, _, _, _ = response_batch(pos, elem, gs, uav, wt, wt)
+    h_ps, _, _, _ = response_batch(pos, elem, gs[:, None], uav, wt, wt)
     # per-element and per-sample readings differ off the diagonal
     assert np.allclose(np.diag(h_el), np.diag(h_ps))
     assert not np.allclose(h_el, h_ps)
+    with pytest.raises(ValueError):  # (n, 3, 3) with n != m is neither layout
+        response_batch(pos[:3], elem, gs[:3], uav, wt, wt)
+    with pytest.raises(ValueError):
+        response_batch(pos, elem, gs[:3, None], uav, wt, wt)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (4, 4), (5, 3), (700, 50), (3, 9000)])
+def test_common_rotation_agrees_across_layouts(n, m):
+    # one rotation given per sample and the same one given per element run
+    # through separate code (three-term sums and one dgemm per element)
+    rng = np.random.default_rng(n * 7919 + m)
+    pos = rng.normal(size=(n, 3)) * 300.0
+    elem = rng.normal(size=(m, 3))
+    r = _rots(rng, 1)[0]
+    args = (_rots(rng, n), np.array([0.6, 0.8j]), CIRC, 0.5, 0.47)
+    h_ps, d_ps, n1_ps, n2_ps = response_batch(pos, elem, np.broadcast_to(r, (n, 1, 3, 3)), *args)
+    h_el, d_el, n1_el, n2_el = response_batch(pos, elem, np.broadcast_to(r, (m, 3, 3)), *args)
+    scale = np.max(np.abs(h_el))
+    assert np.max(np.abs(h_ps - h_el)) <= 1e-12 * scale
+    assert np.max(np.abs(n1_ps - n1_el)) <= 1e-12 * np.max(n1_el)
+    assert np.array_equal(d_ps, d_el) and np.array_equal(n2_ps, n2_el)
 
 
 def test_singular_direction_marks_nan():
@@ -220,8 +237,7 @@ def test_singular_direction_marks_nan():
     elem = np.zeros((1, 3))
     eye = np.eye(3)[None, :, :]
     wt = np.array([1.0, 0.0])
-    h, dist, n1, n2 = response_batch(pos, elem, eye, np.eye(3), wt, wt,
-                                      gs_per_sample=False)
+    h, dist, n1, n2 = response_batch(pos, elem, eye, np.eye(3), wt, wt)
     assert np.isnan(h[0, 0].real)
     assert dist[0, 0] == 10.0
 
@@ -251,7 +267,27 @@ def test_polarization_loss_factor_at_most_one(seed, n, m, ratio, amp, phase):
     pos = rng.normal(size=(n, 3)) * rng.uniform(1.0, 500.0)
     elem = rng.normal(size=(m, 3))
     w_tx = np.array([np.sqrt(1.0 - amp * amp), amp * np.exp(1j * phase)])
-    h, _, n1, n2 = response_batch(pos, elem, _rots(rng, n), _rots(rng, n), w_tx, CIRC,
-                                  ratio, 0.5, gs_per_sample=True)
+    h, _, n1, n2 = response_batch(pos, elem, _rots(rng, n)[:, None], _rots(rng, n), w_tx, CIRC,
+                                  ratio, 0.5)
     ok = np.isfinite(h)
     assert np.all(np.abs(h[ok]) ** 2 <= n1[ok] * n2[ok] * (1.0 + 1e-12))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 12),
+       per_sample=st.booleans(), ratio=st.floats(0.05, 1.5))
+def test_coupling_power_invariant_under_scene_rotation(seed, n, m, per_sample, ratio):
+    # rotating positions, elements and every antenna by one Q leaves each
+    # antenna's view of the other unchanged, so |h|^2 keeps its value
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(size=(n, 3)) * rng.uniform(1.0, 500.0)
+    elem = rng.normal(size=(m, 3))
+    gs = _rots(rng, n)[:, None] if per_sample else _rots(rng, m)
+    uav = _rots(rng, n)
+    q = _rots(rng, 1)[0]
+    args = (np.array([0.6, 0.8j]), CIRC, ratio, 0.5)
+    h, _, _, _ = response_batch(pos, elem, gs, uav, *args)
+    h_q, _, _, _ = response_batch(pos @ q.T, elem @ q.T, q @ gs, q @ uav, *args)
+    ok = np.isfinite(h) & np.isfinite(h_q)
+    p, p_q = np.abs(h[ok]) ** 2, np.abs(h_q[ok]) ** 2
+    assert np.all(np.abs(p_q - p) <= 1e-12 * np.max(p, initial=1e-300))

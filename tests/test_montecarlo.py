@@ -6,6 +6,7 @@ import pytest
 from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import montecarlo as mc
 from swarm_mimo_sim import rates
+from swarm_mimo_sim.polarization import HALF_WAVE_DIPOLE_GAIN
 
 LAM = geo.wavelength(2.4e9)
 
@@ -44,12 +45,12 @@ class TestDeterminism:
             take = mc.CHUNK
             pos_k = geo.sample_shell_positions(spec.region, rng, take)
             pos_j = geo.sample_shell_positions(spec.region, rng, take)
-            rot_k = mc._uav_rotations(spec, rng, take)
-            rot_j = mc._uav_rotations(spec, rng, take)
-            gs = mc._gs_rotations_for_chunk(spec, rng, take, None)
-            elem = geo.element_positions(spec.geometry)
-            g_k, _, _ = mc._channel_for(spec, pos_k, gs, rot_k, elem)
-            g_j, _, _ = mc._channel_for(spec, pos_j, gs, rot_j, elem)
+            rot_k = mc._rotations(spec, rng, take)
+            rot_j = mc._rotations(spec, rng, take)
+            ground = spec.ground()
+            gs = mc._gs_rotations(spec, ground, rng, take)
+            g_k, _ = mc._channel_for(spec, ground, pos_k, gs, rot_k)
+            g_j, _ = mc._channel_for(spec, ground, pos_j, gs, rot_j)
             vals = (spec.rho_u / np.mean(np.abs(g_k) ** 2, axis=1)) * (
                 spec.rho_u / np.mean(np.abs(g_j) ** 2, axis=1)
             ) * np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
@@ -93,7 +94,7 @@ class TestZfInverseMoment:
         strict=False,
         reason="the exact inverse moment diverges (projected-bearing "
         "collisions are codimension one), so at moderate element counts the "
-        "sample mean is dominated by rare near-singular draws; see notes",
+        "sample mean is dominated by rare near-singular draws; see docs/discrepancies.md",
     )
     def test_mid_size_bracket(self):
         m = 100
@@ -207,10 +208,10 @@ class TestZfReceiverRate:
         moment = mc.estimate_interference_moment(spec, 40_000, seed=13)
         rng = mc.substream(14, 0)
         pos = geo.sample_shell_positions(spec.region, rng, 40_000)
-        rots = mc._uav_rotations(spec, rng, 40_000)
-        elem = geo.element_positions(spec.geometry)
-        gs = mc._gs_rotations_for_chunk(spec, rng, 40_000, None)
-        g, beta, h = mc._channel_for(spec, pos, gs, rots, elem)
+        rots = mc._rotations(spec, rng, 40_000)
+        ground = spec.ground()
+        gs = mc._gs_rotations(spec, ground, rng, 40_000)
+        g, beta = mc._channel_for(spec, ground, pos, gs, rots)
         e_inv = float(np.mean(1.0 / np.mean(np.abs(g) ** 2, axis=1)))
         params = rates.RateParams(
             geometry=spec.geometry, region=spec.region, lam=LAM, k=3,
@@ -233,11 +234,34 @@ class TestIdenticalOrientationDraws:
         take = 50
         rng = mc.substream(3, 0)
         geo.sample_shell_positions(spec.region, rng, take * 2)
-        mc._uav_rotations(spec, rng, take * 2)
-        gs = np.repeat(mc._gs_rotations_for_chunk(spec, rng, take, None), 2, axis=0)
-        assert gs.shape == (take * 2, 3, 3)
+        mc._rotations(spec, rng, take * 2)
+        gs = np.repeat(mc._gs_rotations(spec, spec.ground(), rng, take), 2, axis=0)
+        assert gs.shape == (take * 2, 1, 3, 3)
         assert np.array_equal(gs[0], gs[1]) and np.array_equal(gs[2], gs[3])
         assert not np.array_equal(gs[1], gs[2])
         # and the estimator consumes exactly this stream shape without error
         res = mc.estimate_ergodic_rate(spec, take, seed=3, receiver="mrc", csi="perfect")
         assert np.isfinite(res.mean) and res.mean > 0
+
+
+class TestScenarioGround:
+    def test_pseudo_random_rotations_frozen_per_seed(self):
+        spec = spec_for(m=6, gs_orientation="pseudo-random", orientation_seed=11)
+        ang = geo.sample_orientations(mc.substream(11, 0xA11A), 6, spec.orientation_ranges)
+        want = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
+        assert np.array_equal(spec.ground().rotations, want)
+
+    @pytest.mark.parametrize("orientation", ["fixed", "identical"])
+    def test_upright_rotations(self, orientation):
+        ground = spec_for(m=3, gs_orientation=orientation).ground()
+        assert np.array_equal(ground.rotations, np.stack([np.eye(3)] * 3))
+
+    @pytest.mark.parametrize("pattern, ratio, gain", [
+        ("dipole", 0.5, HALF_WAVE_DIPOLE_GAIN),
+        ("isotropic", 0.0, 1.0),
+    ])
+    def test_pattern(self, pattern, ratio, gain):
+        ground = spec_for(m=4, pattern=pattern, excitation="linear").ground()
+        assert (ground.ratio, ground.gain) == (ratio, gain)
+        assert np.array_equal(ground.w, [1.0, 0.0])
+        assert np.array_equal(ground.elem, geo.element_positions(spec_for(m=4).geometry))

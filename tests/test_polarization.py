@@ -309,7 +309,7 @@ class TestWorstCaseGain:
         strict=False,
         reason="the continuum model has polarization nulls, so the adversarial "
         "minimum keeps falling with search budget; the quoted anchor reflects "
-        "a coarse search (see acceptance notes)",
+        "a coarse search (see docs/discrepancies.md)",
     )
     def test_identical_orientation_anchor(self):
         cfgs = [circular_cfg() for _ in range(50)]
@@ -319,7 +319,8 @@ class TestWorstCaseGain:
     @pytest.mark.slow
     @pytest.mark.xfail(
         strict=False,
-        reason="refined search descends below the quoted coarse-search anchor",
+        reason="refined search descends below the quoted coarse-search anchor "
+        "(see docs/discrepancies.md)",
     )
     def test_random_orientation_anchor(self):
         rng = np.random.default_rng(77)
