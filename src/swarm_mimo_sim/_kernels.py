@@ -11,7 +11,10 @@ own (rotated) frames. It also returns the exact distance and the squared
 norms of the two response vectors (used for the polarization loss factor).
 It works element-major on blocks of about ``_BLOCK_LANES`` (element, sample)
 lanes, so a call costs a few dozen numpy operations per block whatever its
-shape.
+shape. The blocks of a wide call run on a pool of ``nproc`` threads (numpy
+releases the interpreter lock inside its loops). Each block writes only its
+own output rows, and the block boundaries do not depend on the thread count,
+so neither do the outputs. A forked child builds its own pool.
 
 Last bits depend on which numpy and OpenBLAS code paths run, so outputs are
 bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
@@ -35,6 +38,9 @@ bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -163,7 +169,13 @@ _BLOCK_LANES = 1 << 14
 
 
 def _fpat(cosang, ratio):
-    "Normalized dipole field pattern at the cosine of the angle from the axis."
+    """Normalized dipole field pattern at the cosine of the angle from the axis.
+
+    Ratio 0 is the flat unit pattern of an isotropic element; the dipole
+    formula would give 0 there on every lane.
+    """
+    if ratio == 0.0:
+        return np.ones_like(cosang)
     s2 = 1.0 - cosang * cosang
     s = np.sqrt(np.maximum(s2, 0.0))
     safe = s > 1e-12
@@ -206,6 +218,38 @@ def _row_blocks(n, m):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _block_pool():
+    """The executor for the kernel's row blocks, or None where one core is usable.
+
+    Built on first use with one worker per core this process may run on. A
+    forked child drops its parent's pool (see ``_drop_pool``), whose threads
+    did not survive the fork, and builds its own.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: it costs about 9 ms of import (logging), which
+            # processes making only one-block calls need not pay
+            from concurrent.futures import ThreadPoolExecutor
+
+            affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+            workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+            if workers > 1:
+                _pool = ThreadPoolExecutor(workers, thread_name_prefix="response-block")
+        return _pool
+
+
+def _drop_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+_pool = None
+_pool_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
 def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
                      wt0, wt1, wr0, wr1, ratio_t, ratio_r):
     n = pos.shape[0]
@@ -214,8 +258,10 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
     dist = np.empty((n, m))
     n1sq = np.empty((n, m))
     n2sq = np.empty((n, m))
-    # element-major blocks: every array below is (m, rows)
-    for rows in _row_blocks(n, m):
+
+    # element-major blocks: every array below is (m, rows); a block writes only
+    # its own rows of the outputs, so blocks may run in any order or at once
+    def block(rows):
         gs = gs_r[rows] if gs_by_sample else gs_r[:, None]
         uav = uav_r[rows] if uav_per_sample else uav_r
         rx = pos[rows, 0] - elem[:, 0, None]
@@ -262,6 +308,14 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
         dist[rows].T[...] = d
         n1sq[rows].T[...] = np.where(bad, np.nan, n1)
         n2sq[rows].T[...] = np.where(bad, np.nan, n2)
+
+    blocks = _row_blocks(n, m)
+    pool = _block_pool() if len(blocks) > 1 else None
+    if pool is None:
+        for rows in blocks:
+            block(rows)
+    else:
+        list(pool.map(block, blocks))  # re-raises the first exception a block raised
     return h, dist, n1sq, n2sq
 
 

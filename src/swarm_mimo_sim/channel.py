@@ -117,13 +117,18 @@ def coherence_prelog(params: CoherenceParams, k: int):
     return t_len, lam
 
 
-def pilot_power(cfg: PowerControlConfig, lam: float) -> float:
-    "Pilot SNR referred to the worst-case distance and effective gain."
-    if cfg.chi_wc <= 0:
+def pilot_snr(rho_p: float, d_wc: float, chi_wc: float, lam: float) -> float:
+    "Pilot SNR ``rho_p (4 pi d_wc / lam)^2 / chi_wc`` for worst-case distance and gain."
+    if chi_wc <= 0:
         raise SwarmMimoError("worst-case gain must be positive")
-    if cfg.d_wc <= 0:
+    if d_wc <= 0:
         raise SwarmMimoError("worst-case distance must be positive")
-    return cfg.rho_p * (4.0 * math.pi * cfg.d_wc / lam) ** 2 / cfg.chi_wc
+    return rho_p * (4.0 * math.pi * d_wc / lam) ** 2 / chi_wc
+
+
+def pilot_power(cfg: PowerControlConfig, lam: float) -> float:
+    "Pilot SNR referred to the power-control config's worst-case distance and gain."
+    return pilot_snr(cfg.rho_p, cfg.d_wc, cfg.chi_wc, lam)
 
 
 def channel_vector(

@@ -219,12 +219,52 @@ def _check(value, key: Key, name: str):
     return value
 
 
+# Cost guards, checked after the per-key ranges: keys that are each in range
+# can still ask together for more work or memory than a run can have.
+_MAX_BUFFER_BYTES = 256 * 2**20  # the largest single array an experiment may allocate
+# omega evaluations times ordered element pairs in one spacing sweep; a pair
+# term costs about 1-10 us (16x16 and line arrays of 50-1000 elements)
+_MAX_PAIR_TERMS = 10**9
+
+
+def _check_buffer(name: str, what: str, nbytes: int):
+    if nbytes > _MAX_BUFFER_BYTES:
+        raise ConfigError(
+            f"{name}: {what} needs a {nbytes / 2**20:.0f} MiB array; "
+            f"the limit is {_MAX_BUFFER_BYTES / 2**20:.0f} MiB"
+        )
+
+
+def _check_cost(cfg: dict, kind: str):
+    "Reject a parsed config whose work or largest array is out of reach."
+    if kind not in ("spacing-sweep", "gain-cdf", "validate"):
+        return
+    m = cfg["array.m_x"] * cfg["array.m_y"]
+    if kind == "spacing-sweep":
+        # omega holds one integer code per ordered element pair
+        _check_buffer("array.m_x * array.m_y", f"omega over {m} elements", 8 * m * m)
+        points = cfg["sweep.ratio_points"] ** (2 if cfg["sweep.two_dimensional"] else 1)
+        terms = points * m * m
+        if terms > _MAX_PAIR_TERMS:
+            raise ConfigError(
+                f"sweep.ratio_points: {points} omega evaluations over {m} elements "
+                f"make {terms:.3g} pair terms; the limit is {_MAX_PAIR_TERMS:.0e}"
+            )
+        return
+    # the estimators hold one complex channel entry per element and sample of a chunk
+    _check_buffer("array.m_x * array.m_y", f"a {mc.CHUNK}-sample chunk of {m} elements",
+                  16 * mc.CHUNK * m)
+    if kind == "gain-cdf":  # the median needs every sample's summed gain
+        _check_buffer("mc.n", f"{cfg['mc.n']} samples", 8 * cfg["mc.n"])
+
+
 def parse_config(text: str, kind: str) -> dict:
     """Validate INI ``text`` against the schema of experiment ``kind``.
 
     Returns a flat ``{section.key: value}`` mapping with defaults applied.
-    Unknown sections or keys, type mismatches, and range violations raise
-    :class:`ConfigError` naming the offending key.
+    Unknown sections or keys, type mismatches, range violations, and configs
+    whose work or largest array is out of reach raise :class:`ConfigError`
+    naming the offending key.
     """
     if kind not in SCHEMAS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {sorted(SCHEMAS)}")
@@ -256,6 +296,7 @@ def parse_config(text: str, kind: str) -> dict:
                 if spec.default is None:
                     raise ConfigError(f"missing required key {name}")
                 out[name] = spec.default
+    _check_cost(out, kind)
     return out
 
 

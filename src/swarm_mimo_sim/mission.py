@@ -22,6 +22,7 @@ from .channel import (
     instantaneous_sinr_mrc,
     ml_estimate,
     pathloss,
+    pilot_snr,
 )
 from .errors import SwarmMimoError
 from .montecarlo import substream
@@ -318,7 +319,7 @@ def run_mission(
     # dipoles along the x and z axes: yaw the antenna frame by a quarter turn
     uav_rot = geo.rotation_matrix(geo.RotationAngles(yaw=math.pi / 2))
     uav_rots = np.broadcast_to(uav_rot, (spec.k, 3, 3)).copy()
-    p_p = spec.rho_p * (4.0 * math.pi * spec.d_wc / lam) ** 2 / spec.chi_wc
+    p_p = pilot_snr(spec.rho_p, spec.d_wc, spec.chi_wc, lam)
     rng = substream(seed, 0x51)
     times = np.arange(0.0, duration + 0.5 * step, step)
     rows = np.zeros(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .channel import instantaneous_sinr_mrc, sinr_zf, synthesize
+from .channel import instantaneous_sinr_mrc, pilot_snr, sinr_zf, synthesize
 from .errors import SwarmMimoError
 from .polarization import DipoleExcitation, GroundArray, HALF_WAVE_DIPOLE_GAIN, chi_batch
 from .rates import cb_db, expected_phase_sinc
@@ -272,7 +272,7 @@ def estimate_ergodic_rate(
     k = spec.k
     ground = spec.ground()
     lam = spec.lam
-    p_p = spec.rho_p * (4.0 * math.pi * spec.region.r_max / lam) ** 2 / spec.chi_wc
+    p_p = pilot_snr(spec.rho_p, spec.region.r_max, spec.chi_wc, lam)
     acc = _Accumulator()
     done = 0
     index = 0

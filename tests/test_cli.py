@@ -42,6 +42,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             cli.parse_config("", "make-coffee")
 
+    @pytest.mark.parametrize("kind, text, key", [
+        ("spacing-sweep", "[sweep]\nratio_points = 100000\ntwo_dimensional = true\n",
+         "sweep.ratio_points"),
+        ("gain-cdf", "[array]\nm_x = 10000\nm_y = 10000\n", r"array.m_x \* array.m_y"),
+        ("spacing-sweep", "[array]\nm_x = 10000\nm_y = 10000\n", r"array.m_x \* array.m_y"),
+        ("gain-cdf", "[mc]\nn = 100000000\n", "mc.n"),
+    ])
+    def test_cost_guard(self, kind, text, key, tmp_path):
+        # each key is within its range; together they ask for too much work or memory
+        with pytest.raises(ConfigError, match=key):
+            cli.parse_config(text, kind)
+        path = tmp_path / "big.ini"
+        path.write_text(text)
+        assert cli.main([kind, "--config", str(path), "--out", str(tmp_path)]) == 2
+
     def test_presets_round_trip(self):
         for name, kind in (
             ("rate_curve.ini", "rate-curve"),

@@ -1,12 +1,17 @@
 """Special-function accuracy and grouping, and the response kernel's pinned bits."""
 
+import multiprocessing
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import sici
 
-from swarm_mimo_sim._kernels import _rot, response_batch, si_ci_arrays
+from swarm_mimo_sim import _kernels
+from swarm_mimo_sim._kernels import _rot, _row_blocks, response_batch, si_ci_arrays
 from swarm_mimo_sim.geometry import (
     ArrayGeometry,
     ShellRegion,
@@ -113,9 +118,11 @@ def kernel_layout(name):
         pos = sample_shell_positions(ShellRegion(20.0, 500.0), rng, n)
         return pos, elem, _rots(rng, n)[:, None], _rots(rng, n), CIRC, CIRC, 0.5, 0.5
     rng = np.random.default_rng(
-        {"mission": 20, "per_sample": 5000, "remainder": 257, "single": 1}[name])
+        {"mission": 20, "per_sample": 5000, "remainder": 257, "single": 1, "merged": 513}[name])
     if name == "mission":  # per-element ground and per-sample drone rotations
         n, m, per_sample, uav = 20, 100, False, _rots(rng, 20)
+    elif name == "merged":  # two blocks of 256 rows, the second with the one-row remainder
+        n, m, per_sample, uav = 513, 64, False, _rots(rng, 513)
     elif name == "per_sample":  # n spans three lane blocks, the last one partly
         n, m, per_sample, uav = 5000, 7, True, _rots(rng, 5000)
     elif name == "remainder":  # blocks of 256 rows and a one-row remainder
@@ -194,6 +201,68 @@ def test_response_row_slices_match_whole_call(name, rows):
     for r in rows:
         part = response_batch(pos[r], elem, gs[r] if gs.ndim == 4 else gs, uav[r], *rest)
         assert _bits(*part) == _bits(*(a[r] for a in whole)), r
+
+
+# layouts of several row blocks: per sample, per element, and per element with
+# a one-row remainder merged into the block before it
+MULTI_BLOCK = ["per_sample", "gain_cdf", "merged"]
+
+
+@pytest.mark.parametrize("name", MULTI_BLOCK)
+def test_response_independent_of_worker_count(name, monkeypatch):
+    args = kernel_layout(name)
+    assert len(_row_blocks(args[0].shape[0], args[1].shape[0])) > 1
+    pooled = _bits(*response_batch(*args))
+    # one worker, and more workers than cores switching threads every microsecond
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 8):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(_kernels, "_pool", pool)
+                assert _bits(*response_batch(*args)) == pooled, workers
+    finally:
+        sys.setswitchinterval(switch)
+    monkeypatch.setattr(_kernels, "_block_pool", lambda: None)  # one usable core: inline
+    assert _bits(*response_batch(*args)) == pooled
+
+
+def test_block_exception_reaches_caller(monkeypatch):
+    def fail(v, u):
+        raise RuntimeError("block failed")
+
+    monkeypatch.setattr(_kernels, "_dot3", fail)
+    with pytest.raises(RuntimeError, match="block failed"):
+        response_batch(*kernel_layout("per_sample"))
+
+
+def _send_response(conn, args):
+    conn.send(response_batch(*args))
+    conn.close()
+
+
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    # the parent's pool threads do not survive a fork; without the fork hook
+    # the child would queue its blocks on a pool that never runs them
+    args = kernel_layout("per_sample")
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(_kernels, "_pool", pool)
+        want = response_batch(*args)  # starts the parent's pool threads
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_response, args=(send, args))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60), "forked child did not answer within 60 s"
+            got = recv.recv()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+    assert child.exitcode == 0
+    assert _bits(*got) == _bits(*want)
 
 
 def test_response_layout_shapes():

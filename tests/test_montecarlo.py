@@ -265,3 +265,14 @@ class TestScenarioGround:
         assert (ground.ratio, ground.gain) == (ratio, gain)
         assert np.array_equal(ground.w, [1.0, 0.0])
         assert np.array_equal(ground.elem, geo.element_positions(spec_for(m=4).geometry))
+
+    def test_isotropic_pattern_is_flat(self):
+        # a flat unit pattern with unit gains: every element's gain is its
+        # polarization loss factor, at most 1, so 8 elements sum to at most
+        # 10 log10(8) = 9.03 dB and the 10 dB point of the CDF is 1 by physics
+        spec = spec_for(m=8, pattern="isotropic")
+        _, cdf, stats = mc.gain_cdf(spec, 2000, 1, np.array([0.0, 10.0]))
+        assert 0.0 < 10.0 ** (stats["median_db"] / 10.0) <= 8.0
+        assert cdf[0] < 1.0 and stats["p_below_10db"] == 1.0
+        assert np.isfinite(mc.estimate_ergodic_rate(spec, 100, 1).mean)
+        assert np.isfinite(mc.estimate_interference_moment(spec, 2000, 1).mean)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad
 
 from swarm_mimo_sim import geometry as geo
@@ -287,3 +288,50 @@ class TestMRequired:
         for gsd, (q, v, expected) in camera_rate.items():
             p = self._params(20, v=v, rho_u=10.0, rho_p=100.0)
             assert abs(rates.m_required(q, 20e6, p) - expected) <= 1
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(m_x=st.integers(1, 6), m_y=st.integers(1, 6), dx=st.floats(0.05, 2.0),
+       dy=st.floats(0.05, 2.0), r_min=st.floats(20.0, 400.0), width=st.floats(0.0, 300.0))
+def test_omega_nonnegative(m_x, m_y, dx, dy, r_min, width):
+    g = geo.ArrayGeometry(m_x, m_y, dx * LAM, dy * LAM)
+    assert rates.omega(g, LAM, shell(r_min, r_min + width)) >= 0.0
+    assert rates.omega_surface(g, LAM) >= 0.0
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(m=st.integers(2, 24), k=st.integers(1, 3), lam=st.floats(0.01, 1.0),
+       r_min=st.floats(50.0, 400.0))
+def test_omega_zero_at_half_wave_multiples(m, k, lam, r_min):
+    # every pair's sinc weight vanishes, so the pair sum has no terms at all
+    g = geo.ArrayGeometry(m, 1, k * lam / 2, 0.0)
+    assert rates.omega(g, lam, shell(r_min, 500.0)) == 0.0
+    assert rates.omega_surface(g, lam) == 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(q=st.floats(0.0, 5e8), more=st.floats(0.0, 5e8), k=st.integers(1, 100),
+       rho_u=st.floats(0.1, 100.0), rho_p=st.floats(0.1, 1000.0), prelog=st.floats(0.05, 1.0))
+def test_m_required_monotone_in_target(q, more, k, rho_u, rho_p, prelog):
+    p = make_params(m=1, k=k, rho_u=rho_u, rho_p=rho_p, prelog=prelog, spacing=0.0)
+    assert rates.m_required(q, 20e6, p) <= rates.m_required(q + more, 20e6, p)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(m=st.integers(1, 64), k=st.integers(1, 50), spacing=st.floats(0.05, 2.0),
+       rho_u=st.floats(0.01, 100.0), rho_p=st.one_of(st.just(math.inf), st.floats(0.1, 1e3)),
+       prelog=st.floats(0.05, 1.0), kappa=st.floats(0.1, 1.0))
+def test_mrc_bounds_below_single_drone_capacity(m, k, spacing, rho_u, rho_p, prelog, kappa):
+    # interference, estimation error and the pre-log only lower the rate
+    # below log2(1 + M rho) of one drone with perfect pilots
+    p = make_params(m=m, k=k, rho_u=rho_u, rho_p=rho_p, prelog=prelog, spacing=spacing * LAM,
+                    region=shell(100.0, 500.0), kappa=kappa)
+    cap = math.log2(1.0 + m * rho_u)
+    assert rates.mrc_bound_shell(p) <= cap
+    assert rates.mrc_bound_optimal(p, "ula") <= cap
+    assert rates.mrc_bound_general(*rates.shell_moments(p), p) <= cap
