@@ -225,6 +225,8 @@ _MAX_BUFFER_BYTES = 256 * 2**20  # the largest single array an experiment may al
 # omega evaluations times ordered element pairs in one spacing sweep; a pair
 # term costs about 1-10 us (16x16 and line arrays of 50-1000 elements)
 _MAX_PAIR_TERMS = 10**9
+# (k, m) rows of one rate curve; the shipped preset makes 768
+_MAX_RATE_ROWS = 10**6
 
 
 def _check_buffer(name: str, what: str, nbytes: int):
@@ -237,6 +239,23 @@ def _check_buffer(name: str, what: str, nbytes: int):
 
 def _check_cost(cfg: dict, kind: str):
     "Reject a parsed config whose work or largest array is out of reach."
+    if kind == "rate-curve":
+        rows = (len(_parse_int_list(str(cfg["array.m_values"]), "array.m_values"))
+                * len(_parse_int_list(str(cfg["rate.k_values"]), "rate.k_values")))
+        if rows > _MAX_RATE_ROWS:
+            raise ConfigError(
+                f"array.m_values * rate.k_values: {rows} rate-curve rows; "
+                f"the limit is {_MAX_RATE_ROWS:.0e}"
+            )
+        return
+    if kind == "mission-sim":
+        # run_mission fills one record per drone and time step up front
+        step = cfg["sim.step_s"]
+        duration = cfg["sim.duration_s"] or msn.mission_time(_mission_spec(cfg))
+        rows = math.ceil((duration + 0.5 * step) / step) * cfg["fleet.k"]
+        _check_buffer("sim.duration_s / sim.step_s * fleet.k", f"{rows} mission records",
+                      rows * msn.RECORD_DTYPE.itemsize)
+        return
     if kind not in ("spacing-sweep", "gain-cdf", "validate"):
         return
     m = cfg["array.m_x"] * cfg["array.m_y"]
@@ -313,12 +332,13 @@ def serialize_config(cfg: dict, kind: str) -> str:
     return buf.getvalue()
 
 
-def _parse_int_list(raw: str, name: str) -> list[int]:
+def _parse_int_list(raw: str, name: str) -> range | list[int]:
+    "Comma list or inclusive ``start:stop``, the latter as a ``range`` whose length costs nothing."
     raw = raw.strip()
     try:
         if ":" in raw:
             start, stop = raw.split(":")
-            return list(range(int(start), int(stop) + 1))
+            return range(int(start), int(stop) + 1)
         return [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"{name}: expected comma list or start:stop, got {raw!r}") from exc
@@ -463,7 +483,7 @@ def _run_gain_cdf(cfg, seed, out_dir, cfg_hash, started):
     return ["gain_cdf.csv", "gain_cdf_summary.json"]
 
 
-def _run_mission(cfg, seed, out_dir, cfg_hash, started):
+def _mission_spec(cfg, seed: int = 0) -> msn.MissionSpec:
     lam = geo.wavelength(cfg["rf.f_c_hz"])
     camera = msn.CameraModel(
         r_px=cfg["camera.r_px"],
@@ -473,7 +493,7 @@ def _run_mission(cfg, seed, out_dir, cfg_hash, started):
         overlap_side=cfg["camera.overlap_side"],
         compression=cfg["camera.compression"],
     )
-    spec = msn.MissionSpec(
+    return msn.MissionSpec(
         x1=cfg["area.x1_m"], x2=cfg["area.x2_m"], y1=cfg["area.y1_m"], y2=cfg["area.y2_m"],
         k=cfg["fleet.k"], speed=cfg["fleet.speed_mps"], gsd=cfg["fleet.gsd_m"],
         camera=camera,
@@ -484,18 +504,21 @@ def _run_mission(cfg, seed, out_dir, cfg_hash, started):
         tau_dl_frac=cfg["rf.tau_dl_frac"], chi_wc=_linear(cfg["rf.chi_wc_db"]),
         altitude=cfg["fleet.altitude_m"], orientation_seed=seed,
     )
+
+
+def _run_mission(cfg, seed, out_dir, cfg_hash, started):
+    spec = _mission_spec(cfg, seed)
     duration = cfg["sim.duration_s"] or None
     records = msn.run_mission(spec, cfg["sim.step_s"], seed, duration=duration,
                               csi=cfg["sim.csi"])
     rows = [tuple(rec) for rec in records]
-    header = ["t_s", "drone_id", "x_m", "y_m", "z_m", "throughput_bps", "power_w"]
-    _write_csv(out_dir / "mission.csv", header, rows, seed, cfg_hash)
+    _write_csv(out_dir / "mission.csv", list(msn.RECORD_DTYPE.names), rows, seed, cfg_hash)
     c_data, c_pilot = msn.link_budget_coefficients(spec, 400.0)
     _write_summary(out_dir / "mission_summary.json", "mission-sim", cfg, seed, {
         "mission_time_s": msn.mission_time(spec),
         "altitude_m": spec.flight_altitude,
         "d_wc_m": spec.d_wc,
-        "image_rate_bps": msn.image_rate(camera, spec.gsd, spec.speed),
+        "image_rate_bps": msn.image_rate(spec.camera, spec.gsd, spec.speed),
         "link_budget_coefficients_at_400m": {"data_w": c_data, "pilot_w": c_pilot},
     }, started)
     return ["mission.csv", "mission_summary.json"]

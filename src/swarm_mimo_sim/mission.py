@@ -295,6 +295,20 @@ def _gs_configs(spec: MissionSpec):
     ]
 
 
+#: One per-step, per-drone record of :func:`run_mission`.
+RECORD_DTYPE = np.dtype(
+    [
+        ("t_s", float),
+        ("drone_id", int),
+        ("x_m", float),
+        ("y_m", float),
+        ("z_m", float),
+        ("throughput_bps", float),
+        ("power_w", float),
+    ]
+)
+
+
 def run_mission(
     spec: MissionSpec,
     step: float,
@@ -322,18 +336,7 @@ def run_mission(
     p_p = pilot_snr(spec.rho_p, spec.d_wc, spec.chi_wc, lam)
     rng = substream(seed, 0x51)
     times = np.arange(0.0, duration + 0.5 * step, step)
-    rows = np.zeros(
-        times.size * spec.k,
-        dtype=[
-            ("t_s", float),
-            ("drone_id", int),
-            ("x_m", float),
-            ("y_m", float),
-            ("z_m", float),
-            ("throughput_bps", float),
-            ("power_w", float),
-        ],
-    )
+    rows = np.zeros(times.size * spec.k, dtype=RECORD_DTYPE)
     out = 0
     for t in times:
         pos = np.stack([_position_on_path(path, spec.speed * t)[0] for path in paths])

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import geometry as geo
 from ._kernels import response_batch
@@ -347,7 +346,9 @@ def worst_case_gain(
     pitch, yaw) followed by local refinement of the best candidates. The
     result is deterministic for a fixed seed and is an upper bound on the
     true minimum; configurations with exact polarization nulls will keep
-    producing smaller values as the budget grows.
+    producing smaller values as the budget grows. ``refine_top > 0`` imports
+    ``scipy.optimize`` on first use; ``refine_top=0`` returns the best
+    candidate and needs no scipy.
     """
     if budget < 1:
         raise SwarmMimoError("search budget must be positive")
@@ -382,7 +383,10 @@ def worst_case_gain(
     vals = np.array([mean_gain(x) for x in cands])
     order = np.argsort(vals)
     best = float(vals[order[0]])
-    for idx in order[:refine_top]:
+    picks = order[:refine_top]
+    if picks.size:
+        from scipy.optimize import minimize
+    for idx in picks:
         res = minimize(
             mean_gain,
             cands[idx],

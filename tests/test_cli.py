@@ -1,14 +1,36 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from swarm_mimo_sim import cli
 from swarm_mimo_sim.errors import ConfigError
 
+# every experiment at a small size: (kind, preset, text edits)
+SMALL_RUNS = (
+    ("tables", "tables.ini", {}),
+    ("rate-curve", "rate_curve.ini", {"1:256": "16,32"}),
+    ("spacing-sweep", "spacing_sweep_ula.ini", {"ratio_points = 60": "ratio_points = 2"}),
+    ("gain-cdf", "gain_cdf_circular_identical.ini", {"n = 100000": "n = 500"}),
+    ("validate", "validate.ini", {"100000": "1000"}),
+    ("mission-sim", "mission.ini", {"duration_s = 100.0": "duration_s = 3.0"}),
+)
+
 
 def preset(name: str) -> str:
     return (resources.files("swarm_mimo_sim") / "presets" / name).read_text()
+
+
+def small_config(name: str, edits: dict) -> str:
+    text = preset(name)
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    return text
 
 
 class TestParseConfig:
@@ -48,6 +70,11 @@ class TestParseConfig:
         ("gain-cdf", "[array]\nm_x = 10000\nm_y = 10000\n", r"array.m_x \* array.m_y"),
         ("spacing-sweep", "[array]\nm_x = 10000\nm_y = 10000\n", r"array.m_x \* array.m_y"),
         ("gain-cdf", "[mc]\nn = 100000000\n", "mc.n"),
+        ("mission-sim", "[sim]\nstep_s = 0.001\nduration_s = 1e6\n[fleet]\nk = 1000\n",
+         r"sim.duration_s / sim.step_s \* fleet.k"),
+        # duration_s = 0 runs the whole mission: 375 s of 20 drones at 1 ms steps
+        ("mission-sim", "[sim]\nstep_s = 0.001\n", r"sim.duration_s / sim.step_s \* fleet.k"),
+        ("rate-curve", "[array]\nm_values = 1:100000000\n", r"array.m_values \* rate.k_values"),
     ])
     def test_cost_guard(self, kind, text, key, tmp_path):
         # each key is within its range; together they ask for too much work or memory
@@ -154,18 +181,8 @@ ratio_points = 4
 
     def test_byte_identical_reruns(self, tmp_path):
         # every experiment, at a small size, twice with one seed
-        for kind, name, edits in (
-            ("tables", "tables.ini", {}),
-            ("rate-curve", "rate_curve.ini", {"1:256": "16,32"}),
-            ("spacing-sweep", "spacing_sweep_ula.ini", {"ratio_points = 60": "ratio_points = 2"}),
-            ("gain-cdf", "gain_cdf_circular_identical.ini", {"n = 100000": "n = 500"}),
-            ("validate", "validate.ini", {"100000": "1000"}),
-            ("mission-sim", "mission.ini", {"duration_s = 100.0": "duration_s = 3.0"}),
-        ):
-            text = preset(name)
-            for old, new in edits.items():
-                assert old in text
-                text = text.replace(old, new)
+        for kind, name, edits in SMALL_RUNS:
+            text = small_config(name, edits)
             a = tmp_path / kind / "a"
             b = tmp_path / kind / "b"
             files = cli.run_experiment(kind, text, 9, a)
@@ -182,6 +199,36 @@ ratio_points = 4
         cli.run_experiment("tables", preset("tables.ini"), 4, tmp_path)
         first = (tmp_path / "table_image.csv").read_text().splitlines()[0]
         assert first.startswith("# schema=v1 seed=4 config_sha256=")
+
+
+_COLD_START = """
+import sys
+from pathlib import Path
+
+from swarm_mimo_sim import cli
+from swarm_mimo_sim import polarization as pol
+
+out = Path(sys.argv[1])
+for kind, text in zip(sys.argv[2::2], sys.argv[3::2]):
+    cli.run_experiment(kind, text, 9, out / kind)
+cfgs = [pol.AntennaConfig(pol.DipoleExcitation.circular()) for _ in range(4)]
+coarse = pol.worst_case_gain(cfgs, 2.4e9, budget=50, seed=3, refine_top=0)
+assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded without a refinement"
+refined = pol.worst_case_gain(cfgs, 2.4e9, budget=50, seed=3, refine_top=1)
+assert refined <= coarse, (refined, coarse)
+"""
+
+
+def test_cold_start_skips_optimizer(tmp_path):
+    # a fresh interpreter: this one has long imported scipy for other tests
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    args = [sys.executable, "-c", _COLD_START, str(tmp_path)]
+    for kind, name, edits in SMALL_RUNS:
+        args += [kind, small_config(name, edits)]
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestMainEntry:

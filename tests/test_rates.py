@@ -314,6 +314,21 @@ def test_omega_zero_at_half_wave_multiples(m, k, lam, r_min):
     assert rates.omega_surface(g, lam) == 0.0
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(r_max=st.floats(10.0, 1e4), thickness=st.floats(1.01e-6, 1e-2),
+       b_over_r=st.floats(1e-6, 30.0))
+def test_cb_db_continuous_at_surface_limit(r_max, thickness, b_over_r):
+    # a thin shell just above the switch to the surface form stays within
+    # |b/r - b/R| <= b delta / (r_min R) of the surface values; 1e-9 covers
+    # the cancellation in the closed form
+    delta = thickness * r_max
+    r_min = r_max - delta
+    c, d = rates.cb_db(b_over_r * r_max, shell(r_min, r_max))
+    tol = b_over_r * delta / r_min + 1e-9
+    assert abs(c - math.cos(b_over_r)) <= tol
+    assert abs(d - math.sin(b_over_r)) <= tol
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(q=st.floats(0.0, 5e8), more=st.floats(0.0, 5e8), k=st.integers(1, 100),
        rho_u=st.floats(0.1, 100.0), rho_p=st.floats(0.1, 1000.0), prelog=st.floats(0.05, 1.0))
