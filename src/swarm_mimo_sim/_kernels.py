@@ -7,8 +7,8 @@ every (sample, element) pair, the complex cross-dipole coupling factor
 
 where the 2x2 matrix ``T`` projects the transmit-side field polarization
 basis onto the receive dipole axes, all angles being computed in the antennas'
-own (rotated) frames. It also returns the exact distance and the squared
-norms of the two response vectors (used for the polarization loss factor).
+own (rotated) frames. It also returns the exact distance; the polarization
+loss factor, a one-pair quantity, is left to ``polarization.channel_factor``.
 It works element-major on blocks of about ``_BLOCK_LANES`` (element, sample)
 lanes, so a call costs a few dozen numpy operations per block whatever its
 shape. The blocks of a wide call run on a pool of ``nproc`` threads (numpy
@@ -46,7 +46,7 @@ import numpy as np
 
 EULER_GAMMA = 0.5772156649015329
 
-# lanes whose propagation direction hits a basis singularity get NaN outputs;
+# lanes whose propagation direction hits a basis singularity get a NaN ``h``;
 # callers decide whether to raise or redraw
 _SING_EPS = 1e-14
 
@@ -256,8 +256,6 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
     m = elem.shape[0]
     h = np.empty((n, m), dtype=np.complex128)
     dist = np.empty((n, m))
-    n1sq = np.empty((n, m))
-    n2sq = np.empty((n, m))
 
     # element-major blocks: every array below is (m, rows); a block writes only
     # its own rows of the outputs, so blocks may run in any order or at once
@@ -301,13 +299,8 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
         c = wr0 * _fpat(ct_r, ratio_r)
         e = wr1 * _fpat(cp_r, ratio_r)
         hv = a * (t11 * c + t12 * e) + b * (t21 * c + t22 * e)
-        cross = -y * z / (rho_t * rho_p)  # cos angle between the two basis vectors
-        n1 = np.abs(a) ** 2 + np.abs(b) ** 2 + 2.0 * np.real(np.conj(a) * b) * cross
-        n2 = np.abs(c) ** 2 + np.abs(e) ** 2
         h[rows].T[...] = np.where(bad, np.nan + 0j, hv)
         dist[rows].T[...] = d
-        n1sq[rows].T[...] = np.where(bad, np.nan, n1)
-        n2sq[rows].T[...] = np.where(bad, np.nan, n2)
 
     blocks = _row_blocks(n, m)
     pool = _block_pool() if len(blocks) > 1 else None
@@ -316,7 +309,7 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
             block(rows)
     else:
         list(pool.map(block, blocks))  # re-raises the first exception a block raised
-    return h, dist, n1sq, n2sq
+    return h, dist
 
 
 def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.5):
@@ -336,10 +329,9 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
 
     Returns
     -------
-    h, dist, n1sq, n2sq : arrays of shape ``(n, m)``; ``h`` is the complex
-    coupling (antenna gains not applied), ``dist`` the exact distance, and
-    ``n1sq``/``n2sq`` the squared response-vector norms. Samples whose
-    direction is singular in the rotated transmit frame come back NaN.
+    h, dist : arrays of shape ``(n, m)``; ``h`` is the complex coupling
+    (antenna gains not applied) and ``dist`` the exact distance. ``h`` is NaN
+    on lanes whose direction is singular in the rotated transmit frame.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     elem = np.ascontiguousarray(elem, dtype=np.float64)

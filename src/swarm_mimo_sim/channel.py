@@ -164,7 +164,7 @@ def channel_matrix(
         raise SwarmMimoError("drone inside the array aperture")
     w_rx, ratio_rx, gain_rx = ground.drone_feed(uav_config)
     gains = ground.gain * gain_rx
-    h, dist, _, _ = response_batch(
+    h, dist = response_batch(
         pos,
         ground.elem,
         ground.rotations,

@@ -266,15 +266,15 @@ def link_budget_coefficients(spec: MissionSpec, d_k: float, d_wc: float | None =
     if d_wc is None:
         d_wc = spec.d_wc
     base = spec.bandwidth * spec.noise_density * (4.0 * math.pi / lam) ** 2
-    c_data = base * prelog * spec.rho_u * d_k**2
+    # not d_k**2: a scalar's pow differs from an array's square in 1 last bit in 1,200
+    c_data = base * prelog * spec.rho_u * (d_k * d_k)
     c_pilot = base * (spec.k / t_len) * spec.rho_p * d_wc**2
     return c_data, c_pilot
 
 
-def instantaneous_power(spec: MissionSpec, d_k: float, chi_mean: float,
-                        d_wc: float | None = None) -> float:
-    "Total transmit power (W) needed at distance ``d_k`` with mean gain ``chi_mean``."
-    if chi_mean <= 0 or spec.chi_wc <= 0:
+def instantaneous_power(spec: MissionSpec, d_k, chi_mean, d_wc: float | None = None):
+    "Transmit power (W) at distance ``d_k`` with mean gain ``chi_mean`` (scalars or arrays)."
+    if np.any(chi_mean <= 0) or spec.chi_wc <= 0:
         raise SwarmMimoError("gains must be positive")
     c_data, c_pilot = link_budget_coefficients(spec, d_k, d_wc)
     return c_data / chi_mean + c_pilot / spec.chi_wc
@@ -336,9 +336,10 @@ def run_mission(
     p_p = pilot_snr(spec.rho_p, spec.d_wc, spec.chi_wc, lam)
     rng = substream(seed, 0x51)
     times = np.arange(0.0, duration + 0.5 * step, step)
-    rows = np.zeros(times.size * spec.k, dtype=RECORD_DTYPE)
-    out = 0
-    for t in times:
+    rows = np.zeros((times.size, spec.k), dtype=RECORD_DTYPE)
+    rows["t_s"] = times[:, None]
+    rows["drone_id"] = np.arange(1, spec.k + 1)
+    for t, rec in zip(times, rows):
         pos = np.stack([_position_on_path(path, spec.speed * t)[0] for path in paths])
         g = channel_matrix(ground, pos, uav_rots)
         mean_gain = np.mean(np.abs(g) ** 2, axis=0)
@@ -351,13 +352,10 @@ def run_mission(
         throughput = prelog * spec.bandwidth * np.log2(1.0 + sinr)
         dist = np.linalg.norm(pos, axis=1)
         chi_mean = mean_gain / pathloss(dist, lam)
-        watts = np.array(
-            [instantaneous_power(spec, dist[i], chi_mean[i]) for i in range(spec.k)]
-        )
-        for i in range(spec.k):
-            rows[out] = (t, i + 1, pos[i, 0], pos[i, 1], pos[i, 2], throughput[i], watts[i])
-            out += 1
-    return rows
+        rec["x_m"], rec["y_m"], rec["z_m"] = pos.T
+        rec["throughput_bps"] = throughput
+        rec["power_w"] = instantaneous_power(spec, dist, chi_mean)
+    return rows.ravel()
 
 
 def local_extrema_count(values: np.ndarray) -> int:

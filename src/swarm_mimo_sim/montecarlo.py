@@ -155,7 +155,7 @@ def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, ua
         h = np.ones_like(dist, dtype=np.complex128)
     else:
         h, dist = response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
-                                 ground.ratio, ground.ratio)[:2]
+                                 ground.ratio, ground.ratio)
         # the gain scales h, not synthesize's gains: moving it there changes last bits,
         # so it waits for a deliberate re-record of the seeded outputs
         h = h * ground.gain
@@ -359,16 +359,17 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
     geometry = spec.geometry
     lam = spec.lam
     m = geometry.m
-    pairs = [(l, lp) for l in range(1, m + 1) for lp in range(1, m + 1) if l != lp]
-    if len(pairs) > max_pairs:
-        rng = substream(seed, 0xFA1)
-        keep = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[i] for i in sorted(keep)]
+    count = m * (m - 1)  # ordered pairs l != l', indexed row by row
+    picks = range(count)
+    if count > max_pairs:
+        picks = sorted(substream(seed, 0xFA1).choice(count, size=max_pairs, replace=False))
     rng = substream(seed, 1)
     d, theta, phi = geo._shell_draws(spec.region, rng, n)
     sin_theta, cos_phi, sin_phi = np.sin(theta), np.cos(phi), np.sin(phi)
     rows = []
-    for l, lp in pairs:
+    for k in picks:
+        row, col = divmod(int(k), m - 1)
+        l, lp = row + 1, col + 1 + (col >= row)  # a row skips its own index
         q, p = divmod(l - 1, geometry.m_x)
         qp, pp = divmod(lp - 1, geometry.m_x)
         bval = (math.pi / lam) * (

@@ -142,16 +142,13 @@ class GroundArray:
         "Check that all elements share one feed and dipole, then fix the array for ``f0``."
         if len(gs_configs) < 1:
             raise SwarmMimoError("need at least one array element")
-        first = gs_configs[0]
-        w = first.excitation.weights()
-        dipole = first.dipole_for(f0)
-        shape = (dipole.length_ratio(f0), dipole.gain)
-        for c in gs_configs[1:]:
-            if not np.allclose(c.excitation.weights(), w):
-                raise SwarmMimoError("array elements must share one excitation")
-            other = c.dipole_for(f0)
-            if not np.allclose((other.length_ratio(f0), other.gain), shape):
-                raise SwarmMimoError("array elements must share one dipole")
+        weights = np.array([c.excitation.weights() for c in gs_configs])
+        dipoles = [c.dipole_for(f0) for c in gs_configs]
+        shapes = np.array([(d.length_ratio(f0), d.gain) for d in dipoles])
+        if not np.allclose(weights[1:], weights[0]):
+            raise SwarmMimoError("array elements must share one excitation")
+        if not np.allclose(shapes[1:], shapes[0]):
+            raise SwarmMimoError("array elements must share one dipole")
         if geometry is not None:
             if geometry.m != len(gs_configs):
                 raise SwarmMimoError("geometry and gs_configs disagree on element count")
@@ -159,7 +156,8 @@ class GroundArray:
         else:
             elem, aperture = np.zeros((len(gs_configs), 3)), 0.0
         rotations = np.stack([geo.rotation_matrix(c.orientation) for c in gs_configs])
-        return cls(f0, elem, rotations, w, *shape, first.excitation, aperture)
+        return cls(f0, elem, rotations, weights[0], *shapes[0].tolist(),
+                   gs_configs[0].excitation, aperture)
 
     def drone_feed(self, uav_config: AntennaConfig | None = None):
         """Feed weights, dipole length ratio and gain of a drone antenna.
@@ -234,6 +232,27 @@ def t_matrix(
     )
 
 
+def response_norms(uav_rel, tx_rot, rx_rot, w_tx, w_rx, tx_dipole, rx_dipole, f0: float):
+    """Squared norms ``(n1, n2)`` of the two response vectors of one antenna pair.
+
+    ``uav_rel`` points from the transmitter to the receiver; each side gives
+    its rotation, feed weights and :class:`DipoleGeometry`. ``n1 = |conj(w_t0)
+    F(theta) theta_hat + conj(w_t1) F(psi) psi_hat|^2`` in the transmit frame,
+    ``n2 = |w_r0 F(theta')|^2 + |w_r1 F(psi')|^2`` at the receive frame's
+    angles to the transmitter. ``|h|^2 <= n1 n2`` (Cauchy-Schwarz), and the
+    ratio is the polarization loss factor. Raises
+    :class:`SingularDirectionError` where the transmit basis is undefined.
+    """
+    v = np.asarray(uav_rel, dtype=float)
+    theta_hat, psi_hat, p_hat = polarization_basis(tx_rot.T @ v)
+    f_tx = [field_pattern(a, tx_dipole, f0) for a in np.arccos(p_hat[[2, 1]])]
+    e_tx = np.conj(w_tx[0]) * f_tx[0] * theta_hat + np.conj(w_tx[1]) * f_tx[1] * psi_hat
+    # rotating the unit direction can carry a cosine just past 1
+    back = np.clip(-(rx_rot.T @ v) / np.linalg.norm(v), -1.0, 1.0)
+    e_rx = w_rx * [field_pattern(a, rx_dipole, f0) for a in np.arccos(back[[2, 1]])]
+    return float(np.vdot(e_tx, e_tx).real), float(np.vdot(e_rx, e_rx).real)
+
+
 def channel_factor(
     tx: AntennaConfig,
     rx: AntennaConfig,
@@ -242,31 +261,28 @@ def channel_factor(
 ) -> PolarizationResult:
     """Complex coupling, PLF, and effective gain for one antenna pair.
 
-    ``h`` carries the sqrt of both dipole gains so that ``chi = |h|^2``.
+    ``h`` carries the sqrt of both dipole gains so that ``chi = |h|^2``; the
+    PLF divides the bare ``|h|^2`` by the product of :func:`response_norms`.
     """
     wt = tx.excitation.weights()
     wr = rx.excitation.weights()
     if np.all(wt == 0) or np.all(wr == 0):
         raise DegenerateExcitationError("all-zero excitation")
-    pos = np.asarray(uav_rel, dtype=float)[None, :]
-    h, _, n1, n2 = response_batch(
-        pos,
-        np.zeros((1, 3)),
-        geo.rotation_matrix(tx.orientation)[None, :, :],
-        geo.rotation_matrix(rx.orientation),
-        wt,
-        wr,
-        tx.dipole_for(f0).length_ratio(f0),
-        rx.dipole_for(f0).length_ratio(f0),
-    )
+    pos = np.asarray(uav_rel, dtype=float)
+    tx_rot = geo.rotation_matrix(tx.orientation)
+    rx_rot = geo.rotation_matrix(rx.orientation)
+    tx_dipole, rx_dipole = tx.dipole_for(f0), rx.dipole_for(f0)
+    h, _ = response_batch(pos[None, :], np.zeros((1, 3)), tx_rot[None, :, :], rx_rot, wt, wr,
+                          tx_dipole.length_ratio(f0), rx_dipole.length_ratio(f0))
     hval = complex(h[0, 0])
     if not np.isfinite(hval.real):
         raise SingularDirectionError(
             "direction singular in the rotated transmit frame"
         )
-    denom = float(n1[0, 0] * n2[0, 0])
+    n1, n2 = response_norms(pos, tx_rot, rx_rot, wt, wr, tx_dipole, rx_dipole, f0)
+    denom = n1 * n2
     plf = abs(hval) ** 2 / denom if denom > 1e-30 else 0.0
-    gains = tx.dipole_for(f0).gain * rx.dipole_for(f0).gain
+    gains = tx_dipole.gain * rx_dipole.gain
     hfull = math.sqrt(gains) * hval
     return PolarizationResult(h=hfull, plf=min(plf, 1.0), chi=abs(hfull) ** 2)
 
@@ -293,17 +309,9 @@ def effective_gain_array(
     """
     ground = GroundArray.build(gs_configs, f0, geometry)
     w_rx, ratio_rx, gain_rx = ground.drone_feed(uav_config)
-    h, _, _, _ = response_batch(
-        np.asarray(uav_position, float)[None, :],
-        ground.elem,
-        ground.rotations,
-        geo.rotation_matrix(uav_orientation),
-        ground.w,
-        w_rx,
-        ground.ratio,
-        ratio_rx,
-    )
-    chi = ground.gain * gain_rx * np.abs(h[0]) ** 2
+    chi = chi_batch(np.asarray(uav_position, float)[None, :], ground.elem, ground.rotations,
+                    geo.rotation_matrix(uav_orientation), ground.w, w_rx,
+                    ground.gain * gain_rx, ground.ratio, ratio_rx)[0]
     if not np.all(np.isfinite(chi)):
         raise SingularDirectionError("singular direction for at least one element")
     return chi, float(chi.mean())
@@ -322,12 +330,11 @@ def chi_batch(
 ) -> np.ndarray:
     """Effective gains for batches of drones, shape ``(n, M)``.
 
-    Thin vectorized counterpart of :func:`effective_gain_array` used by the
-    Monte Carlo estimators; NaN lanes (singular directions) propagate to the
-    caller, which redraws.
+    Used by :func:`effective_gain_array` and the Monte Carlo estimators; NaN
+    lanes (singular directions) propagate to the caller, which raises or
+    redraws.
     """
-    h, _, _, _ = response_batch(positions, elem, gs_rots, uav_rots, w_tx, w_rx,
-                                ratio_tx, ratio_rx)
+    h, _ = response_batch(positions, elem, gs_rots, uav_rots, w_tx, w_rx, ratio_tx, ratio_rx)
     return gains * np.abs(h) ** 2
 
 

@@ -12,13 +12,16 @@ from scipy.special import sici
 
 from swarm_mimo_sim import _kernels
 from swarm_mimo_sim._kernels import _rot, _row_blocks, response_batch, si_ci_arrays
+from swarm_mimo_sim.errors import SingularDirectionError
 from swarm_mimo_sim.geometry import (
     ArrayGeometry,
     ShellRegion,
     element_positions,
     rotation_matrices,
     sample_shell_positions,
+    wavelength,
 )
+from swarm_mimo_sim.polarization import DipoleGeometry, response_norms
 
 
 def test_si_ci_against_scipy():
@@ -109,6 +112,15 @@ def kernel_layout(name):
         pos = np.array([[0.0, 0.0, 10.0], [3.0, 4.0, 12.0]])
         elem = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
         return pos, elem, np.stack([np.eye(3)] * 2), np.eye(3), CIRC, CIRC
+    if name == "feeds":
+        # unequal feeds out of phase quadrature on both sides, so the norms'
+        # cross term and the pairing of each weight with its pattern both show
+        rng = np.random.default_rng(77)
+        pos = rng.normal(size=(40, 3)) * 400.0
+        elem = rng.normal(size=(9, 3))
+        w_tx = np.array([0.6, 0.8 * np.exp(0.7j)])
+        w_rx = np.array([0.9, 0.3 * np.exp(-1.1j)])
+        return pos, elem, _rots(rng, 9), _rots(rng, 40), w_tx, w_rx, 0.5, 0.62
     if name == "gain_cdf":
         # the gain-cdf preset's shape: 50-element half-wave line array, one
         # common ground rotation and one drone rotation per sample, 327-row blocks
@@ -138,9 +150,18 @@ def kernel_layout(name):
 
 # float.hex of (h.real, h.imag, dist, n1sq, n2sq) at a few (sample, element)
 # lanes of each layout, recorded from the per-element loop the blocked kernel
-# replaced (gain_cdf: from the kernel whose per-sample rotation was an einsum);
-# the per_sample and gain_cdf lanes sit on both sides of each block edge
+# replaced (gain_cdf: from the kernel whose per-sample rotation was an einsum;
+# feeds: from the blocked kernel, the last one to return the norms); the
+# per_sample and gain_cdf lanes sit on both sides of each block edge.
+# n1sq and n2sq are the squared response norms those kernels returned; they
+# are the reference for ``response_norms`` on the same lanes.
 KERNEL_GOLDEN = {
+    "feeds": [
+        ((0, 0), ('-0x1.4c5ced5168ac4p-3', '0x1.e6b21a6153b9bp-3', '0x1.1292aa664f52bp+10', '0x1.ac55c3d21ee65p-2', '0x1.569ea2c88a1f2p-2')),
+        ((17, 4), ('-0x1.1eba62cfdc5f4p-4', '0x1.6cbbdd31d0fc4p-2', '0x1.8f50c107689fap+8', '0x1.125beefdee564p-2', '0x1.2554934edc7c3p+0')),
+        ((25, 2), ('0x1.bfc5501fd577ep-7', '-0x1.c1332e43c2546p-5', '0x1.5231f5a82964bp+9', '0x1.107d0b8408328p-1', '0x1.17c753133cbccp-2')),
+        ((39, 8), ('-0x1.8244a15b6a372p-4', '0x1.e4de798ae2766p-4', '0x1.e7ea951621c1cp+8', '0x1.70e7feafaf3dbp-1', '0x1.0a554e8569e17p+0')),
+    ],
     "gain_cdf": [
         ((0, 0), ('0x1.c253d0a2e48f6p-4', '0x1.545a7362a3c0cp-3', '0x1.cdb75b504418cp+8', '0x1.0220f94bdee6dp-1', '0x1.ddc594b476d90p-2')),
         ((326, 49), ('0x1.ae30ca5404be4p-4', '-0x1.fed318acb6386p-4', '0x1.47e268ede04d8p+8', '0x1.2872173197f31p-1', '0x1.96cdf5716772cp-1')),
@@ -185,10 +206,32 @@ KERNEL_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GOLDEN))
 def test_response_golden_bits(name):
-    h, dist, n1, n2 = response_batch(*kernel_layout(name))
+    h, dist = response_batch(*kernel_layout(name))
     for (i, l), want in KERNEL_GOLDEN[name]:
-        got = (h[i, l].real, h[i, l].imag, dist[i, l], n1[i, l], n2[i, l])
-        assert tuple(float(v).hex() for v in got) == want, (i, l)
+        got = (h[i, l].real, h[i, l].imag, dist[i, l])
+        assert tuple(float(v).hex() for v in got) == want[:3], (i, l)
+
+
+def _lane_norms(args, i, l):
+    "``response_norms`` of lane (i, l) of the ``response_batch`` call ``args``."
+    pos, elem, gs, uav, w_tx, w_rx, *ratios = args
+    f0 = 2.4e9  # a 12.5 cm wavelength keeps each length ratio exact
+    tx_dipole, rx_dipole = (DipoleGeometry(r * wavelength(f0)) for r in ratios or (0.5, 0.5))
+    return response_norms(pos[i] - elem[l], gs[i, 0] if gs.ndim == 4 else gs[l],
+                          uav[i] if uav.ndim == 3 else uav, w_tx, w_rx, tx_dipole, rx_dipole, f0)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GOLDEN))
+def test_response_norms_match_recorded_lanes(name):
+    args = kernel_layout(name)
+    for (i, l), (*_, n1_hex, n2_hex) in KERNEL_GOLDEN[name]:
+        if n1_hex == "nan":  # the lane on the z axis of its element
+            with pytest.raises(SingularDirectionError):
+                _lane_norms(args, i, l)
+            continue
+        n1, n2 = _lane_norms(args, i, l)
+        assert n1 == pytest.approx(float.fromhex(n1_hex), rel=1e-12, abs=0.0), (i, l)
+        assert n2 == pytest.approx(float.fromhex(n2_hex), rel=1e-12, abs=0.0), (i, l)
 
 
 @pytest.mark.parametrize("name, rows", [
@@ -273,8 +316,8 @@ def test_response_layout_shapes():
     gs = rotation_matrices(rng.uniform(-1, 1, m), rng.uniform(-1, 1, m), rng.uniform(0, 6, m))
     uav = np.eye(3)
     wt = np.array([1.0, 0.0])
-    h_el, _, _, _ = response_batch(pos, elem, gs, uav, wt, wt)
-    h_ps, _, _, _ = response_batch(pos, elem, gs[:, None], uav, wt, wt)
+    h_el, _ = response_batch(pos, elem, gs, uav, wt, wt)
+    h_ps, _ = response_batch(pos, elem, gs[:, None], uav, wt, wt)
     # per-element and per-sample readings differ off the diagonal
     assert np.allclose(np.diag(h_el), np.diag(h_ps))
     assert not np.allclose(h_el, h_ps)
@@ -293,12 +336,11 @@ def test_common_rotation_agrees_across_layouts(n, m):
     elem = rng.normal(size=(m, 3))
     r = _rots(rng, 1)[0]
     args = (_rots(rng, n), np.array([0.6, 0.8j]), CIRC, 0.5, 0.47)
-    h_ps, d_ps, n1_ps, n2_ps = response_batch(pos, elem, np.broadcast_to(r, (n, 1, 3, 3)), *args)
-    h_el, d_el, n1_el, n2_el = response_batch(pos, elem, np.broadcast_to(r, (m, 3, 3)), *args)
+    h_ps, d_ps = response_batch(pos, elem, np.broadcast_to(r, (n, 1, 3, 3)), *args)
+    h_el, d_el = response_batch(pos, elem, np.broadcast_to(r, (m, 3, 3)), *args)
     scale = np.max(np.abs(h_el))
     assert np.max(np.abs(h_ps - h_el)) <= 1e-12 * scale
-    assert np.max(np.abs(n1_ps - n1_el)) <= 1e-12 * np.max(n1_el)
-    assert np.array_equal(d_ps, d_el) and np.array_equal(n2_ps, n2_el)
+    assert np.array_equal(d_ps, d_el)
 
 
 def test_singular_direction_marks_nan():
@@ -306,7 +348,7 @@ def test_singular_direction_marks_nan():
     elem = np.zeros((1, 3))
     eye = np.eye(3)[None, :, :]
     wt = np.array([1.0, 0.0])
-    h, dist, n1, n2 = response_batch(pos, elem, eye, np.eye(3), wt, wt)
+    h, dist = response_batch(pos, elem, eye, np.eye(3), wt, wt)
     assert np.isnan(h[0, 0].real)
     assert dist[0, 0] == 10.0
 
@@ -331,15 +373,17 @@ def test_per_sample_rotation_matches_einsum(m, rows):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 12),
        ratio=st.floats(0.05, 1.5), amp=st.floats(0.0, 1.0), phase=st.floats(-3.2, 3.2))
 def test_polarization_loss_factor_at_most_one(seed, n, m, ratio, amp, phase):
-    # |h|^2 <= n1sq * n2sq (Cauchy-Schwarz): the PLF never exceeds 1
+    # |h|^2 <= n1 * n2 (Cauchy-Schwarz): the PLF never exceeds 1, before
+    # channel_factor clamps it
     rng = np.random.default_rng(seed)
     pos = rng.normal(size=(n, 3)) * rng.uniform(1.0, 500.0)
     elem = rng.normal(size=(m, 3))
     w_tx = np.array([np.sqrt(1.0 - amp * amp), amp * np.exp(1j * phase)])
-    h, _, n1, n2 = response_batch(pos, elem, _rots(rng, n)[:, None], _rots(rng, n), w_tx, CIRC,
-                                  ratio, 0.5)
-    ok = np.isfinite(h)
-    assert np.all(np.abs(h[ok]) ** 2 <= n1[ok] * n2[ok] * (1.0 + 1e-12))
+    args = (pos, elem, _rots(rng, n)[:, None], _rots(rng, n), w_tx, CIRC, ratio, 0.5)
+    h, _ = response_batch(*args)
+    for i, l in zip(*np.nonzero(np.isfinite(h))):
+        n1, n2 = _lane_norms(args, i, l)
+        assert abs(h[i, l]) ** 2 <= n1 * n2 * (1.0 + 1e-12), (i, l)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -355,8 +399,8 @@ def test_coupling_power_invariant_under_scene_rotation(seed, n, m, per_sample, r
     uav = _rots(rng, n)
     q = _rots(rng, 1)[0]
     args = (np.array([0.6, 0.8j]), CIRC, ratio, 0.5)
-    h, _, _, _ = response_batch(pos, elem, gs, uav, *args)
-    h_q, _, _, _ = response_batch(pos @ q.T, elem @ q.T, q @ gs, q @ uav, *args)
+    h, _ = response_batch(pos, elem, gs, uav, *args)
+    h_q, _ = response_batch(pos @ q.T, elem @ q.T, q @ gs, q @ uav, *args)
     ok = np.isfinite(h) & np.isfinite(h_q)
     p, p_q = np.abs(h[ok]) ** 2, np.abs(h_q[ok]) ** 2
     assert np.all(np.abs(p_q - p) <= 1e-12 * np.max(p, initial=1e-300))

@@ -175,6 +175,18 @@ class TestLinkBudget:
         assert msn.instantaneous_power(spec, 800.0, 0.1) > base
         assert msn.instantaneous_power(spec, 400.0, 0.05) > base
 
+    def test_array_call_matches_scalar_calls(self):
+        spec = make_spec()
+        rng = np.random.default_rng(9)
+        dist = rng.uniform(50.0, 7000.0, 5000)
+        chi = rng.uniform(1e-4, 3.0, 5000)
+        watts = msn.instantaneous_power(spec, dist, chi)
+        for ds, cs in ((dist, chi), (dist.tolist(), chi.tolist())):  # numpy and Python floats
+            scalar = [msn.instantaneous_power(spec, d, c) for d, c in zip(ds, cs)]
+            assert watts.tobytes() == np.array(scalar).tobytes()
+        with pytest.raises(SwarmMimoError, match="positive"):
+            msn.instantaneous_power(spec, dist, np.where(np.arange(5000) == 7, 0.0, chi))
+
     def test_pilot_floor_at_zero_distance(self):
         spec = make_spec()
         _, c_pilot = msn.link_budget_coefficients(spec, 0.0)

@@ -183,6 +183,18 @@ class TestValidateExpectations:
             sinc = rates.expected_phase_sinc(p - pp, q - qp, spec.geometry, LAM)
             assert math.hypot(r["closed_re"], r["closed_im"]) == pytest.approx(abs(sinc), abs=1e-12)
 
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_pairs_follow_listed_order(self, m):
+        # the sampled pair indices map to (l, l') as they would index the list
+        listed = [(l, lp) for l in range(1, m + 1) for lp in range(1, m + 1) if l != lp]
+        for max_pairs in (1, 5, len(listed) + 1):  # below and above the pair count
+            want = listed
+            if len(listed) > max_pairs:
+                keep = mc.substream(3, 0xFA1).choice(len(listed), size=max_pairs, replace=False)
+                want = [listed[i] for i in sorted(keep)]
+            rows, _ = mc.validate_expectations(spec_for(m=m), 4, seed=3, max_pairs=max_pairs)
+            assert [(r["l"], r["lp"]) for r in rows] == want, max_pairs
+
 
 class TestResultInvariants:
     def test_stderr_definition(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import polarization as pol
@@ -217,6 +218,33 @@ class TestChannelFactor:
             )
             bad += not (0.0 <= res.plf <= 1.0)
         assert bad == 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(angles=st.lists(st.floats(-math.pi / 2, math.pi / 2), min_size=4, max_size=4),
+           yaws=st.lists(st.floats(0.0, 6.28), min_size=2, max_size=2),
+           ratios=st.lists(st.floats(0.05, 1.5), min_size=2, max_size=2),
+           v=st.lists(st.floats(-500.0, 500.0), min_size=3, max_size=3))
+    def test_linear_reciprocity_up_to_receive_pattern(self, angles, yaws, ratios, v):
+        # swapping transmitter and receiver does not keep chi: the transmit
+        # basis carries 1/sin(theta) of its own z dipole, so with linear feeds
+        # chi(a, b, v) sin^2(theta_a) = chi(b, a, -v) sin^2(theta_b), where
+        # theta_x is the angle between x's z dipole and the line of sight
+        v = np.array(v)
+        d = np.linalg.norm(v)
+        assume(d > 1.0)
+        a, b = (
+            pol.AntennaConfig(pol.DipoleExcitation.linear(),
+                              geo.RotationAngles(angles[2 * i], angles[2 * i + 1], yaws[i]),
+                              pol.DipoleGeometry(ratios[i] * LAM))
+            for i in range(2)
+        )
+        # direction cosines in a's frame, then in b's; stay clear of the y and
+        # z axes, where the transmit basis is undefined either way round
+        cos = np.concatenate([geo.rotation_matrix(x.orientation).T @ v for x in (a, b)]) / d
+        assume(np.all(1.0 - cos[[1, 2, 4, 5]] ** 2 > 1e-6))
+        ab = pol.channel_factor(a, b, v, F0).chi * (1.0 - cos[2] ** 2)
+        ba = pol.channel_factor(b, a, -v, F0).chi * (1.0 - cos[5] ** 2)
+        assert ab == pytest.approx(ba, rel=1e-10, abs=1e-13)
 
     def test_singular_direction_raises(self):
         with pytest.raises(SingularDirectionError):
