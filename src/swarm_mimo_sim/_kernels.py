@@ -26,7 +26,9 @@ bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
   batched call of the same drones differ in 5,928 of 15,000 ``h`` lanes,
   while two-row calls match the batched call, with a shared or a per-sample
   drone rotation alike. Batching single-sample callers therefore moves their
-  last bits.
+  last bits: ``mission.run_mission`` calls the kernel once per group of
+  steps, so a one-drone mission moves, while stacks of two-drone or wider
+  calls keep every bit.
 - numpy multiplies a one-element complex array in place without the fused
   multiply-add of its vector loop (see ``_e1_lentz``).
 - The per-sample ground rotation of the basis is written out as three-term
@@ -266,11 +268,15 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
         ry = pos[rows, 1] - elem[:, 1, None]
         rz = pos[rows, 2] - elem[:, 2, None]
         d = np.sqrt(rx * rx + ry * ry + rz * rz)
+        dist[rows].T[...] = d
+        # each temporary is freed after its last read, which lowers the peak
+        # memory of a block and leaves every operation's inputs as they were
         x, y, z = (_rt(gs, rx, ry, rz, i) for i in range(3))
         ct_t = z / d
         cp_t = y / d
         ct_r = -_rt(uav, rx, ry, rz, 2) / d
         cp_r = -_rt(uav, rx, ry, rz, 1) / d
+        del rx, ry, rz
         rho_t = np.hypot(x, y)
         rho_p = np.hypot(x, z)
         bad = (rho_t <= _SING_EPS * d) | (rho_p <= _SING_EPS * d)
@@ -279,6 +285,7 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
         # the basis vectors in the reference frame, by component
         dt = d * rho_t
         dp = d * rho_p
+        del d, rho_t, rho_p
         if gs_by_sample:
             th_ref = _rot(gs, (-x * z / dt, -y * z / dt, (x * x + y * y) / dt))
             ps_ref = _rot(gs, (-x * y / dp, (x * x + z * z) / dp, -y * z / dp))
@@ -287,6 +294,7 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
             th_ref = np.stack([-x * z, -y * z, x * x + y * y], axis=-1) / dt[..., None] @ rt
             ps_ref = np.stack([-x * y, x * x + z * z, -y * z], axis=-1) / dp[..., None] @ rt
             th_ref, ps_ref = th_ref.transpose(2, 0, 1), ps_ref.transpose(2, 0, 1)
+        del x, y, z, dt, dp
         # receive dipole axes in the reference frame
         ez = uav[..., :, 2].T
         ey = uav[..., :, 1].T
@@ -294,13 +302,16 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
         t12 = _dot3(th_ref, ey)
         t21 = _dot3(ps_ref, ez)
         t22 = _dot3(ps_ref, ey)
+        del th_ref, ps_ref
         a = np.conj(wt0) * _fpat(ct_t, ratio_t)
         b = np.conj(wt1) * _fpat(cp_t, ratio_t)
         c = wr0 * _fpat(ct_r, ratio_r)
         e = wr1 * _fpat(cp_r, ratio_r)
-        hv = a * (t11 * c + t12 * e) + b * (t21 * c + t22 * e)
-        h[rows].T[...] = np.where(bad, np.nan + 0j, hv)
-        dist[rows].T[...] = d
+        del ct_t, cp_t, ct_r, cp_r
+        hv = a * (t11 * c + t12 * e)
+        hv += b * (t21 * c + t22 * e)
+        hv[bad] = np.nan + 0j
+        h[rows].T[...] = hv
 
     blocks = _row_blocks(n, m)
     pool = _block_pool() if len(blocks) > 1 else None

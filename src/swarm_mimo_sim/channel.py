@@ -2,6 +2,12 @@
 
 Noise variance is normalized to 1 throughout, so transmit powers are
 normalized SNRs; the absolute-watt link budget lives in the mission module.
+
+The channel functions take stacks of ``(M, K)`` matrices, shaped ``(..., M,
+K)``. Each matrix of a stack keeps the bits of its own call: matmul and the
+``linalg`` routines work matrix by matrix, and the pilot noise is drawn
+matrix by matrix. ``channel_matrix`` is the exception for one-drone matrices,
+whose single call takes the kernel's gemv path (see ``_kernels``).
 """
 
 from __future__ import annotations
@@ -157,18 +163,25 @@ def channel_matrix(
     uav_rotations: np.ndarray,
     uav_config: AntennaConfig | None = None,
 ) -> np.ndarray:
-    """Channel matrix ``G`` of shape ``(M, K)`` for ``K`` drones at ``ground.f0``."""
+    """Channel matrices ``G`` of ``K`` drones at ``ground.f0``.
+
+    ``uav_positions`` is ``(..., K, 3)`` and ``uav_rotations`` ``(..., K, 3,
+    3)``; the result is a C-contiguous ``(..., M, K)``. A stack of matrices is
+    one kernel call on all its drones, and each matrix keeps the bits of its
+    own call when every call has at least two drones (a one-drone call takes
+    the kernel's gemv path).
+    """
     pos = np.asarray(uav_positions, float)
-    norms = np.linalg.norm(pos, axis=1)
+    norms = np.linalg.norm(pos, axis=-1)
     if np.any(norms <= ground.aperture):
         raise SwarmMimoError("drone inside the array aperture")
     w_rx, ratio_rx, gain_rx = ground.drone_feed(uav_config)
     gains = ground.gain * gain_rx
     h, dist = response_batch(
-        pos,
+        pos.reshape(-1, 3),
         ground.elem,
         ground.rotations,
-        uav_rotations,
+        np.reshape(uav_rotations, (-1, 3, 3)),
         ground.w,
         w_rx,
         ground.ratio,
@@ -177,7 +190,7 @@ def channel_matrix(
     if not np.all(np.isfinite(h.real)):
         raise SingularDirectionError("singular direction for at least one element")
     g, _ = synthesize(h, dist, geo.wavelength(ground.f0), gains)
-    return g.T.copy()
+    return g.reshape(pos.shape[:-1] + (-1,)).swapaxes(-1, -2).copy()
 
 
 def ml_estimate(g: np.ndarray, p_p: float, rng: np.random.Generator) -> ChannelEstimate:
@@ -185,13 +198,17 @@ def ml_estimate(g: np.ndarray, p_p: float, rng: np.random.Generator) -> ChannelE
 
     Equivalent to despreading the received pilot block: the estimate is the
     true matrix plus white complex Gaussian noise scaled by 1/sqrt(p_p).
+    ``g`` may be a ``(..., M, K)`` stack; each matrix draws its real part,
+    then its imaginary part, so a stack consumes the stream its matrices
+    would in turn.
     """
     if p_p <= 0:
         raise SwarmMimoError("pilot power must be positive")
     g = np.asarray(g)
     if math.isinf(p_p):
         return ChannelEstimate(g_hat=g.copy(), p_p=p_p)
-    w = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    z = rng.standard_normal(g.shape[:-2] + (2,) + g.shape[-2:])
+    w = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     return ChannelEstimate(g_hat=g + w / math.sqrt(2.0 * p_p), p_p=p_p)
 
 
@@ -246,28 +263,37 @@ def instantaneous_sinr_mrc(
     g_hat: np.ndarray,
     powers: np.ndarray,
 ) -> np.ndarray:
-    """Per-drone SINR of a combiner that projects onto the estimated vectors."""
+    """Per-drone SINR of a combiner that projects onto the estimated vectors.
+
+    ``g`` and ``g_hat`` are ``(..., M, K)`` and ``powers`` is ``(..., K)``;
+    numpy's matmul makes one product per stacked matrix, so each matrix keeps
+    the bits of its own call.
+    """
     g = np.asarray(g)
     g_hat = np.asarray(g_hat)
     powers = np.asarray(powers, dtype=float)
-    if g.shape != g_hat.shape or g.shape[1] != powers.shape[0]:
+    if g.shape != g_hat.shape or g.shape[-1] != powers.shape[-1]:
         raise SwarmMimoError("channel, estimate, and power shapes disagree")
-    cross = g_hat.conj().T @ g  # (K, K): row k = estimate k against all drones
-    sig = powers * np.abs(np.diag(cross)) ** 2
-    inter = (np.abs(cross) ** 2 * powers[None, :]).sum(axis=1) - sig
-    noise = np.sum(np.abs(g_hat) ** 2, axis=0)
+    cross = np.conj(g_hat).swapaxes(-1, -2) @ g  # row k: estimate k against all drones
+    sig = powers * np.abs(np.diagonal(cross, axis1=-2, axis2=-1)) ** 2
+    inter = (np.abs(cross) ** 2 * powers[..., None, :]).sum(axis=-1) - sig
+    noise = np.sum(np.abs(g_hat) ** 2, axis=-2)
     return sig / (inter + noise)
 
 
 def sinr_zf(g: np.ndarray, powers: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
-    """Post-processing SINR of the zero-forcing receiver with perfect CSI."""
+    """Post-processing SINR of the zero-forcing receiver with perfect CSI.
+
+    Takes ``(..., M, K)`` channel stacks and ``(..., K)`` powers, like
+    :func:`instantaneous_sinr_mrc`; one ill-conditioned matrix raises.
+    """
     g = np.asarray(g)
     powers = np.asarray(powers, dtype=float)
-    m, k = g.shape
+    m, k = g.shape[-2:]
     if m < k:
         raise SingularChannelError(f"need at least as many elements as drones ({m} < {k})")
-    gram = g.conj().T @ g
-    if np.linalg.cond(gram) > cond_limit:
+    gram = np.conj(g).swapaxes(-1, -2) @ g
+    if np.any(np.linalg.cond(gram) > cond_limit):
         raise SingularChannelError("channel Gram matrix is ill conditioned")
-    inv_diag = np.real(np.diag(np.linalg.inv(gram)))
+    inv_diag = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
     return powers / inv_diag

@@ -259,6 +259,9 @@ def _check_cost(cfg: dict, kind: str):
     if kind not in ("spacing-sweep", "gain-cdf", "validate"):
         return
     m = cfg["array.m_x"] * cfg["array.m_y"]
+    if kind == "validate" and m < 2:
+        raise ConfigError(f"array.m_x * array.m_y: validate compares element pairs, "
+                          f"which {m} element does not have")
     if kind == "spacing-sweep":
         # omega holds one integer code per ordered element pair
         _check_buffer("array.m_x * array.m_y", f"omega over {m} elements", 8 * m * m)
@@ -511,7 +514,7 @@ def _run_mission(cfg, seed, out_dir, cfg_hash, started):
     duration = cfg["sim.duration_s"] or None
     records = msn.run_mission(spec, cfg["sim.step_s"], seed, duration=duration,
                               csi=cfg["sim.csi"])
-    rows = [tuple(rec) for rec in records]
+    rows = records.tolist()
     _write_csv(out_dir / "mission.csv", list(msn.RECORD_DTYPE.names), rows, seed, cfg_hash)
     c_data, c_pilot = msn.link_budget_coefficients(spec, 400.0)
     _write_summary(out_dir / "mission_summary.json", "mission-sim", cfg, seed, {

@@ -227,14 +227,18 @@ def _path_table(spec: MissionSpec, k: int):
     return pts, seg, lengths, cum
 
 
-def _position_on_path(path, s: float):
-    "Point at arc length ``s`` along a path table; clamps past the end."
+def _positions_on_path(path, s: np.ndarray):
+    """Points at arc lengths ``s`` along a path table, clamped past its end.
+
+    Returns ``(positions (n, 3), finished (n,))``.
+    """
     pts, seg, lengths, cum = path
-    if s >= cum[-1]:
-        return pts[-1].copy(), True
-    idx = int(np.searchsorted(cum, s, side="right")) - 1
+    finished = s >= cum[-1]
+    idx = np.minimum(np.searchsorted(cum, s, side="right") - 1, seg.shape[0] - 1)
     frac = (s - cum[idx]) / lengths[idx]
-    return pts[idx] + frac * seg[idx], False
+    pos = pts[idx] + frac[:, None] * seg[idx]
+    pos[finished] = pts[-1]
+    return pos, finished
 
 
 def trajectory_position(spec: MissionSpec, k: int, t: float):
@@ -246,7 +250,8 @@ def trajectory_position(spec: MissionSpec, k: int, t: float):
         raise SwarmMimoError("time must be nonnegative")
     if not 1 <= k <= spec.k:
         raise SwarmMimoError(f"drone index {k} outside 1..{spec.k}")
-    return _position_on_path(_path_table(spec, k), spec.speed * t)
+    pos, finished = _positions_on_path(_path_table(spec, k), np.array([spec.speed * t]))
+    return pos[0], bool(finished[0])
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +300,10 @@ def _gs_configs(spec: MissionSpec):
     ]
 
 
+# (step, drone, element) lanes per group of mission steps: 4 steps of 20 drones
+# at 100 elements, one kernel block; larger groups raise the peak memory
+_GROUP_LANES = 8192
+
 #: One per-step, per-drone record of :func:`run_mission`.
 RECORD_DTYPE = np.dtype(
     [
@@ -329,32 +338,35 @@ def run_mission(
     lam = geo.wavelength(spec.f_c)
     t_len, prelog = coherence_prelog(spec.coherence(), spec.k)
     ground = GroundArray.build(_gs_configs(spec), spec.f_c, spec.geometry)
-    paths = [_path_table(spec, k) for k in range(1, spec.k + 1)]
+    times = np.arange(0.0, duration + 0.5 * step, step)
+    arc = spec.speed * times
+    pos = np.empty((times.size, spec.k, 3))
+    for k in range(spec.k):
+        pos[:, k] = _positions_on_path(_path_table(spec, k + 1), arc)[0]
     # dipoles along the x and z axes: yaw the antenna frame by a quarter turn
     uav_rot = geo.rotation_matrix(geo.RotationAngles(yaw=math.pi / 2))
-    uav_rots = np.broadcast_to(uav_rot, (spec.k, 3, 3)).copy()
     p_p = pilot_snr(spec.rho_p, spec.d_wc, spec.chi_wc, lam)
     rng = substream(seed, 0x51)
-    times = np.arange(0.0, duration + 0.5 * step, step)
     rows = np.zeros((times.size, spec.k), dtype=RECORD_DTYPE)
     rows["t_s"] = times[:, None]
     rows["drone_id"] = np.arange(1, spec.k + 1)
-    for t, rec in zip(times, rows):
-        pos = np.stack([_position_on_path(path, spec.speed * t)[0] for path in paths])
-        g = channel_matrix(ground, pos, uav_rots)
-        mean_gain = np.mean(np.abs(g) ** 2, axis=0)
+    rows["x_m"], rows["y_m"], rows["z_m"] = np.moveaxis(pos, -1, 0)
+    group = max(1, _GROUP_LANES // (spec.k * spec.geometry.m))
+    for start in range(0, times.size, group):
+        steps = slice(start, start + group)
+        p = pos[steps]
+        g = channel_matrix(ground, p, np.broadcast_to(uav_rot, p.shape + (3,)))
+        mean_gain = np.mean(np.abs(g) ** 2, axis=-2)
         powers = np.minimum(spec.rho_u / mean_gain, spec.p_u_max)
         if csi == "estimated":
             g_hat = ml_estimate(g, p_p, rng).g_hat
         else:
             g_hat = g
         sinr = instantaneous_sinr_mrc(g, g_hat, powers)
-        throughput = prelog * spec.bandwidth * np.log2(1.0 + sinr)
-        dist = np.linalg.norm(pos, axis=1)
+        dist = np.linalg.norm(p, axis=-1)
         chi_mean = mean_gain / pathloss(dist, lam)
-        rec["x_m"], rec["y_m"], rec["z_m"] = pos.T
-        rec["throughput_bps"] = throughput
-        rec["power_w"] = instantaneous_power(spec, dist, chi_mean)
+        rows["throughput_bps"][steps] = prelog * spec.bandwidth * np.log2(1.0 + sinr)
+        rows["power_w"][steps] = instantaneous_power(spec, dist, chi_mean)
     return rows.ravel()
 
 

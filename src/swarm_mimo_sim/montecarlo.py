@@ -296,15 +296,12 @@ def estimate_ergodic_rate(
             g_hat = g + noise / math.sqrt(2.0 * p_p)
         else:
             g_hat = g
-        vals = np.empty(take)
-        for i in range(take):
-            gm = g[i].T  # (M, K)
-            if receiver == "mrc":
-                sinr = instantaneous_sinr_mrc(gm, g_hat[i].T, powers[i])
-            else:
-                sinr = sinr_zf(gm, powers[i])
-            vals[i] = prelog * float(np.mean(np.log2(1.0 + sinr)))
-        acc.add(vals)
+        g = g.transpose(0, 2, 1)  # (draws, M, K), one matrix per draw
+        if receiver == "mrc":
+            sinr = instantaneous_sinr_mrc(g, g_hat.transpose(0, 2, 1), powers)
+        else:
+            sinr = sinr_zf(g, powers)
+        acc.add(prelog * np.mean(np.log2(1.0 + sinr), axis=-1))
     return acc.result(seed)
 
 
@@ -360,6 +357,8 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
     lam = spec.lam
     m = geometry.m
     count = m * (m - 1)  # ordered pairs l != l', indexed row by row
+    if count == 0:
+        raise SwarmMimoError("a one-element array has no element pairs to validate")
     picks = range(count)
     if count > max_pairs:
         picks = sorted(substream(seed, 0xFA1).choice(count, size=max_pairs, replace=False))

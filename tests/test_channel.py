@@ -342,3 +342,70 @@ class TestZeroForcing:
     def test_needs_enough_elements(self):
         with pytest.raises(SingularChannelError):
             ch.sinr_zf(np.ones((1, 2), dtype=complex), np.array([1.0, 1.0]))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStacks:
+    """A ``(S, M, K)`` stack gives each matrix the bits of its own call."""
+
+    M = 24
+
+    def ground(self):
+        configs = circular_configs(self.M, np.random.default_rng(5))
+        return pol.GroundArray.build(configs, F0, line_array(self.M))
+
+    def drones(self, stack, k, seed=0):
+        rng = np.random.default_rng(seed)
+        pos = geo.sample_shell_positions(geo.ShellRegion(50.0, 400.0), rng, stack * k)
+        ang = geo.sample_orientations(rng, stack * k)
+        rots = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
+        return pos.reshape(stack, k, 3), rots.reshape(stack, k, 3, 3)
+
+    def channels(self, stack, k, seed=0):
+        rng = np.random.default_rng(seed)
+        shape = (stack, self.M, k)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        g_hat = g + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return g, g_hat, rng.uniform(0.5, 2.0, (stack, k))
+
+    @pytest.mark.parametrize("stack, k", [(5, 2), (3, 20), (1, 2), (1, 20)])
+    def test_channel_matrix(self, stack, k):
+        ground = self.ground()
+        pos, rots = self.drones(stack, k)
+        g = ch.channel_matrix(ground, pos, rots)
+        assert g.shape == (stack, self.M, k) and g.flags.c_contiguous
+        for s in range(stack):
+            assert _same_bits(g[s], ch.channel_matrix(ground, pos[s], rots[s])), s
+
+    @pytest.mark.parametrize("stack, k", [(5, 2), (3, 20), (1, 2), (1, 20)])
+    def test_ml_estimate(self, stack, k):
+        g, _, _ = self.channels(stack, k)
+        rng = np.random.default_rng(9)
+        g_hat = ch.ml_estimate(g, 40.0, np.random.default_rng(9)).g_hat
+        for s in range(stack):  # one matrix after another from the same stream
+            assert _same_bits(g_hat[s], ch.ml_estimate(g[s], 40.0, rng).g_hat), s
+
+    @pytest.mark.parametrize("stack, k", [(5, 2), (3, 20), (1, 2), (1, 20)])
+    def test_sinr_mrc(self, stack, k):
+        g, g_hat, p = self.channels(stack, k)
+        sinr = ch.instantaneous_sinr_mrc(g, g_hat, p)
+        assert sinr.shape == (stack, k)
+        for s in range(stack):
+            assert _same_bits(sinr[s], ch.instantaneous_sinr_mrc(g[s], g_hat[s], p[s])), s
+
+    @pytest.mark.parametrize("stack, k", [(5, 2), (3, 20), (1, 2), (1, 20)])
+    def test_sinr_zf(self, stack, k):
+        g, _, p = self.channels(stack, k)
+        sinr = ch.sinr_zf(g, p)
+        assert sinr.shape == (stack, k)
+        for s in range(stack):
+            assert _same_bits(sinr[s], ch.sinr_zf(g[s], p[s])), s
+
+    def test_one_singular_matrix_raises(self):
+        g, _, p = self.channels(3, 2)
+        g[1] = 1.0
+        with pytest.raises(SingularChannelError):
+            ch.sinr_zf(g, p)

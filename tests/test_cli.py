@@ -75,6 +75,8 @@ class TestParseConfig:
         # duration_s = 0 runs the whole mission: 375 s of 20 drones at 1 ms steps
         ("mission-sim", "[sim]\nstep_s = 0.001\n", r"sim.duration_s / sim.step_s \* fleet.k"),
         ("rate-curve", "[array]\nm_values = 1:100000000\n", r"array.m_values \* rate.k_values"),
+        # one element has no pairs to validate
+        ("validate", "[array]\nm_x = 1\nm_y = 1\n", r"array.m_x \* array.m_y"),
     ])
     def test_cost_guard(self, kind, text, key, tmp_path):
         # each key is within its range; together they ask for too much work or memory

@@ -235,35 +235,53 @@ class TestRunMission:
 
 
     def test_matches_per_step_assembly(self):
-        # reference: every step rebuilds the ground array and each drone's path
-        # through the public per-step functions
+        # steps run in groups; each step's records keep the bits of one call per step
         spec = make_spec()
-        rows = msn.run_mission(spec, step=5.0, seed=4, duration=20.0)
-        lam = geo.wavelength(spec.f_c)
-        _, prelog = ch.coherence_prelog(spec.coherence(), spec.k)
-        uav_rot = geo.rotation_matrix(geo.RotationAngles(yaw=math.pi / 2))
-        uav_rots = np.broadcast_to(uav_rot, (spec.k, 3, 3)).copy()
-        p_p = spec.rho_p * (4.0 * math.pi * spec.d_wc / lam) ** 2 / spec.chi_wc
-        rng = substream(4, 0x51)
-        expected = np.zeros_like(rows)
-        times = np.arange(0.0, 20.0 + 2.5, 5.0)
-        assert times.size == 5
-        for step, t in enumerate(times):
-            pos = np.stack([msn.trajectory_position(spec, k, t)[0] for k in range(1, spec.k + 1)])
-            ground = GroundArray.build(msn._gs_configs(spec), spec.f_c, spec.geometry)
-            g = ch.channel_matrix(ground, pos, uav_rots)
-            mean_gain = np.mean(np.abs(g) ** 2, axis=0)
-            powers = np.minimum(spec.rho_u / mean_gain, spec.p_u_max)
-            sinr = ch.instantaneous_sinr_mrc(g, ch.ml_estimate(g, p_p, rng).g_hat, powers)
-            throughput = prelog * spec.bandwidth * np.log2(1.0 + sinr)
-            dist = np.linalg.norm(pos, axis=1)
-            chi_mean = mean_gain / (lam / (4.0 * math.pi * dist)) ** 2
-            for i in range(spec.k):
-                expected[step * spec.k + i] = (
-                    t, i + 1, *pos[i], throughput[i],
-                    msn.instantaneous_power(spec, dist[i], chi_mean[i]),
-                )
-        assert rows.tobytes() == expected.tobytes()
+        for csi in ("estimated", "perfect"):
+            rows = msn.run_mission(spec, step=5.0, seed=4, duration=20.0, csi=csi)
+            expected = per_step_records(spec, step=5.0, seed=4, duration=20.0, csi=csi)
+            assert expected.size == 5 * spec.k  # more steps than one group holds
+            assert rows.tobytes() == expected.tobytes(), csi
+
+    def test_single_drone_matches_per_step_assembly(self):
+        # one drone per step: the kernel's one-row (gemv) product becomes a
+        # product over the group's rows, so the last bits may move
+        spec = make_spec(k=1, grid_x=1, grid_y=1,
+                         geometry=geo.ArrayGeometry(16, 1, geo.wavelength(2.4e9) / 2, 0.0))
+        rows = msn.run_mission(spec, step=3.0, seed=5, duration=300.0)
+        expected = per_step_records(spec, step=3.0, seed=5, duration=300.0, csi="estimated")
+        assert rows.size == 101
+        for name in msn.RECORD_DTYPE.names:
+            np.testing.assert_allclose(rows[name], expected[name], rtol=1e-12, atol=0, err_msg=name)
+
+
+def per_step_records(spec, step, seed, duration, csi):
+    "Mission records from one call per step of the public functions, each step rebuilding everything."
+    lam = geo.wavelength(spec.f_c)
+    _, prelog = ch.coherence_prelog(spec.coherence(), spec.k)
+    uav_rot = geo.rotation_matrix(geo.RotationAngles(yaw=math.pi / 2))
+    uav_rots = np.broadcast_to(uav_rot, (spec.k, 3, 3)).copy()
+    p_p = spec.rho_p * (4.0 * math.pi * spec.d_wc / lam) ** 2 / spec.chi_wc
+    rng = substream(seed, 0x51)
+    times = np.arange(0.0, duration + 0.5 * step, step)
+    expected = np.zeros(times.size * spec.k, dtype=msn.RECORD_DTYPE)
+    for n, t in enumerate(times):
+        pos = np.stack([msn.trajectory_position(spec, k, t)[0] for k in range(1, spec.k + 1)])
+        ground = GroundArray.build(msn._gs_configs(spec), spec.f_c, spec.geometry)
+        g = ch.channel_matrix(ground, pos, uav_rots)
+        mean_gain = np.mean(np.abs(g) ** 2, axis=0)
+        powers = np.minimum(spec.rho_u / mean_gain, spec.p_u_max)
+        g_hat = ch.ml_estimate(g, p_p, rng).g_hat if csi == "estimated" else g
+        sinr = ch.instantaneous_sinr_mrc(g, g_hat, powers)
+        throughput = prelog * spec.bandwidth * np.log2(1.0 + sinr)
+        dist = np.linalg.norm(pos, axis=1)
+        chi_mean = mean_gain / (lam / (4.0 * math.pi * dist)) ** 2
+        for i in range(spec.k):
+            expected[n * spec.k + i] = (
+                t, i + 1, *pos[i], throughput[i],
+                msn.instantaneous_power(spec, dist[i], chi_mean[i]),
+            )
+    return expected
 
 
 class TestExtremaCounter:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from swarm_mimo_sim import channel as ch
 from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import montecarlo as mc
 from swarm_mimo_sim import rates
+from swarm_mimo_sim.errors import SwarmMimoError
 from swarm_mimo_sim.polarization import HALF_WAVE_DIPOLE_GAIN
 
 LAM = geo.wavelength(2.4e9)
@@ -137,6 +139,49 @@ class TestErgodicRate:
         with pytest.raises(Exception):
             mc.estimate_ergodic_rate(spec, 100, seed=0, receiver="zf", csi="estimated")
 
+    @pytest.mark.parametrize("receiver, csi, gs_orientation", [
+        ("mrc", "estimated", "pseudo-random"),
+        ("mrc", "perfect", "pseudo-random"),
+        ("zf", "perfect", "pseudo-random"),
+        ("mrc", "estimated", "identical"),
+    ])
+    def test_matches_per_draw_loop(self, receiver, csi, gs_orientation):
+        # oracle: the estimator's draws, with one receiver call per draw
+        spec = spec_for(m=24, spacing=LAM / 2, r_min=20.0, k=20, rho_p=50.0, chi_wc=0.2,
+                        gs_orientation=gs_orientation, orientation_seed=3)
+        n, seed, prelog = 500, 4, 0.8  # two chunks of 409 and 91 draws
+        ground = spec.ground()
+        p_p = ch.pilot_snr(spec.rho_p, spec.region.r_max, spec.chi_wc, spec.lam)
+        acc = mc._Accumulator()
+        per_chunk = mc.CHUNK // spec.k
+        for index, start in enumerate(range(0, n, per_chunk)):
+            take = min(per_chunk, n - start)
+            rng = mc.substream(seed, index)
+            pos = geo.sample_shell_positions(spec.region, rng, take * spec.k)
+            rots = mc._rotations(spec, rng, take * spec.k)
+            gs = mc._gs_rotations(spec, ground, rng, take)
+            if gs.ndim == 4:
+                gs = np.repeat(gs, spec.k, axis=0)
+            g_rows, _ = mc._channel_for(spec, ground, pos, gs, rots)
+            g = g_rows.reshape(take, spec.k, -1)
+            powers = spec.rho_u / np.mean(np.abs(g) ** 2, axis=2)
+            g_hat = g
+            if csi == "estimated":
+                noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+                g_hat = g + noise / math.sqrt(2.0 * p_p)
+            vals = np.empty(take)
+            for i in range(take):
+                if receiver == "mrc":
+                    sinr = ch.instantaneous_sinr_mrc(g[i].T, g_hat[i].T, powers[i])
+                else:
+                    sinr = ch.sinr_zf(g[i].T, powers[i])
+                vals[i] = prelog * float(np.mean(np.log2(1.0 + sinr)))
+            acc.add(vals)
+        want = acc.result(seed)
+        got = mc.estimate_ergodic_rate(spec, n, seed, receiver=receiver, csi=csi, prelog=prelog)
+        assert (got.mean, got.stderr, got.n) == (want.mean, want.stderr, want.n)
+        assert got.mean.hex() == want.mean.hex()
+
 
 class TestGainCdf:
     def test_monotone_and_median_shift(self):
@@ -182,6 +227,10 @@ class TestValidateExpectations:
             qp, pp = divmod(r["lp"] - 1, 4)
             sinc = rates.expected_phase_sinc(p - pp, q - qp, spec.geometry, LAM)
             assert math.hypot(r["closed_re"], r["closed_im"]) == pytest.approx(abs(sinc), abs=1e-12)
+
+    def test_one_element_has_no_pairs(self):
+        with pytest.raises(SwarmMimoError, match="no element pairs"):
+            mc.validate_expectations(spec_for(m=1), 100, seed=3)
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_pairs_follow_listed_order(self, m):
