@@ -31,6 +31,9 @@ bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
   calls keep every bit.
 - numpy multiplies a one-element complex array in place without the fused
   multiply-add of its vector loop (see ``_e1_lentz``).
+- numpy may compute ``a * f(x)`` in place into a temporary ``f(x)`` of 256 KiB
+  or more, with the operands swapped, which changes how a complex product
+  rounds; ``_e1_lentz`` therefore calls ``np.multiply`` explicitly.
 - The per-sample ground rotation of the basis is written out as three-term
   sums in the order in which numpy's einsum ``"nij,lnj->lni"`` adds, j = 0,
   2, 1, unfused, from +0.0, so it keeps the bits of the einsum it replaced; in
@@ -113,7 +116,8 @@ def _e1_lentz(x, groups):
             starts = np.cumsum(sizes) - sizes
             fix_solo = solo.size > 1 and solo.any()
     out[lane] = h
-    return out * np.exp(-1j * x)
+    # an explicit call, which numpy never computes in place (see the module docstring)
+    return np.multiply(out, np.exp(-1j * x))
 
 
 def si_ci_arrays(x: np.ndarray, groups=None):

@@ -365,7 +365,7 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
     rng = substream(seed, 1)
     d, theta, phi = geo._shell_draws(spec.region, rng, n)
     sin_theta, cos_phi, sin_phi = np.sin(theta), np.cos(phi), np.sin(phi)
-    rows = []
+    pairs = []
     for k in picks:
         row, col = divmod(int(k), m - 1)
         l, lp = row + 1, col + 1 + (col >= row)  # a row skips its own index
@@ -375,12 +375,16 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
             (p * p - pp * pp) * geometry.delta_x**2
             + (q * q - qp * qp) * geometry.delta_y**2
         )
-        cval, dval = cb_db(bval, spec.region)
-        sincval = expected_phase_sinc(p - pp, q - qp, geometry, lam)
+        pairs.append((l, lp, p - pp, q - qp, bval))
+    # one group per pair: each value is that of a call of its own
+    cvals, dvals = cb_db([bval for *_, bval in pairs], spec.region, np.arange(len(pairs)))
+    rows = []
+    for (l, lp, dp, dq, bval), cval, dval in zip(pairs, cvals.tolist(), dvals.tolist()):
+        sincval = expected_phase_sinc(dp, dq, geometry, lam)
         closed = complex(cval, dval) * sincval
         phase = bval / d - (2.0 * math.pi / lam) * sin_theta * (
-            (p - pp) * geometry.delta_x * cos_phi
-            + (q - qp) * geometry.delta_y * sin_phi
+            dp * geometry.delta_x * cos_phi
+            + dq * geometry.delta_y * sin_phi
         )
         z = np.exp(1j * phase)
         mc = complex(z.mean())

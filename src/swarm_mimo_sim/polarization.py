@@ -155,7 +155,9 @@ class GroundArray:
             elem, aperture = geo.element_positions(geometry), geometry.aperture()
         else:
             elem, aperture = np.zeros((len(gs_configs), 3)), 0.0
-        rotations = np.stack([geo.rotation_matrix(c.orientation) for c in gs_configs])
+        ang = np.array([(c.orientation.roll, c.orientation.pitch, c.orientation.yaw)
+                        for c in gs_configs])
+        rotations = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
         return cls(f0, elem, rotations, weights[0], *shapes[0].tolist(),
                    gs_configs[0].excitation, aperture)
 

@@ -81,19 +81,26 @@ def cb_db(b, region: ShellRegion, groups=None):
 
 
 def _cd_shell(b, r_min, r_max, groups=None):
-    "Closed-form shell moments for strictly positive b."
+    """Closed-form shell moments for strictly positive b.
 
-    def endpoint(r):
-        arg = b / r
-        s, c_int = si_ci_arrays(arg, groups)
+    Both endpoints share one :func:`si_ci_arrays` call. The lanes of
+    ``b / r_max`` get group ``2 g`` and those of ``b / r_min`` group
+    ``2 g + 1``, so each endpoint's values are those of a call of its own.
+    """
+    g = np.zeros(b.shape, dtype=np.int64) if groups is None else np.asarray(groups)
+    args = np.concatenate([b / r_max, b / r_min])
+    s, c_int = si_ci_arrays(args, np.concatenate([2 * g, 2 * g + 1]))
+
+    def endpoint(r, half):
+        arg, s_r, c_r = args[half], s[half], c_int[half]
         cosv = np.cos(arg)
         sinv = np.sin(arg)
-        f = (2.0 * r * r - b * b) * r * cosv - b * r * r * sinv - b**3 * s
-        g = (2.0 * r * r - b * b) * r * sinv + b * r * r * cosv + b**3 * c_int
+        f = (2.0 * r * r - b * b) * r * cosv - b * r * r * sinv - b**3 * s_r
+        g = (2.0 * r * r - b * b) * r * sinv + b * r * r * cosv + b**3 * c_r
         return f, g
 
-    f_hi, g_hi = endpoint(r_max)
-    f_lo, g_lo = endpoint(r_min)
+    f_hi, g_hi = endpoint(r_max, slice(None, b.size))
+    f_lo, g_lo = endpoint(r_min, slice(b.size, None))
     norm = 2.0 * (r_max**3 - r_min**3)
     return (f_hi - f_lo) / norm, (g_hi - g_lo) / norm
 
@@ -124,6 +131,9 @@ def _offset_products(count: int, delta: int):
 # lanes per cd_of_b call in _omega_sum; bounds the working set of a large array
 _CHUNK_LANES = 4096
 
+# entries per block of padded offset rows in _omega_sum's pass 3
+_PAD_ENTRIES = 1 << 16
+
 
 def _group_chunks(group_of_lane, limit):
     "(lo, hi) slices of whole runs of equal ids, each within ``limit`` unless one run exceeds it."
@@ -143,34 +153,42 @@ def _omega_sum(geometry: ArrayGeometry, lam: float, cd_of_b) -> float:
     ``cd_of_b(b, groups)`` maps an array of b values to C^2 + D^2. Each
     distinct integer index product (p, q) is evaluated once, in three passes:
 
-    1. list the (dp, dq) offsets in order and the products each one needs;
-       the products first needed at an offset form that offset's group;
+    1. list the (dp, dq) offsets in order with array operations: one
+       ``math.hypot`` per offset, as :func:`expected_phase_sinc` computes it,
+       then one ``np.sinc`` over all of them; the products first needed at an
+       offset form that offset's group;
     2. evaluate all new products in a few calls of whole groups, where each
        group stops its Si/Ci continued fraction as if it had a call of its
        own (see :func:`si_ci_arrays`);
-    3. add each offset's terms one after another, offset by offset.
+    3. lay each offset's terms out as a row padded with trailing zeros and
+       add along the rows with ``cumsum``, which adds in order; then add the
+       weighted row sums offset by offset, again with ``cumsum``. The rows go
+       in blocks of at most ``_PAD_ENTRIES`` entries (more only when a single
+       offset has more terms), so the padding costs a bounded amount of
+       memory.
 
-    The result is bit-identical to one ``cd_of_b`` call per offset.
+    The result is bit-identical to one ``cd_of_b`` call per offset whose
+    terms are added with ``sum()``, accumulated over the offsets in order.
     """
     mx, my = geometry.m_x, geometry.m_y
     dx2, dy2 = geometry.delta_x**2, geometry.delta_y**2
     scale = math.pi / lam
     qspan = 2 * (my - 1) ** 2 + 1  # code p * qspan + q orders keys as (p, q)
-    weights, codes = [], []
-    for dp in range(-(mx - 1), mx):
-        px = _offset_products(mx, dp)
-        for dq in range(-(my - 1), my):
-            if dp == 0 and dq == 0:
-                continue
-            w = expected_phase_sinc(dp, dq, geometry, lam) ** 2
-            if w < 1e-30:
-                continue
-            qy = _offset_products(my, dq)
-            weights.append(w)
-            codes.append((px[:, None] * qspan + qy[None, :]).ravel())
-    if not weights:
+    # pass 1
+    offsets = [(a, b) for a in range(-(mx - 1), mx) for b in range(-(my - 1), my)]
+    hyp = [math.hypot(a * geometry.delta_x, b * geometry.delta_y) for a, b in offsets]
+    w = np.sinc((2.0 / lam) * np.array(hyp)) ** 2
+    w[len(offsets) // 2] = 0.0  # the (0, 0) offset, in the middle
+    kept = np.flatnonzero(w >= 1e-30)
+    if kept.size == 0:
         return 0.0
-    sizes = [c.size for c in codes]
+    weights = w[kept]
+    offsets = [offsets[i] for i in kept.tolist()]
+    px = {a: _offset_products(mx, a) * qspan for a in {a for a, _ in offsets}}
+    qy = {b: _offset_products(my, b) for b in {b for _, b in offsets}}
+    codes = [(px[a][:, None] + qy[b][None, :]).ravel() for a, b in offsets]
+    del offsets, hyp, w, kept  # free the per-offset lists before the sort
+    sizes = np.array([c.size for c in codes])
     codes = np.concatenate(codes)
     order = np.argsort(codes, kind="stable")  # stable: first occurrence first
     sorted_codes = codes[order]
@@ -179,9 +197,10 @@ def _omega_sum(geometry: ArrayGeometry, lam: float, cd_of_b) -> float:
     inverse = np.empty(codes.size, dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
     keys = sorted_codes[first]
-    group = np.repeat(np.arange(len(sizes)), sizes)[order[first]]
+    group = np.repeat(np.arange(sizes.size), sizes)[order[first]]
     del codes, order, sorted_codes, first  # free the sort's arrays before the chunks
 
+    # pass 2
     vals = np.empty(keys.size)
     ev = np.lexsort((keys, group))
     for lo, hi in _group_chunks(group[ev], _CHUNK_LANES):
@@ -190,13 +209,17 @@ def _omega_sum(geometry: ArrayGeometry, lam: float, cd_of_b) -> float:
         q = keys[k] - p * qspan
         vals[k] = cd_of_b(scale * (p * dx2 + q * dy2), group[k])
 
-    total = 0.0
-    start = 0
-    for w, n in zip(weights, sizes):
-        # cumsum adds in order, bit-equal to sum() over the terms
-        total += w * np.cumsum(vals[inverse[start:start + n]])[-1]
-        start += n
-    return total
+    # pass 3
+    width = int(sizes.max())
+    step = max(1, _PAD_ENTRIES // width)
+    ends = np.cumsum(sizes).tolist()
+    sums = np.empty(sizes.size)
+    for r0 in range(0, sizes.size, step):
+        r1 = min(r0 + step, sizes.size)
+        rows = np.zeros((r1 - r0, width))
+        rows[np.arange(width) < sizes[r0:r1, None]] = vals[inverse[ends[r0] - sizes[r0]:ends[r1 - 1]]]
+        sums[r0:r1] = np.cumsum(rows, axis=1)[:, -1]
+    return np.cumsum(weights * sums)[-1]
 
 
 def omega(geometry: ArrayGeometry, lam: float, region: ShellRegion) -> float:

@@ -35,18 +35,17 @@ def optimal_spacing_ula(m: int, lam: float, r_min: float) -> list[float]:
     return [n * lam / 2.0 for n in range(1, n_max + 1)]
 
 
-def optimal_spacing_ura(
-    m_x: int, m_y: int, lam: float, r_min: float
-) -> list[tuple[float, float]]:
+def optimal_spacing_ura(m_x: int, m_y: int, lam: float, r_min: float) -> np.ndarray:
     """Rectangular-array spacing pairs with near-zero correlation excess.
 
-    Pairs ``(n lam/2, m lam/2)`` with ``n >= m_y`` and ``m >= m_x`` whose
-    aperture fits the inner radius, ordered most compact first.
+    Rows ``(n lam/2, m lam/2)`` of an ``(n_pairs, 2)`` array, with
+    ``n >= m_y`` and ``m >= m_x`` and an aperture that fits the inner radius,
+    ordered most compact first; ``(0, 2)`` when none fits.
     """
     if r_min <= 0 or lam <= 0:
         raise SwarmMimoError("wavelength and inner radius must be positive")
     if m_x == 1 and m_y == 1:
-        return [(lam / 2.0, lam / 2.0)]
+        return np.array([[lam / 2.0, lam / 2.0]])
     limit = 4.0 * r_min**2 / lam**2
 
     def axis_cap(count_sq: int, start: int, other_min_sq) -> np.ndarray:
@@ -68,8 +67,9 @@ def optimal_spacing_ura(
     key = cx * n**2 + cy * m**2
     keep = key < math.ceil(limit)
     n, m = n[keep], m[keep]
-    order = np.lexsort((m, n, key[keep]))
-    return list(zip((n[order] * lam / 2.0).tolist(), (m[order] * lam / 2.0).tolist()))
+    # the pairs run in (n, m) order, so a stable sort on the key breaks ties by (n, m)
+    order = np.argsort(key[keep], kind="stable")
+    return np.column_stack([n[order], m[order]]) * lam / 2.0
 
 
 def omega_sweep(

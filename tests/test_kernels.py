@@ -87,6 +87,19 @@ def test_si_ci_groups_match_separate_calls(names):
         assert _bits(si[lanes], ci[lanes]) == _bits(*si_ci_arrays(x[lanes]))
 
 
+def test_si_ci_large_grouped_call_matches_separate_calls():
+    # over 16,384 lanes above 2, where numpy could compute the final complex
+    # product in place into a temporary, with its operands swapped; each group
+    # repeats one value so that its own call converges in a few steps
+    rng = np.random.default_rng(5)
+    ids = rng.permutation(np.arange(20_480) % 1024)
+    x = rng.uniform(2.5, 60.0, 1024)[ids]
+    si, ci = si_ci_arrays(x, ids)
+    for g in range(1024):
+        lanes = ids == g
+        assert _bits(si[lanes], ci[lanes]) == _bits(*si_ci_arrays(x[lanes]))
+
+
 def test_si_ci_no_groups_is_one_group():
     for x in (np.concatenate(list(SI_CI_GROUPS.values())), SI_CI_GROUPS["one_lane"]):
         assert _bits(*si_ci_arrays(x)) == _bits(*si_ci_arrays(x, np.zeros(x.size, int)))

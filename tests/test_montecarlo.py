@@ -228,6 +228,30 @@ class TestValidateExpectations:
             sinc = rates.expected_phase_sinc(p - pp, q - qp, spec.geometry, LAM)
             assert math.hypot(r["closed_re"], r["closed_im"]) == pytest.approx(abs(sinc), abs=1e-12)
 
+    def test_one_moment_call_with_per_pair_bits(self, monkeypatch):
+        spec = mc.ScenarioSpec(
+            geometry=geo.ArrayGeometry(4, 4, 0.3 * LAM, 0.45 * LAM),
+            region=geo.ShellRegion(60.0, 500.0),
+        )
+        calls = []
+
+        def counting(b, region, groups=None):
+            calls.append(np.size(b))
+            return rates.cb_db(b, region, groups)
+
+        monkeypatch.setattr(mc, "cb_db", counting)
+        rows, _ = mc.validate_expectations(spec, 4, seed=3, max_pairs=240)
+        assert calls == [240]
+        g = spec.geometry
+        for r in rows:
+            q, p = divmod(r["l"] - 1, 4)
+            qp, pp = divmod(r["lp"] - 1, 4)
+            b = (math.pi / LAM) * ((p * p - pp * pp) * g.delta_x**2
+                                   + (q * q - qp * qp) * g.delta_y**2)
+            closed = complex(*rates.cb_db(b, spec.region)) * rates.expected_phase_sinc(
+                p - pp, q - qp, g, LAM)
+            assert (r["closed_re"], r["closed_im"]) == (closed.real, closed.imag)
+
     def test_one_element_has_no_pairs(self):
         with pytest.raises(SwarmMimoError, match="no element pairs"):
             mc.validate_expectations(spec_for(m=1), 100, seed=3)

@@ -86,13 +86,7 @@ def _omega_per_offset(geometry, lam, cd_of_b):
     return total
 
 
-@pytest.mark.parametrize("m_x, m_y, rx, ry, shell", [
-    (50, 1, 1.1, 0.0, (499.0, 500.0)),
-    (8, 4, 0.37, 0.61, (30.0, 400.0)),
-    (12, 7, 1.13, 0.29, (50.0, 60.0)),
-    (3, 9, 0.8, 0.45, (10.0, 11.0)),
-])
-def test_omega_matches_per_offset_reference(m_x, m_y, rx, ry, shell):
+def _check_against_reference(m_x, m_y, rx, ry, shell):
     g = geo.ArrayGeometry(m_x, m_y, rx * LAM, ry * LAM)
     region = geo.ShellRegion(*shell)
 
@@ -102,3 +96,78 @@ def test_omega_matches_per_offset_reference(m_x, m_y, rx, ry, shell):
 
     assert rates.omega(g, LAM, region).hex() == _omega_per_offset(g, LAM, cd_of_b).hex()
     assert rates.omega_surface(g, LAM).hex() == _omega_per_offset(g, LAM, np.ones_like).hex()
+
+
+@pytest.mark.parametrize("m_x, m_y, rx, ry, shell", [
+    (50, 1, 1.1, 0.0, (499.0, 500.0)),
+    (8, 4, 0.37, 0.61, (30.0, 400.0)),
+    (12, 7, 1.13, 0.29, (50.0, 60.0)),
+    (3, 9, 0.8, 0.45, (10.0, 11.0)),
+    # the benchmark's spacing sweep; at ratio 3.0 every weight is cut off
+    *((50, 1, rx, 0.0, (499.0, 500.0)) for rx in np.linspace(0.05, 3.0, 20).tolist()),
+])
+def test_omega_matches_per_offset_reference(m_x, m_y, rx, ry, shell):
+    _check_against_reference(m_x, m_y, rx, ry, shell)
+
+
+def _padded_entries(m_x, m_y):
+    "Entries of _omega_sum's padded rows when every offset is kept."
+    width = max((m_x - 1) * m_y, m_x * (m_y - 1))
+    return ((2 * m_x - 1) * (2 * m_y - 1) - 1) * width
+
+
+@pytest.mark.parametrize("m_x, m_y, rx, ry, shell", [
+    (16, 16, 0.3, 0.4, (499.0, 500.0)),  # four blocks
+    (12, 12, 0.37, 0.61, (500.0 - 1e-5, 500.0)),  # thin enough for the surface-limit moments
+])
+def test_omega_over_several_row_blocks(m_x, m_y, rx, ry, shell):
+    assert _padded_entries(m_x, m_y) > rates._PAD_ENTRIES
+    _check_against_reference(m_x, m_y, rx, ry, shell)
+
+
+def test_merged_endpoints_match_separate_calls():
+    "_cd_shell's one Si/Ci call gives each endpoint the bits of its own call."
+    from swarm_mimo_sim._kernels import si_ci_arrays
+
+    rng = np.random.default_rng(11)
+    r_min, r_max = 30.0, 400.0
+    b = np.concatenate([rng.uniform(1.0, 5e3, 40), [0.5, 900.0, 7321.25]])
+    groups = np.concatenate([rng.integers(0, 4, 40), [7, 8, 9]])  # three one-lane groups
+
+    def endpoint(r):
+        s, c_int = si_ci_arrays(b / r, groups)
+        cosv, sinv = np.cos(b / r), np.sin(b / r)
+        f = (2.0 * r * r - b * b) * r * cosv - b * r * r * sinv - b**3 * s
+        g = (2.0 * r * r - b * b) * r * sinv + b * r * r * cosv + b**3 * c_int
+        return f, g
+
+    (f_hi, g_hi), (f_lo, g_lo) = endpoint(r_max), endpoint(r_min)
+    norm = 2.0 * (r_max**3 - r_min**3)
+    want = ((f_hi - f_lo) / norm, (g_hi - g_lo) / norm)
+    got = rates._cd_shell(b, r_min, r_max, groups)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    for g in np.unique(groups):
+        lanes = groups == g
+        alone = rates._cd_shell(b[lanes], r_min, r_max)
+        assert [a.tobytes() for a in alone] == [a[lanes].tobytes() for a in got]
+
+
+# tracemalloc peak of one 16x16 omega (shell 499-500 m) before the offset passes
+# were built from arrays, with numpy 2.4: the padded rows of pass 3 must not
+# raise it by more than 256 KiB
+OMEGA_16X16_PEAK_BYTES = 3_259_227
+
+
+def test_omega_16x16_peak_memory():
+    import tracemalloc
+
+    g = geo.ArrayGeometry(16, 16, 0.3 * LAM, 0.4 * LAM)
+    region = geo.ShellRegion(499.0, 500.0)
+    rates.omega(g, LAM, region)  # warm up caches and imports
+    tracemalloc.start()
+    try:
+        rates.omega(g, LAM, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= OMEGA_16X16_PEAK_BYTES + 256 * 1024

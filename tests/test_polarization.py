@@ -256,6 +256,13 @@ class TestChannelFactor:
             pol.channel_factor(zero, linear_cfg(), np.array([5.0, 1.0, 1.0]), F0)
 
 
+def test_ground_array_rotations_match_per_element_matrices():
+    rng = np.random.default_rng(8)
+    cfgs = [circular_cfg(geo.sample_orientation(rng)) for _ in range(500)]
+    want = np.stack([geo.rotation_matrix(c.orientation) for c in cfgs])
+    assert pol.GroundArray.build(cfgs, F0).rotations.tobytes() == want.tobytes()
+
+
 class TestEffectiveGainArray:
     def test_single_element_reduces_to_channel_factor(self):
         cfgs = [circular_cfg()]

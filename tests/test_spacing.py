@@ -33,24 +33,26 @@ class TestOptimalSpacingUla:
 
 class TestOptimalSpacingUra:
     def test_degenerate_single_element(self):
-        assert spacing.optimal_spacing_ura(1, 1, LAM, 100.0) == [(LAM / 2, LAM / 2)]
+        out = spacing.optimal_spacing_ura(1, 1, LAM, 100.0)
+        assert out.shape == (1, 2) and out.tolist() == [[LAM / 2, LAM / 2]]
 
     def test_five_by_five_contains_lattice_point(self):
         out = spacing.optimal_spacing_ura(5, 5, LAM, 500.0)
-        assert (pytest.approx(5 * LAM / 2), pytest.approx(5 * LAM / 2)) == out[0]
+        assert out[0].tolist() == [pytest.approx(5 * LAM / 2), pytest.approx(5 * LAM / 2)]
         # aperture constraint holds for every candidate
-        for dx, dy in out:
-            n, m = 2 * dx / LAM, 2 * dy / LAM
-            assert 16 * n * n + 16 * m * m < 4 * 500.0**2 / LAM**2
-            assert n >= 5 and m >= 5
+        n, m = 2 * out.T / LAM
+        assert np.all(16 * n * n + 16 * m * m < 4 * 500.0**2 / LAM**2)
+        assert np.all(n >= 5) and np.all(m >= 5)
 
     def test_ordered_by_aperture(self):
         out = spacing.optimal_spacing_ura(5, 5, LAM, 500.0)
-        aps = [math.hypot(4 * dx, 4 * dy) for dx, dy in out]
-        assert aps == sorted(aps)
+        n, m = np.rint(2 * out.T / LAM).astype(np.int64)
+        assert np.array_equal(2 * out / LAM, np.column_stack([n, m]))
+        # squared aperture in units of (lam/2)^2, exact in integers
+        assert np.all(np.diff(16 * n * n + 16 * m * m) >= 0)
 
     def test_infeasible(self):
-        assert spacing.optimal_spacing_ura(5, 5, LAM, 1.0) == []
+        assert spacing.optimal_spacing_ura(5, 5, LAM, 1.0).shape == (0, 2)
 
 
 class TestOmegaSweep:
