@@ -2,9 +2,9 @@
 
 Modules
 -------
-geometry      frames, array layout, distances, shell/orientation sampling
+geometry      frames, array layout, distance expansion, shell/orientation sampling
 polarization  cross-dipole coupling, effective gain, worst-case search
-channel       pathloss, channel vectors, pilots, power control, receivers
+channel       pathloss, channel matrices, pilots, ML estimation, receivers
 rates         closed-form ergodic-rate lower bounds and special functions
 spacing       optimal element spacings and correlation-excess sweeps
 montecarlo    seeded estimators validating and feeding the closed forms

@@ -1,4 +1,4 @@
-"""Pathloss, array channel vectors, pilots, power control, and linear receivers.
+"""Pathloss, channel synthesis, coherence and pilot sizing, ML estimation, and receivers.
 
 Noise variance is normalized to 1 throughout, so transmit powers are
 normalized SNRs; the absolute-watt link budget lives in the mission module.
@@ -20,7 +20,6 @@ import numpy as np
 from . import geometry as geo
 from ._kernels import response_batch
 from .errors import (
-    InfeasibleBudgetError,
     InfeasibleFrameError,
     SingularChannelError,
     SingularDirectionError,
@@ -33,15 +32,14 @@ from .polarization import AntennaConfig, GroundArray
 class CoherenceParams:
     """Carrier, bandwidths, and mobility defining the coherence interval.
 
-    ``tau_dl`` (symbols) overrides ``tau_dl_frac`` when given; the default
-    reserves 1/8 of the interval for the downlink.
+    ``tau_dl_frac`` is the downlink share of the interval; the default
+    reserves 1/8 of it.
     """
 
     f_c: float
     bandwidth: float
     b_c: float
     v_max: float
-    tau_dl: float | None = None
     tau_dl_frac: float = 0.125
 
     def __post_init__(self):
@@ -51,32 +49,6 @@ class CoherenceParams:
             raise SwarmMimoError("maximum speed must be nonnegative")
         if not 0.0 <= self.tau_dl_frac < 1.0:
             raise SwarmMimoError("downlink fraction must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class PowerControlConfig:
-    """Targets and caps for channel-inversion power control."""
-
-    rho_u: float
-    rho_p: float
-    p_u_max: float = math.inf
-    energy_budget: float | None = None
-    d_wc: float = 0.0
-    chi_wc: float = 1.0
-
-    def __post_init__(self):
-        if self.rho_u <= 0 or self.rho_p <= 0:
-            raise SwarmMimoError("SNR targets must be positive")
-        if self.p_u_max <= 0:
-            raise SwarmMimoError("power cap must be positive")
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Noisy channel matrix together with the pilot power that produced it."""
-
-    g_hat: np.ndarray
-    p_p: float
 
 
 def pathloss(d, lam: float):
@@ -111,9 +83,8 @@ def coherence_prelog(params: CoherenceParams, k: int):
     """
     t_len = coherence_interval(params)
     if math.isinf(t_len):
-        lam = 1.0 if params.tau_dl is not None else 1.0 - params.tau_dl_frac
-        return t_len, lam
-    tau_dl = params.tau_dl if params.tau_dl is not None else params.tau_dl_frac * t_len
+        return t_len, 1.0 - params.tau_dl_frac
+    tau_dl = params.tau_dl_frac * t_len
     lam = 1.0 - (tau_dl + k) / t_len
     if lam <= 0.0:
         raise InfeasibleFrameError(
@@ -130,31 +101,6 @@ def pilot_snr(rho_p: float, d_wc: float, chi_wc: float, lam: float) -> float:
     if d_wc <= 0:
         raise SwarmMimoError("worst-case distance must be positive")
     return rho_p * (4.0 * math.pi * d_wc / lam) ** 2 / chi_wc
-
-
-def pilot_power(cfg: PowerControlConfig, lam: float) -> float:
-    "Pilot SNR referred to the power-control config's worst-case distance and gain."
-    return pilot_snr(cfg.rho_p, cfg.d_wc, cfg.chi_wc, lam)
-
-
-def channel_vector(
-    ground: GroundArray,
-    uav_position: np.ndarray,
-    uav_orientation: geo.RotationAngles,
-    uav_config: AntennaConfig | None = None,
-) -> np.ndarray:
-    """Complex channel vector of one drone to all array elements.
-
-    Entries are sqrt(pathloss) times the effective coupling with the exact
-    per-element propagation phase.
-    """
-    g = channel_matrix(
-        ground,
-        np.asarray(uav_position, float)[None, :],
-        geo.rotation_matrix(uav_orientation)[None, :, :],
-        uav_config,
-    )
-    return g[:, 0]
 
 
 def channel_matrix(
@@ -193,7 +139,7 @@ def channel_matrix(
     return g.reshape(pos.shape[:-1] + (-1,)).swapaxes(-1, -2).copy()
 
 
-def ml_estimate(g: np.ndarray, p_p: float, rng: np.random.Generator) -> ChannelEstimate:
+def ml_estimate(g: np.ndarray, p_p: float, rng: np.random.Generator) -> np.ndarray:
     """Maximum-likelihood channel estimate from orthogonal pilots.
 
     Equivalent to despreading the received pilot block: the estimate is the
@@ -206,56 +152,10 @@ def ml_estimate(g: np.ndarray, p_p: float, rng: np.random.Generator) -> ChannelE
         raise SwarmMimoError("pilot power must be positive")
     g = np.asarray(g)
     if math.isinf(p_p):
-        return ChannelEstimate(g_hat=g.copy(), p_p=p_p)
+        return g.copy()
     z = rng.standard_normal(g.shape[:-2] + (2,) + g.shape[-2:])
     w = z[..., 0, :, :] + 1j * z[..., 1, :, :]
-    return ChannelEstimate(g_hat=g + w / math.sqrt(2.0 * p_p), p_p=p_p)
-
-
-def data_power(mean_gain: float, cfg: PowerControlConfig):
-    """Channel-inversion transmit power and the outage flag.
-
-    ``mean_gain`` is the average of ``beta_kl * chi_kl`` over the array.
-    """
-    if mean_gain <= 0:
-        raise SwarmMimoError("mean channel gain must be positive")
-    wanted = cfg.rho_u / mean_gain
-    if wanted > cfg.p_u_max:
-        return cfg.p_u_max, True
-    return wanted, False
-
-
-def max_data_power(energy_budget: float, p_p: float, tau_ul_p: float, tau_ul_d: float) -> float:
-    "Largest per-symbol data power the per-interval energy budget allows."
-    if tau_ul_d <= 0:
-        raise SwarmMimoError("data phase must have positive length")
-    remaining = energy_budget - p_p * tau_ul_p
-    if remaining <= 0:
-        raise InfeasibleBudgetError(
-            f"pilot energy {p_p * tau_ul_p:.3g} exhausts the budget {energy_budget:.3g}"
-        )
-    return remaining / tau_ul_d
-
-
-def outage_probability(
-    sampler,
-    cfg: PowerControlConfig,
-    n: int,
-    rng: np.random.Generator,
-):
-    """Monte Carlo outage probability under the power cap.
-
-    ``sampler(rng, count)`` must return an array of mean channel gains
-    (average ``beta * chi``) for independent drone placements. Returns
-    ``(probability, stderr)``.
-    """
-    if n < 1:
-        raise SwarmMimoError("sample count must be positive")
-    gains = np.asarray(sampler(rng, n), dtype=float)
-    out = (cfg.rho_u / gains) > cfg.p_u_max
-    p = float(np.mean(out))
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    return p, stderr
+    return g + w / math.sqrt(2.0 * p_p)
 
 
 def instantaneous_sinr_mrc(

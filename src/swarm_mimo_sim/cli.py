@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import io
 import json
 import math
 import sys
@@ -278,6 +277,16 @@ def _check_cost(cfg: dict, kind: str):
                   16 * mc.CHUNK * m)
     if kind == "gain-cdf":  # the median needs every sample's summed gain
         _check_buffer("mc.n", f"{cfg['mc.n']} samples", 8 * cfg["mc.n"])
+        if cfg["array.m_y"] > 1:  # the scenario has no y spacing: rows would stack
+            raise ConfigError("array.m_y: gain-cdf takes a line array, m_y = 1")
+        if cfg["mc.threshold_db_min"] >= cfg["mc.threshold_db_max"]:
+            raise ConfigError("mc.threshold_db_min: must lie below mc.threshold_db_max, "
+                              "or the CDF has no thresholds")
+    # the channel and omega refuse drones inside the array, but only after sampling
+    aperture = _array_geometry(cfg).aperture()
+    if cfg["shell.r_min_m"] <= aperture:
+        raise ConfigError(f"shell.r_min_m: {cfg['shell.r_min_m']} m does not exceed "
+                          f"the array aperture, {aperture:.3f} m")
 
 
 def parse_config(text: str, kind: str) -> dict:
@@ -322,29 +331,25 @@ def parse_config(text: str, kind: str) -> dict:
     return out
 
 
-def serialize_config(cfg: dict, kind: str) -> str:
-    "Render a parsed config back to INI text (stable key order)."
-    parser = configparser.ConfigParser()
-    for section in SCHEMAS[kind]:
-        parser.add_section(section)
-    for name in sorted(cfg):
-        section, key_name = name.split(".", 1)
-        parser.set(section, key_name, str(cfg[name]))
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
-
-
 def _parse_int_list(raw: str, name: str) -> range | list[int]:
-    "Comma list or inclusive ``start:stop``, the latter as a ``range`` whose length costs nothing."
+    """Comma list or inclusive ``start:stop`` of counts >= 1, at least one.
+
+    A range comes back as a ``range``, whose length costs nothing.
+    """
     raw = raw.strip()
     try:
         if ":" in raw:
             start, stop = raw.split(":")
-            return range(int(start), int(stop) + 1)
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
+            values = range(int(start), int(stop) + 1)
+            lowest = values.start
+        else:
+            values = [int(tok) for tok in raw.split(",") if tok.strip()]
+            lowest = min(values, default=0)
     except ValueError as exc:
         raise ConfigError(f"{name}: expected comma list or start:stop, got {raw!r}") from exc
+    if not values or lowest < 1:
+        raise ConfigError(f"{name}: expected one or more counts >= 1, got {raw!r}")
+    return values
 
 
 def _linear(db: float) -> float:
@@ -459,11 +464,17 @@ def _run_spacing_sweep(cfg, seed, out_dir, cfg_hash, started):
     return ["spacing_sweep.csv", "spacing_sweep_summary.json"]
 
 
-def _gain_cdf_spec(cfg, seed) -> mc.ScenarioSpec:
+def _array_geometry(cfg) -> geo.ArrayGeometry:
+    "The ``gain-cdf`` or ``validate`` array; ``gain-cdf`` has no y spacing."
     lam = geo.wavelength(cfg["rf.f_c_hz"])
+    return geo.ArrayGeometry(cfg["array.m_x"], cfg["array.m_y"],
+                             cfg["array.spacing_x_wavelengths"] * lam,
+                             cfg.get("array.spacing_y_wavelengths", 0.0) * lam)
+
+
+def _gain_cdf_spec(cfg, seed) -> mc.ScenarioSpec:
     return mc.ScenarioSpec(
-        geometry=geo.ArrayGeometry(cfg["array.m_x"], cfg["array.m_y"],
-                                   cfg["array.spacing_x_wavelengths"] * lam, 0.0),
+        geometry=_array_geometry(cfg),
         region=geo.ShellRegion(cfg["shell.r_min_m"], cfg["shell.r_max_m"]),
         k=1,
         f_c=cfg["rf.f_c_hz"],
@@ -529,9 +540,7 @@ def _run_mission(cfg, seed, out_dir, cfg_hash, started):
 
 def _run_validate(cfg, seed, out_dir, cfg_hash, started):
     lam = geo.wavelength(cfg["rf.f_c_hz"])
-    geom = geo.ArrayGeometry(cfg["array.m_x"], cfg["array.m_y"],
-                             cfg["array.spacing_x_wavelengths"] * lam,
-                             cfg["array.spacing_y_wavelengths"] * lam)
+    geom = _array_geometry(cfg)
     region = geo.ShellRegion(cfg["shell.r_min_m"], cfg["shell.r_max_m"])
     spec = mc.ScenarioSpec(geometry=geom, region=region, k=2,
                            rho_u=_linear(cfg["rf.rho_u_db"]), f_c=cfg["rf.f_c_hz"])

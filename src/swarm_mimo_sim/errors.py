@@ -17,10 +17,6 @@ class InfeasibleFrameError(SwarmMimoError):
     """Coherence interval too short for the requested pilot/downlink overhead."""
 
 
-class InfeasibleBudgetError(SwarmMimoError):
-    """Per-interval energy budget exhausted by pilot transmission alone."""
-
-
 class SingularChannelError(SwarmMimoError):
     """Channel Gram matrix is numerically rank deficient."""
 

@@ -1,4 +1,4 @@
-"""Coordinate frames, array layout, distances, rotations, and position sampling.
+"""Coordinate frames, array layout, the distance expansion, rotations, and position sampling.
 
 Conventions used throughout the package:
 
@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,16 +58,6 @@ class SphericalPosition:
         return self.d * np.array(
             [math.cos(self.phi) * st, math.sin(self.phi) * st, math.cos(self.theta)]
         )
-
-    @staticmethod
-    def from_cartesian(v: np.ndarray) -> "SphericalPosition":
-        v = np.asarray(v, dtype=float)
-        d = float(np.linalg.norm(v))
-        if d == 0.0:
-            raise SwarmMimoError("cannot convert the origin to spherical coordinates")
-        theta = math.acos(min(1.0, max(-1.0, v[2] / d)))
-        phi = math.atan2(v[1], v[0]) % (2 * math.pi)
-        return SphericalPosition(d, theta, phi)
 
 
 @dataclass(frozen=True)
@@ -147,15 +137,6 @@ class ShellRegion:
         )
 
 
-@dataclass(frozen=True)
-class UavState:
-    """Position, attitude, and speed of a single drone."""
-
-    position: SphericalPosition
-    orientation: RotationAngles = field(default_factory=RotationAngles)
-    velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # rotations
 # ---------------------------------------------------------------------------
@@ -194,14 +175,6 @@ def rotation_matrices(roll, pitch, yaw) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def element_position(geometry: ArrayGeometry, l: int) -> np.ndarray:
-    """Position of element ``l`` (1-based row-major index)."""
-    if not 1 <= l <= geometry.m:
-        raise SwarmMimoError(f"element index {l} outside 1..{geometry.m}")
-    q, p = divmod(l - 1, geometry.m_x)
-    return np.array([p * geometry.delta_x, q * geometry.delta_y, 0.0])
-
-
 def element_positions(geometry: ArrayGeometry) -> np.ndarray:
     """Positions of all elements, shape ``(M, 3)``, ordered by index ``l``."""
     p = np.arange(geometry.m_x) * geometry.delta_x
@@ -212,23 +185,17 @@ def element_positions(geometry: ArrayGeometry) -> np.ndarray:
     return out
 
 
-def exact_distance(uav: np.ndarray, element: np.ndarray) -> float:
-    "Euclidean distance between two points."
-    return float(np.linalg.norm(np.asarray(uav, float) - np.asarray(element, float)))
-
-
-def approx_distance(
-    uav: SphericalPosition,
-    geometry: ArrayGeometry,
-    l: int,
-    include_second_order: bool = True,
-) -> float:
-    """Expansion of the element-to-drone distance around the radial distance.
+def approx_distance(uav: SphericalPosition, geometry: ArrayGeometry, l: int) -> float:
+    """Second-order expansion of the element-to-drone distance around the radial distance.
 
     The first-order term is the projection of the element offset onto the
-    drone direction; the optional second-order term is
+    drone direction; the second-order term is
     ``[(p-1)^2 dx^2 + (q-1)^2 dy^2] / (2 d)``, which matters whenever the
     distance is comparable to the array aperture.
+
+    Oracle: this is the expansion whose phase ``montecarlo.validate_expectations``
+    samples and ``rates.cb_db`` integrates in closed form; tests hold it against
+    the exact distance.
     """
     if uav.d <= geometry.aperture():
         raise SwarmMimoError(
@@ -241,19 +208,13 @@ def approx_distance(
     yoff = q * geometry.delta_y
     d = uav.d
     first = -math.sin(uav.theta) * (xoff * math.cos(uav.phi) + yoff * math.sin(uav.phi))
-    second = (xoff**2 + yoff**2) / (2.0 * d) if include_second_order else 0.0
+    second = (xoff**2 + yoff**2) / (2.0 * d)
     return d + first + second
 
 
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
-
-
-def sample_shell_position(region: ShellRegion, rng: np.random.Generator) -> SphericalPosition:
-    """Draw one position uniformly distributed inside the shell volume."""
-    d, theta, phi = _shell_draws(region, rng, 1)
-    return SphericalPosition(float(d[0]), float(theta[0]), float(phi[0]))
 
 
 def sample_shell_positions(

@@ -10,7 +10,7 @@ watt-denominated noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,21 +79,12 @@ class MissionSpec:
     excitation: str = "circular"
     orientation_seed: int = 0
     altitude: float | None = None
-    noise_figure_db: float = 7.0
-    temperature: float = 290.0
-    p_u_max: float = math.inf
-    grid_x: int | None = None
-    grid_y: int | None = None
-    cross_track_pixels: int | None = None
 
     def __post_init__(self):
         if self.x2 <= self.x1 or self.y2 <= self.y1:
             raise SwarmMimoError("area bounds must satisfy x2 > x1 and y2 > y1")
         if self.k < 1 or self.speed <= 0 or self.gsd <= 0:
             raise SwarmMimoError("fleet size, speed, and gsd must be positive")
-        gx, gy = self.fleet_grid()
-        if gx * gy != self.k:
-            raise SwarmMimoError(f"grid {gx}x{gy} does not hold {self.k} drones")
 
     @property
     def area(self) -> float:
@@ -105,12 +96,8 @@ class MissionSpec:
 
     @property
     def noise_density(self) -> float:
-        "Noise spectral density in joules, including the receiver noise figure."
-        return BOLTZMANN * self.temperature * 10.0 ** (self.noise_figure_db / 10.0)
-
-    @property
-    def cross_track(self) -> int:
-        return self.cross_track_pixels if self.cross_track_pixels is not None else self.camera.r_py
+        "Noise spectral density in joules at 290 K, including a 7 dB receiver noise figure."
+        return BOLTZMANN * 290.0 * 10.0 ** (7.0 / 10.0)
 
     @property
     def d_wc(self) -> float:
@@ -121,10 +108,6 @@ class MissionSpec:
 
     def fleet_grid(self) -> tuple[int, int]:
         "Columns x rows of the cell grid; prefers at least as many columns."
-        if self.grid_x is not None or self.grid_y is not None:
-            gx = self.grid_x if self.grid_x is not None else self.k // max(self.grid_y, 1)
-            gy = self.grid_y if self.grid_y is not None else self.k // max(gx, 1)
-            return gx, gy
         root = math.sqrt(self.k)
         for gx in range(math.ceil(root), self.k + 1):
             if self.k % gx == 0:
@@ -183,7 +166,7 @@ def mission_time(spec: MissionSpec, cross_track_pixels: int | None = None) -> fl
     the default is the long dimension (camera mounted with its long side
     across the flight direction).
     """
-    pixels = cross_track_pixels if cross_track_pixels is not None else spec.cross_track
+    pixels = cross_track_pixels if cross_track_pixels is not None else spec.camera.r_py
     swath = pixels * spec.gsd * (1.0 - spec.camera.overlap_side)
     return spec.area / (spec.k * spec.speed * swath)
 
@@ -203,7 +186,7 @@ def _cell_waypoints(spec: MissionSpec, k: int) -> np.ndarray:
     y_top = spec.y1 + (j + 1) * cell_h
     y_bot = spec.y1 + j * cell_h
     h = spec.flight_altitude
-    swath = spec.cross_track * spec.gsd * (1.0 - spec.camera.overlap_side)
+    swath = spec.camera.r_py * spec.gsd * (1.0 - spec.camera.overlap_side)
     n_rows = max(1, math.ceil(cell_w / swath))
     pts = [(x0, y_top, h)]
     x = x0
@@ -357,9 +340,9 @@ def run_mission(
         p = pos[steps]
         g = channel_matrix(ground, p, np.broadcast_to(uav_rot, p.shape + (3,)))
         mean_gain = np.mean(np.abs(g) ** 2, axis=-2)
-        powers = np.minimum(spec.rho_u / mean_gain, spec.p_u_max)
+        powers = spec.rho_u / mean_gain
         if csi == "estimated":
-            g_hat = ml_estimate(g, p_p, rng).g_hat
+            g_hat = ml_estimate(g, p_p, rng)
         else:
             g_hat = g
         sinr = instantaneous_sinr_mrc(g, g_hat, powers)

@@ -54,10 +54,6 @@ class DipoleExcitation:
             ]
         )
 
-    @property
-    def is_unit(self) -> bool:
-        return abs(self.amp_theta**2 + self.amp_psi**2 - 1.0) < 1e-12
-
     @staticmethod
     def linear() -> "DipoleExcitation":
         "Single fed dipole (theta branch only)."
@@ -177,6 +173,11 @@ def field_pattern(theta: float, dipole: DipoleGeometry, f0: float) -> float:
     """Normalized dipole field pattern at elevation ``theta`` from the axis.
 
     The removable singularity at theta in {0, pi} returns the limit 0.
+
+    Oracle: the scalar form of the pattern that ``_kernels.response_batch``
+    evaluates per lane; tests build the coupling from it and ``t_matrix`` and
+    hold :func:`channel_factor` against that, and :func:`response_norms`
+    builds on it.
     """
     ratio = dipole.length_ratio(f0)
     s = math.sin(theta)
@@ -191,6 +192,9 @@ def polarization_basis(uav_rel: np.ndarray):
     ``theta_hat`` spans the plane of the z dipole and the propagation
     direction (oriented so its z component is nonnegative); ``psi_hat`` does
     the same for the y dipole. Both are orthogonal to ``p_hat``.
+
+    Oracle: the scalar form of the basis that ``_kernels.response_batch``
+    rotates per lane; :func:`t_matrix` and :func:`response_norms` build on it.
     """
     v = np.asarray(uav_rel, dtype=float)
     d = float(np.linalg.norm(v))
@@ -217,6 +221,9 @@ def t_matrix(
 
     With both rotations equal to the identity this reduces to the closed
     form ``[[rho_t, -yz/rho_t], [-yz/rho_p, rho_p]] / d``.
+
+    Oracle: tests expand the coupling as ``conj(E_tx)^T T E_rx`` with it and
+    hold the kernel's ``h`` (through :func:`channel_factor`) against that.
     """
     v = np.asarray(uav_rel, dtype=float)
     tx = np.eye(3) if tx_rot is None else np.asarray(tx_rot, dtype=float)
@@ -244,6 +251,9 @@ def response_norms(uav_rel, tx_rot, rx_rot, w_tx, w_rx, tx_dipole, rx_dipole, f0
     angles to the transmitter. ``|h|^2 <= n1 n2`` (Cauchy-Schwarz), and the
     ratio is the polarization loss factor. Raises
     :class:`SingularDirectionError` where the transmit basis is undefined.
+
+    Oracle: tests hold it against recorded lanes of ``_kernels.response_batch``;
+    :func:`channel_factor` reads it for the PLF.
     """
     v = np.asarray(uav_rel, dtype=float)
     theta_hat, psi_hat, p_hat = polarization_basis(tx_rot.T @ v)
@@ -265,6 +275,10 @@ def channel_factor(
 
     ``h`` carries the sqrt of both dipole gains so that ``chi = |h|^2``; the
     PLF divides the bare ``|h|^2`` by the product of :func:`response_norms`.
+
+    Oracle: a one-pair call of the kernel that :func:`chi_batch` and
+    ``channel.channel_matrix`` run in batches; tests use it as the reference
+    for their single-element gains and channel magnitudes.
     """
     wt = tx.excitation.weights()
     wr = rx.excitation.weights()
@@ -294,31 +308,6 @@ def channel_factor(
 # ---------------------------------------------------------------------------
 
 
-def effective_gain_array(
-    gs_configs,
-    uav_position: np.ndarray,
-    uav_orientation: geo.RotationAngles,
-    f0: float,
-    uav_config: AntennaConfig | None = None,
-    geometry: geo.ArrayGeometry | None = None,
-):
-    """Per-element effective gains chi and their mean for one drone position.
-
-    Without ``geometry`` the elements are treated as co-located at the
-    origin (gains then differ only through per-element orientations). Any
-    element whose direction is singular raises; elements are never silently
-    skipped.
-    """
-    ground = GroundArray.build(gs_configs, f0, geometry)
-    w_rx, ratio_rx, gain_rx = ground.drone_feed(uav_config)
-    chi = chi_batch(np.asarray(uav_position, float)[None, :], ground.elem, ground.rotations,
-                    geo.rotation_matrix(uav_orientation), ground.w, w_rx,
-                    ground.gain * gain_rx, ground.ratio, ratio_rx)[0]
-    if not np.all(np.isfinite(chi)):
-        raise SingularDirectionError("singular direction for at least one element")
-    return chi, float(chi.mean())
-
-
 def chi_batch(
     positions: np.ndarray,
     elem: np.ndarray,
@@ -332,22 +321,25 @@ def chi_batch(
 ) -> np.ndarray:
     """Effective gains for batches of drones, shape ``(n, M)``.
 
-    Used by :func:`effective_gain_array` and the Monte Carlo estimators; NaN
-    lanes (singular directions) propagate to the caller, which raises or
-    redraws.
+    Used by :func:`worst_case_gain`, :func:`kappa_estimate` and the Monte
+    Carlo estimators; NaN lanes (singular directions) propagate to the
+    caller, which raises or redraws.
     """
     h, _ = response_batch(positions, elem, gs_rots, uav_rots, w_tx, w_rx, ratio_tx, ratio_rx)
     return gains * np.abs(h) ** 2
 
 
+# drone range of the two searches below; their elements all sit at the origin,
+# so the gains depend on direction and attitude only
+_FAR_M = 1.0e4
+
+
 def worst_case_gain(
     gs_configs,
     f0: float,
-    uav_config: AntennaConfig | None = None,
     budget: int = 10_000,
     seed: int = 0,
     refine_top: int = 10,
-    distance: float = 1.0e4,
 ) -> float:
     """Smallest mean effective gain found over directions and drone attitudes.
 
@@ -362,12 +354,12 @@ def worst_case_gain(
     if budget < 1:
         raise SwarmMimoError("search budget must be positive")
     ground = GroundArray.build(gs_configs, f0)
-    w_rx, ratio_rx, gain_rx = ground.drone_feed(uav_config)
+    w_rx, ratio_rx, gain_rx = ground.drone_feed()
     gains = ground.gain * gain_rx
 
     def mean_gain(x):
         theta = min(max(x[0], 1e-6), math.pi - 1e-6)
-        pos = distance * np.array(
+        pos = _FAR_M * np.array(
             [math.cos(x[1]) * math.sin(theta), math.sin(x[1]) * math.sin(theta), math.cos(theta)]
         )
         roll = min(max(x[2], -math.pi / 2), math.pi / 2)
@@ -406,32 +398,21 @@ def worst_case_gain(
     return best
 
 
-def kappa_estimate(
-    gs_configs,
-    f0: float,
-    rng: np.random.Generator,
-    n: int = 100_000,
-    uav_config: AntennaConfig | None = None,
-    chi_floor: float = 1e-12,
-    distance: float = 1.0e4,
-    orientation_ranges=geo.DEFAULT_ORIENTATION_RANGES,
-    unit_gain: bool = False,
-):
+def kappa_estimate(gs_configs, f0: float, rng: np.random.Generator, n: int = 100_000):
     """Monte Carlo mean of the reciprocal mean gain over drone geometries.
 
-    Samples below ``chi_floor`` are excluded (counted) to guard the
-    reciprocal against polarization nulls. ``unit_gain`` swaps in a
-    hypothetical loss-free antenna (gain pinned to 1), for which the result
-    is exactly 1. Returns ``(kappa, stderr, n_excluded)``.
+    The drones carry the array's own antenna, sit on a far sphere and take
+    attitudes from ``geo.DEFAULT_ORIENTATION_RANGES``. Samples whose mean
+    gain falls below 1e-12 are excluded (counted) to guard the
+    reciprocal against polarization nulls. Returns ``(kappa, stderr,
+    n_excluded)``.
     """
     if n < 1:
         raise SwarmMimoError("sample count must be positive")
-    if unit_gain:
-        return 1.0, 0.0, 0
     ground = GroundArray.build(gs_configs, f0)
-    w_rx, ratio_rx, gain_rx = ground.drone_feed(uav_config)
+    w_rx, ratio_rx, gain_rx = ground.drone_feed()
     gains = ground.gain * gain_rx
-    region = geo.ShellRegion(distance, distance)
+    region = geo.ShellRegion(_FAR_M, _FAR_M)
 
     total = 0.0
     total_sq = 0.0
@@ -443,12 +424,12 @@ def kappa_estimate(
         take = min(chunk, remaining)
         remaining -= take
         pos = geo.sample_shell_positions(region, rng, take)
-        ang = geo.sample_orientations(rng, take, orientation_ranges)
+        ang = geo.sample_orientations(rng, take)
         rots = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
         chi = chi_batch(pos, ground.elem, ground.rotations, rots, ground.w, w_rx, gains,
                         ground.ratio, ratio_rx)
         mean = chi.mean(axis=1)
-        good = np.isfinite(mean) & (mean >= chi_floor)
+        good = np.isfinite(mean) & (mean >= 1e-12)
         excluded += int(np.size(mean) - np.count_nonzero(good))
         inv = 1.0 / mean[good]
         total += float(inv.sum())

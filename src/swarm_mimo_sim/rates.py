@@ -25,7 +25,11 @@ from .geometry import ArrayGeometry, ShellRegion
 
 
 def si(x):
-    """Sine integral, the integral of sin(t)/t from 0 to x. Odd in x."""
+    """Sine integral, the integral of sin(t)/t from 0 to x. Odd in x.
+
+    Oracle: a scalar entry to ``_kernels.si_ci_arrays``, the Si/Ci under
+    :func:`cb_db` and :func:`omega`; tests hold it against quadrature.
+    """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -37,7 +41,11 @@ def si(x):
 
 
 def ci(x):
-    """Cosine integral for x > 0."""
+    """Cosine integral for x > 0.
+
+    Oracle: a scalar entry to ``_kernels.si_ci_arrays``, the Si/Ci under
+    :func:`cb_db` and :func:`omega`; tests hold it against quadrature.
+    """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -326,8 +334,10 @@ def mrc_bound_general(
 
     ``interference_moment`` is the mean of ``p_uj p_uk |g_k^H g_j|^2`` for
     one interferer; ``e_inv_beta_chi`` the mean of ``1 / (beta chi)``.
-    Feeding the closed-form shell moments reproduces
-    :func:`mrc_bound_shell` exactly.
+
+    Oracle: fed with :func:`shell_moments` it reproduces
+    :func:`mrc_bound_shell`, and fed with Monte Carlo moments it checks that
+    bound against sampled drones; tests do both.
     """
     p = params
     m = p.m
@@ -347,7 +357,11 @@ def mrc_bound_general(
 
 
 def shell_moments(params: RateParams, omega_value: float | None = None):
-    """Closed-form (interference_moment, e_inv_beta_chi) for the shell model."""
+    """Closed-form (interference_moment, e_inv_beta_chi) for the shell model.
+
+    Oracle: the moments with which :func:`mrc_bound_general` checks
+    :func:`mrc_bound_shell`.
+    """
     p = params
     if omega_value is None:
         omega_value = omega(p.geometry, p.lam, p.region)

@@ -66,12 +66,12 @@ class TestMissionTime:
         assert msn.mission_time(spec) == pytest.approx(375.4, abs=0.5)
 
     def test_single_drone(self):
-        spec = make_spec(k=1, grid_x=1, grid_y=1)
+        spec = make_spec(k=1)
         assert msn.mission_time(spec) > 2 * 3600
 
     def test_fleet_scaling(self):
         t20 = msn.mission_time(make_spec())
-        t10 = msn.mission_time(make_spec(k=10, grid_x=5, grid_y=2))
+        t10 = msn.mission_time(make_spec(k=10))
         assert t10 == pytest.approx(2 * t20, rel=1e-12)
 
     def test_short_dimension_option(self):
@@ -108,7 +108,7 @@ class TestTrajectory:
             xs.append(pos[0])
             ys.append(pos[1])
             t += 1.0
-        swath = spec.cross_track * spec.gsd * (1 - CAMERA.overlap_side)
+        swath = spec.camera.r_py * spec.gsd * (1 - CAMERA.overlap_side)
         assert max(xs) - min(xs) >= 600.0 - swath - 1e-9
         assert max(ys) - min(ys) == pytest.approx(1000.0)
         # stays inside its cell
@@ -142,7 +142,7 @@ class TestTrajectory:
         spec = make_spec()
         pts = msn._cell_waypoints(spec, 5)
         length = np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1))
-        swath = spec.cross_track * spec.gsd * (1 - CAMERA.overlap_side)
+        swath = spec.camera.r_py * spec.gsd * (1 - CAMERA.overlap_side)
         assert length * swath >= 600.0 * 1000.0
 
 
@@ -217,7 +217,7 @@ class TestRunMission:
         assert np.all(rows["power_w"] > 0)
 
     def test_single_drone_constant_throughput(self):
-        spec = make_spec(k=1, grid_x=1, grid_y=1,
+        spec = make_spec(k=1,
                          geometry=geo.ArrayGeometry(16, 1, geo.wavelength(2.4e9) / 2, 0.0))
         rows = msn.run_mission(spec, step=10.0, seed=2, duration=60.0, csi="perfect")
         thr = rows["throughput_bps"]
@@ -246,7 +246,7 @@ class TestRunMission:
     def test_single_drone_matches_per_step_assembly(self):
         # one drone per step: the kernel's one-row (gemv) product becomes a
         # product over the group's rows, so the last bits may move
-        spec = make_spec(k=1, grid_x=1, grid_y=1,
+        spec = make_spec(k=1,
                          geometry=geo.ArrayGeometry(16, 1, geo.wavelength(2.4e9) / 2, 0.0))
         rows = msn.run_mission(spec, step=3.0, seed=5, duration=300.0)
         expected = per_step_records(spec, step=3.0, seed=5, duration=300.0, csi="estimated")
@@ -270,8 +270,8 @@ def per_step_records(spec, step, seed, duration, csi):
         ground = GroundArray.build(msn._gs_configs(spec), spec.f_c, spec.geometry)
         g = ch.channel_matrix(ground, pos, uav_rots)
         mean_gain = np.mean(np.abs(g) ** 2, axis=0)
-        powers = np.minimum(spec.rho_u / mean_gain, spec.p_u_max)
-        g_hat = ch.ml_estimate(g, p_p, rng).g_hat if csi == "estimated" else g
+        powers = spec.rho_u / mean_gain
+        g_hat = ch.ml_estimate(g, p_p, rng) if csi == "estimated" else g
         sinr = ch.instantaneous_sinr_mrc(g, g_hat, powers)
         throughput = prelog * spec.bandwidth * np.log2(1.0 + sinr)
         dist = np.linalg.norm(pos, axis=1)
@@ -299,10 +299,6 @@ class TestValidation:
     def test_bad_area(self):
         with pytest.raises(SwarmMimoError):
             make_spec(x2=-2000.0)
-
-    def test_bad_grid(self):
-        with pytest.raises(SwarmMimoError):
-            make_spec(grid_x=3, grid_y=3)
 
     def test_camera_validation(self):
         with pytest.raises(SwarmMimoError):

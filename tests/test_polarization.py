@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from swarm_mimo_sim import channel as ch
 from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import polarization as pol
 from swarm_mimo_sim.errors import DegenerateExcitationError, SingularDirectionError
@@ -264,22 +265,23 @@ def test_ground_array_rotations_match_per_element_matrices():
 
 
 class TestEffectiveGainArray:
+    # per-element effective gains of one drone: chi = |g|^2 / pathloss of its channel
     def test_single_element_reduces_to_channel_factor(self):
         cfgs = [circular_cfg()]
         v = np.array([30.0, 10.0, 20.0])
-        chi, mean = pol.effective_gain_array(cfgs, v, geo.RotationAngles(), F0)
+        g = ch.channel_matrix(pol.GroundArray.build(cfgs, F0), v[None], np.eye(3)[None])
+        chi = np.abs(g[0, 0]) ** 2 / ch.pathloss(np.linalg.norm(v), LAM)
         ref = pol.channel_factor(cfgs[0], pol.AntennaConfig(cfgs[0].excitation), v, F0)
-        assert chi[0] == pytest.approx(ref.chi, rel=1e-12)
-        assert mean == pytest.approx(ref.chi, rel=1e-12)
+        assert chi == pytest.approx(ref.chi, rel=1e-12)
 
     def test_plane_wave_equal_gains(self):
         geometry = geo.ArrayGeometry(16, 1, LAM / 2, 0.0)
-        cfgs = [circular_cfg() for _ in range(16)]
+        ground = pol.GroundArray.build([circular_cfg() for _ in range(16)], F0, geometry)
         v = geo.SphericalPosition(5000.0, 1.0, 0.7).to_cartesian()
-        chi, mean = pol.effective_gain_array(
-            cfgs, v, geo.RotationAngles(0.2, 0.1, 0.3), F0, geometry=geometry
-        )
-        assert np.max(np.abs(chi - mean)) / mean < 0.01
+        rot = geo.rotation_matrix(geo.RotationAngles(0.2, 0.1, 0.3))
+        g = ch.channel_matrix(ground, v[None], rot[None])[:, 0]
+        chi = np.abs(g) ** 2 / ch.pathloss(np.linalg.norm(v - ground.elem, axis=1), LAM)
+        assert np.max(np.abs(chi - chi.mean())) / chi.mean() < 0.01
 
     def test_randomly_oriented_line_mean_gain(self):
         # 100 elements, drone bearing fixed, element orientations random,
@@ -295,23 +297,20 @@ class TestEffectiveGainArray:
                 pol.AntennaConfig(tx_exc, geo.sample_orientation(rng))
                 for _ in range(100)
             ]
+            ground = pol.GroundArray.build(cfgs, F0, geometry)
             v = geo.SphericalPosition(100.0, math.pi / 3, math.pi).to_cartesian()
-            chi, mean = pol.effective_gain_array(
-                cfgs, v, geo.sample_orientation(rng), F0, uav_config=uav,
-                geometry=geometry,
-            )
-            means.append(mean)
+            rot = geo.rotation_matrix(geo.sample_orientation(rng))
+            g = ch.channel_matrix(ground, v[None], rot[None], uav)[:, 0]
+            chi = np.abs(g) ** 2 / ch.pathloss(np.linalg.norm(v - ground.elem, axis=1), LAM)
+            means.append(chi.mean())
         level_db = 10 * math.log10(np.mean(means))
         assert -11.0 <= level_db <= -5.0  # near -8 dB
 
     def test_singular_element_surfaces(self):
-        cfgs = [circular_cfg(), circular_cfg()]
-        geometry = geo.ArrayGeometry(2, 1, 1.0, 0.0)
+        ground = pol.GroundArray.build([circular_cfg(), circular_cfg()], F0,
+                                       geo.ArrayGeometry(2, 1, 1.0, 0.0))
         with pytest.raises(SingularDirectionError):
-            pol.effective_gain_array(
-                cfgs, np.array([0.0, 0.0, 50.0]), geo.RotationAngles(), F0,
-                geometry=geometry,
-            )
+            ch.channel_matrix(ground, np.array([[0.0, 0.0, 50.0]]), np.eye(3)[None])
 
 
 class TestWorstCaseGain:
@@ -365,13 +364,6 @@ class TestWorstCaseGain:
 
 
 class TestKappa:
-    def test_unit_mode_is_one(self):
-        rng = np.random.default_rng(0)
-        kappa, se, excluded = pol.kappa_estimate(
-            [circular_cfg()], F0, rng, n=2000, unit_gain=True
-        )
-        assert (kappa, se, excluded) == (1.0, 0.0, 0)
-
     def test_kappa_chi_wc_below_one(self):
         rng = np.random.default_rng(11)
         cfgs = [circular_cfg(geo.sample_orientation(rng)) for _ in range(12)]
