@@ -25,7 +25,7 @@ from .errors import (
     SingularDirectionError,
     SwarmMimoError,
 )
-from .polarization import AntennaConfig, GroundArray
+from .polarization import GroundArray
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,8 @@ def channel_matrix(
     ground: GroundArray,
     uav_positions: np.ndarray,
     uav_rotations: np.ndarray,
-    uav_config: AntennaConfig | None = None,
 ) -> np.ndarray:
-    """Channel matrices ``G`` of ``K`` drones at ``ground.f0``.
+    """Channel matrices ``G`` of ``K`` drones carrying the array's antenna, at ``ground.f0``.
 
     ``uav_positions`` is ``(..., K, 3)`` and ``uav_rotations`` ``(..., K, 3,
     3)``; the result is a C-contiguous ``(..., M, K)``. A stack of matrices is
@@ -121,21 +120,19 @@ def channel_matrix(
     norms = np.linalg.norm(pos, axis=-1)
     if np.any(norms <= ground.aperture):
         raise SwarmMimoError("drone inside the array aperture")
-    w_rx, ratio_rx, gain_rx = ground.drone_feed(uav_config)
-    gains = ground.gain * gain_rx
     h, dist = response_batch(
         pos.reshape(-1, 3),
         ground.elem,
         ground.rotations,
         np.reshape(uav_rotations, (-1, 3, 3)),
         ground.w,
-        w_rx,
+        ground.w,
         ground.ratio,
-        ratio_rx,
+        ground.ratio,
     )
     if not np.all(np.isfinite(h.real)):
         raise SingularDirectionError("singular direction for at least one element")
-    g, _ = synthesize(h, dist, geo.wavelength(ground.f0), gains)
+    g, _ = synthesize(h, dist, geo.wavelength(ground.f0), ground.gain * ground.gain)
     return g.reshape(pos.shape[:-1] + (-1,)).swapaxes(-1, -2).copy()
 
 
@@ -181,11 +178,16 @@ def instantaneous_sinr_mrc(
     return sig / (inter + noise)
 
 
-def sinr_zf(g: np.ndarray, powers: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
+# largest condition number of a Gram matrix that zero-forcing inverts
+_COND_LIMIT = 1e12
+
+
+def sinr_zf(g: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """Post-processing SINR of the zero-forcing receiver with perfect CSI.
 
     Takes ``(..., M, K)`` channel stacks and ``(..., K)`` powers, like
-    :func:`instantaneous_sinr_mrc`; one ill-conditioned matrix raises.
+    :func:`instantaneous_sinr_mrc`; one matrix with a Gram condition number
+    above 1e12 raises.
     """
     g = np.asarray(g)
     powers = np.asarray(powers, dtype=float)
@@ -193,7 +195,7 @@ def sinr_zf(g: np.ndarray, powers: np.ndarray, cond_limit: float = 1e12) -> np.n
     if m < k:
         raise SingularChannelError(f"need at least as many elements as drones ({m} < {k})")
     gram = np.conj(g).swapaxes(-1, -2) @ g
-    if np.any(np.linalg.cond(gram) > cond_limit):
+    if np.any(np.linalg.cond(gram) > _COND_LIMIT):
         raise SingularChannelError("channel Gram matrix is ill conditioned")
     inv_diag = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
     return powers / inv_diag

@@ -2,7 +2,7 @@
 
 ``swarm-mimo-sim <experiment> --config file.ini [--seed N] [--out DIR]``
 parses an INI config against the experiment's schema, runs the simulation,
-and writes a CSV artifact plus a JSON summary. All dB-valued keys are
+and writes its CSV tables plus a JSON summary. All dB-valued keys are
 converted to linear units here, at the boundary; every module below works in
 linear units. Outputs are deterministic for a fixed config and seed.
 """
@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +261,9 @@ def _check_cost(cfg: dict, kind: str):
     if kind == "validate" and m < 2:
         raise ConfigError(f"array.m_x * array.m_y: validate compares element pairs, "
                           f"which {m} element does not have")
+    if cfg["shell.r_min_m"] > cfg["shell.r_max_m"]:
+        raise ConfigError(f"shell.r_min_m: {cfg['shell.r_min_m']} m exceeds "
+                          f"shell.r_max_m, {cfg['shell.r_max_m']} m")
     if kind == "spacing-sweep":
         # omega holds one integer code per ordered element pair
         _check_buffer("array.m_x * array.m_y", f"omega over {m} elements", 8 * m * m)
@@ -357,47 +360,27 @@ def _linear(db: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
-# ---------------------------------------------------------------------------
-
-
-def _write_csv(path: Path, header: list[str], rows, seed: int, cfg_hash: str):
-    lines = [f"# schema=v1 seed={seed} config_sha256={cfg_hash}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
-
-
-def _write_summary(path: Path, kind: str, cfg: dict, seed: int, extra: dict, started: float):
-    payload = {
-        "experiment": kind,
-        "version": f"swarm-mimo-sim-{__version__}",
-        "seed": seed,
-        "parameters": {k: cfg[k] for k in sorted(cfg)},
-        "wall_clock_s": round(time.monotonic() - started, 3),
-    }
-    payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
 # experiments
+#
+# Each runner takes the parsed config and the seed and returns its CSV tables,
+# ``{file name: (header, rows)}`` in file order, and the summary entries beyond
+# the parameters; run_experiment writes them all.
 # ---------------------------------------------------------------------------
 
 
-def _run_rate_curve(cfg, seed, out_dir, cfg_hash, started):
+def _far_sphere(cfg, section: str, coh: CoherenceParams, k: int):
+    "Rate parameters of ``k`` drones on a far sphere around one element."
+    _, prelog = coherence_prelog(coh, k)
+    return rates.RateParams(
+        geometry=geo.ArrayGeometry(1), region=geo.ShellRegion(1.0, 1.0),
+        lam=geo.wavelength(coh.f_c), k=k, rho_u=_linear(cfg[f"{section}.rho_u_db"]),
+        rho_p=_linear(cfg[f"{section}.rho_p_db"]), prelog=prelog,
+        kappa=cfg[f"{section}.kappa_chi_wc"], chi_wc=1.0,
+    )
+
+
+def _run_rate_curve(cfg, seed):
     m_values = _parse_int_list(str(cfg["array.m_values"]), "array.m_values")
-    k_values = _parse_int_list(str(cfg["rate.k_values"]), "rate.k_values")
-    rho_u = _linear(cfg["rate.rho_u_db"])
-    rho_p = _linear(cfg["rate.rho_p_db"])
-    kcw = cfg["rate.kappa_chi_wc"]
     band = cfg["coherence.bandwidth_hz"]
     coh = CoherenceParams(
         f_c=cfg["coherence.f_c_hz"],
@@ -406,39 +389,20 @@ def _run_rate_curve(cfg, seed, out_dir, cfg_hash, started):
         v_max=cfg["coherence.v_max_mps"],
         tau_dl_frac=cfg["coherence.tau_dl_frac"],
     )
-    lam_carrier = geo.wavelength(cfg["coherence.f_c_hz"])
     rows = []
     m_req = {}
-    for k in k_values:
-        _, prelog = coherence_prelog(coh, k)
-        params = rates.RateParams(
-            geometry=geo.ArrayGeometry(1, 1, 0.0, 0.0),
-            region=geo.ShellRegion(1.0, 1.0),
-            lam=lam_carrier,
-            k=k,
-            rho_u=rho_u,
-            rho_p=rho_p,
-            prelog=prelog,
-            kappa=kcw,
-            chi_wc=1.0,
-        )
+    for k in _parse_int_list(str(cfg["rate.k_values"]), "rate.k_values"):
+        params = _far_sphere(cfg, "rate", coh, k)
         for m in m_values:
-            geom = geo.ArrayGeometry(m, 1, lam_carrier / 2.0, 0.0)
-            p = rates.RateParams(
-                geometry=geom, region=params.region, lam=lam_carrier, k=k,
-                rho_u=rho_u, rho_p=rho_p, prelog=prelog, kappa=kcw, chi_wc=1.0,
-            )
-            rate = rates.mrc_bound_optimal(p, "ula")
+            geom = geo.ArrayGeometry(m, 1, params.lam / 2.0, 0.0)
+            rate = rates.mrc_bound_optimal(replace(params, geometry=geom), "ula")
             rows.append((k, m, rate, rate * band))
         m_req[str(k)] = rates.m_required(cfg["rate.q_target_mbps"] * 1e6, band, params)
-    _write_csv(out_dir / "rate_curve.csv", ["k", "m", "rate_bps_per_hz", "throughput_bps"],
-               rows, seed, cfg_hash)
-    _write_summary(out_dir / "rate_curve_summary.json", "rate-curve", cfg, seed,
-                   {"m_required": m_req}, started)
-    return ["rate_curve.csv", "rate_curve_summary.json"]
+    header = ["k", "m", "rate_bps_per_hz", "throughput_bps"]
+    return {"rate_curve.csv": (header, rows)}, {"m_required": m_req}
 
 
-def _run_spacing_sweep(cfg, seed, out_dir, cfg_hash, started):
+def _run_spacing_sweep(cfg, seed):
     lam = geo.wavelength(cfg["rf.f_c_hz"])
     region = geo.ShellRegion(cfg["shell.r_min_m"], cfg["shell.r_max_m"])
     ratios = np.linspace(cfg["sweep.ratio_start"], cfg["sweep.ratio_stop"],
@@ -458,10 +422,7 @@ def _run_spacing_sweep(cfg, seed, out_dir, cfg_hash, started):
         header = ["delta_x_over_lambda", "omega"]
     optimal = spacing.optimal_spacing_ula(cfg["array.m_x"] * cfg["array.m_y"], lam,
                                           region.r_min)
-    _write_csv(out_dir / "spacing_sweep.csv", header, rows, seed, cfg_hash)
-    _write_summary(out_dir / "spacing_sweep_summary.json", "spacing-sweep", cfg, seed,
-                   {"optimal_spacings_m": optimal[:20]}, started)
-    return ["spacing_sweep.csv", "spacing_sweep_summary.json"]
+    return {"spacing_sweep.csv": (header, rows)}, {"optimal_spacings_m": optimal[:20]}
 
 
 def _array_geometry(cfg) -> geo.ArrayGeometry:
@@ -472,8 +433,8 @@ def _array_geometry(cfg) -> geo.ArrayGeometry:
                              cfg.get("array.spacing_y_wavelengths", 0.0) * lam)
 
 
-def _gain_cdf_spec(cfg, seed) -> mc.ScenarioSpec:
-    return mc.ScenarioSpec(
+def _run_gain_cdf(cfg, seed):
+    spec = mc.ScenarioSpec(
         geometry=_array_geometry(cfg),
         region=geo.ShellRegion(cfg["shell.r_min_m"], cfg["shell.r_max_m"]),
         k=1,
@@ -483,18 +444,11 @@ def _gain_cdf_spec(cfg, seed) -> mc.ScenarioSpec:
         pattern=cfg["antenna.pattern"],
         orientation_seed=seed,
     )
-
-
-def _run_gain_cdf(cfg, seed, out_dir, cfg_hash, started):
-    spec = _gain_cdf_spec(cfg, seed)
     thresholds = np.arange(cfg["mc.threshold_db_min"], cfg["mc.threshold_db_max"],
                            cfg["mc.threshold_db_step"])
     thr, cdf, stats = mc.gain_cdf(spec, cfg["mc.n"], seed, thresholds)
     rows = [(thr[i], cdf[i]) for i in range(thr.size)]
-    _write_csv(out_dir / "gain_cdf.csv", ["threshold_db", "cdf"], rows, seed, cfg_hash)
-    _write_summary(out_dir / "gain_cdf_summary.json", "gain-cdf", cfg, seed, {"stats": stats},
-                   started)
-    return ["gain_cdf.csv", "gain_cdf_summary.json"]
+    return {"gain_cdf.csv": (["threshold_db", "cdf"], rows)}, {"stats": stats}
 
 
 def _mission_spec(cfg, seed: int = 0) -> msn.MissionSpec:
@@ -520,66 +474,49 @@ def _mission_spec(cfg, seed: int = 0) -> msn.MissionSpec:
     )
 
 
-def _run_mission(cfg, seed, out_dir, cfg_hash, started):
+def _run_mission(cfg, seed):
     spec = _mission_spec(cfg, seed)
     duration = cfg["sim.duration_s"] or None
     records = msn.run_mission(spec, cfg["sim.step_s"], seed, duration=duration,
                               csi=cfg["sim.csi"])
-    rows = records.tolist()
-    _write_csv(out_dir / "mission.csv", list(msn.RECORD_DTYPE.names), rows, seed, cfg_hash)
     c_data, c_pilot = msn.link_budget_coefficients(spec, 400.0)
-    _write_summary(out_dir / "mission_summary.json", "mission-sim", cfg, seed, {
+    return {"mission.csv": (list(msn.RECORD_DTYPE.names), records.tolist())}, {
         "mission_time_s": msn.mission_time(spec),
         "altitude_m": spec.flight_altitude,
         "d_wc_m": spec.d_wc,
         "image_rate_bps": msn.image_rate(spec.camera, spec.gsd, spec.speed),
         "link_budget_coefficients_at_400m": {"data_w": c_data, "pilot_w": c_pilot},
-    }, started)
-    return ["mission.csv", "mission_summary.json"]
+    }
 
 
-def _run_validate(cfg, seed, out_dir, cfg_hash, started):
+def _run_validate(cfg, seed):
     lam = geo.wavelength(cfg["rf.f_c_hz"])
     geom = _array_geometry(cfg)
     region = geo.ShellRegion(cfg["shell.r_min_m"], cfg["shell.r_max_m"])
     spec = mc.ScenarioSpec(geometry=geom, region=region, k=2,
                            rho_u=_linear(cfg["rf.rho_u_db"]), f_c=cfg["rf.f_c_hz"])
     rows_raw, max_dev = mc.validate_expectations(spec, cfg["mc.n_pairs"], seed)
-    rows = [
-        (r["l"], r["lp"], r["closed_re"], r["closed_im"], r["mc_re"], r["mc_im"],
-         r["stderr"], r["dev_se"])
-        for r in rows_raw
-    ]
     header = ["l", "lp", "closed_re", "closed_im", "mc_re", "mc_im", "stderr", "dev_se"]
+    rows = [tuple(r[name] for name in header) for r in rows_raw]
     moment = mc.estimate_interference_moment(spec, cfg["mc.n_moment"], seed)
     omega_value = rates.omega(geom, lam, region)
     target = spec.rho_u**2 * (geom.m + omega_value)
-    _write_csv(out_dir / "validate.csv", header, rows, seed, cfg_hash)
-    _write_summary(out_dir / "validate_summary.json", "validate", cfg, seed, {
+    return {"validate.csv": (header, rows)}, {
         "phase_moment_max_dev_se": max_dev,
         "interference_moment": {"mc": moment.mean, "stderr": moment.stderr,
                                 "closed_form": target,
                                 "dev_se": abs(moment.mean - target) / moment.stderr},
-    }, started)
-    return ["validate.csv", "validate_summary.json"]
+    }
 
 
-def _run_tables(cfg, seed, out_dir, cfg_hash, started):
-    rho_u = _linear(cfg["tables.rho_u_db"])
-    rho_p = _linear(cfg["tables.rho_p_db"])
+def _run_tables(cfg, seed):
     band = cfg["tables.bandwidth_hz"]
     k = cfg["tables.k"]
-    kcw = cfg["tables.kappa_chi_wc"]
 
     def params_for(v):
         coh = CoherenceParams(f_c=cfg["tables.f_c_hz"], bandwidth=band,
                               b_c=cfg["tables.b_c_hz"], v_max=v)
-        _, prelog = coherence_prelog(coh, k)
-        return rates.RateParams(
-            geometry=geo.ArrayGeometry(1), region=geo.ShellRegion(1.0, 1.0),
-            lam=geo.wavelength(cfg["tables.f_c_hz"]), k=k, rho_u=rho_u, rho_p=rho_p,
-            prelog=prelog, kappa=kcw, chi_wc=1.0,
-        )
+        return _far_sphere(cfg, "tables", coh, k)
 
     camera = msn.CameraModel(r_px=1496, r_py=2664)
     image_rows = []
@@ -602,37 +539,59 @@ def _run_tables(cfg, seed, out_dir, cfg_hash, started):
             rates.m_required(q60, band, p),
             rates.m_required(q30, band, p),
         ))
-    _write_csv(out_dir / "table_image.csv",
-               ["gsd_m", "speed_mps", "q_image_bps", "q_image_sum_bps",
-                "m_required", "m_required_cr2"],
-               image_rows, seed, cfg_hash)
-    _write_csv(out_dir / "table_video.csv",
-               ["r_py", "r_px", "q_video_bps", "q_video_sum_bps",
-                "m_required_60fps", "m_required_30fps"],
-               video_rows, seed, cfg_hash)
-    _write_summary(out_dir / "tables_summary.json", "tables", cfg, seed, {}, started)
-    return ["table_image.csv", "table_video.csv", "tables_summary.json"]
+    return {
+        "table_image.csv": (["gsd_m", "speed_mps", "q_image_bps", "q_image_sum_bps",
+                             "m_required", "m_required_cr2"], image_rows),
+        "table_video.csv": (["r_py", "r_px", "q_video_bps", "q_video_sum_bps",
+                             "m_required_60fps", "m_required_30fps"], video_rows),
+    }, {}
 
 
+# each experiment's runner and the stem of its summary file
 _RUNNERS = {
-    "rate-curve": _run_rate_curve,
-    "spacing-sweep": _run_spacing_sweep,
-    "gain-cdf": _run_gain_cdf,
-    "mission-sim": _run_mission,
-    "validate": _run_validate,
-    "tables": _run_tables,
+    "rate-curve": (_run_rate_curve, "rate_curve"),
+    "spacing-sweep": (_run_spacing_sweep, "spacing_sweep"),
+    "gain-cdf": (_run_gain_cdf, "gain_cdf"),
+    "mission-sim": (_run_mission, "mission"),
+    "validate": (_run_validate, "validate"),
+    "tables": (_run_tables, "tables"),
 }
 
 
+def _fmt(v) -> str:
+    return format(v, ".12g") if isinstance(v, float) else str(v)
+
+
 def run_experiment(kind: str, config_text: str, seed: int, out_dir: Path) -> list[str]:
-    """Parse, run, and write artifacts; returns the list of files written."""
+    """Parse, run, and write artifacts; returns the list of files written.
+
+    The only writer of artifacts: each CSV table of the runner, then the JSON
+    summary. The output directory is made once the runner has returned, so a
+    run that fails leaves none behind.
+    """
     started = time.monotonic()
     cfg = parse_config(config_text, kind)
+    runner, stem = _RUNNERS[kind]
+    tables, extra = runner(cfg, seed)
     cfg_hash = hashlib.sha256(
         json.dumps({k: str(v) for k, v in sorted(cfg.items())}).encode()
     ).hexdigest()[:16]
     out_dir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[kind](cfg, seed, out_dir, cfg_hash, started)
+    for name, (header, rows) in tables.items():
+        lines = [f"# schema=v1 seed={seed} config_sha256={cfg_hash}", ",".join(header)]
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        (out_dir / name).write_text("\n".join(lines) + "\n")
+    summary = f"{stem}_summary.json"
+    payload = {
+        "experiment": kind,
+        "version": f"swarm-mimo-sim-{__version__}",
+        "seed": seed,
+        "parameters": {k: cfg[k] for k in sorted(cfg)},
+        "wall_clock_s": round(time.monotonic() - started, 3),
+        **extra,
+    }
+    (out_dir / summary).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return [*tables, summary]
 
 
 def main(argv=None) -> int:

@@ -123,7 +123,7 @@ class ScenarioSpec:
         exc = DipoleExcitation.circular() if circular else DipoleExcitation.linear()
         ratio, gain = (0.5, HALF_WAVE_DIPOLE_GAIN) if self.pattern == "dipole" else (0.0, 1.0)
         return GroundArray(self.f_c, geo.element_positions(self.geometry), rotations,
-                           exc.weights(), ratio, gain, exc, self.geometry.aperture())
+                           exc.weights(), ratio, gain, self.geometry.aperture())
 
 
 def _rotations(spec: ScenarioSpec, rng, n: int) -> np.ndarray:
@@ -141,8 +141,7 @@ def _chi_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, uav_ro
     "(n, M) effective gains under the scenario's pattern mode."
     if spec.pattern == "unit":
         return np.ones((positions.shape[0], ground.elem.shape[0]))
-    return chi_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
-                     ground.gain * ground.gain, ground.ratio, ground.ratio)
+    return chi_batch(ground, positions, gs_rots, uav_rots)
 
 
 def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, uav_rots):

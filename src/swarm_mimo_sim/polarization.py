@@ -60,9 +60,9 @@ class DipoleExcitation:
         return DipoleExcitation(1.0, 0.0, 0.0, 0.0)
 
     @staticmethod
-    def circular(sign: float = 1.0) -> "DipoleExcitation":
+    def circular() -> "DipoleExcitation":
         "Equal-split feeds in phase quadrature."
-        return DipoleExcitation(1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), sign * math.pi / 2)
+        return DipoleExcitation(1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,9 @@ class GroundArray:
     Holds the element positions ``elem`` (``(m, 3)``, all at the origin when
     built without a geometry), the per-element rotations (``(m, 3, 3)``), the
     feed weights, dipole length ratio and gain that every element shares, and
-    the aperture. It keeps read-only copies of its arrays.
+    the aperture. It keeps read-only copies of its arrays. The drones it
+    serves carry the same antenna: feed ``w``, length ratio ``ratio`` and
+    gain ``gain``.
     """
 
     f0: float
@@ -124,7 +126,6 @@ class GroundArray:
     w: np.ndarray
     ratio: float
     gain: float
-    excitation: DipoleExcitation
     aperture: float
 
     def __post_init__(self):
@@ -154,19 +155,7 @@ class GroundArray:
         ang = np.array([(c.orientation.roll, c.orientation.pitch, c.orientation.yaw)
                         for c in gs_configs])
         rotations = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
-        return cls(f0, elem, rotations, weights[0], *shapes[0].tolist(),
-                   gs_configs[0].excitation, aperture)
-
-    def drone_feed(self, uav_config: AntennaConfig | None = None):
-        """Feed weights, dipole length ratio and gain of a drone antenna.
-
-        Without ``uav_config`` the drone carries a half-wave cross-dipole with
-        the array's own feed.
-        """
-        if uav_config is None:
-            uav_config = AntennaConfig(self.excitation)
-        dipole = uav_config.dipole_for(self.f0)
-        return uav_config.excitation.weights(), dipole.length_ratio(self.f0), dipole.gain
+        return cls(f0, elem, rotations, weights[0], *shapes[0].tolist(), aperture)
 
 
 def field_pattern(theta: float, dipole: DipoleGeometry, f0: float) -> float:
@@ -308,25 +297,18 @@ def channel_factor(
 # ---------------------------------------------------------------------------
 
 
-def chi_batch(
-    positions: np.ndarray,
-    elem: np.ndarray,
-    gs_rots: np.ndarray,
-    uav_rots: np.ndarray,
-    w_tx: np.ndarray,
-    w_rx: np.ndarray,
-    gains: float,
-    ratio_tx: float = 0.5,
-    ratio_rx: float = 0.5,
-) -> np.ndarray:
-    """Effective gains for batches of drones, shape ``(n, M)``.
+def chi_batch(ground: GroundArray, positions: np.ndarray, gs_rots: np.ndarray,
+              uav_rots: np.ndarray) -> np.ndarray:
+    """Effective gains of drones carrying the array's antenna, shape ``(n, M)``.
 
-    Used by :func:`worst_case_gain`, :func:`kappa_estimate` and the Monte
-    Carlo estimators; NaN lanes (singular directions) propagate to the
-    caller, which raises or redraws.
+    ``gs_rots`` stands in for ``ground.rotations``, so that a caller can
+    rotate the whole array per sample. Used by :func:`worst_case_gain`,
+    :func:`kappa_estimate` and the Monte Carlo estimators; NaN lanes
+    (singular directions) propagate to the caller, which raises or redraws.
     """
-    h, _ = response_batch(positions, elem, gs_rots, uav_rots, w_tx, w_rx, ratio_tx, ratio_rx)
-    return gains * np.abs(h) ** 2
+    h, _ = response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
+                          ground.ratio, ground.ratio)
+    return ground.gain * ground.gain * np.abs(h) ** 2
 
 
 # drone range of the two searches below; their elements all sit at the origin,
@@ -354,8 +336,6 @@ def worst_case_gain(
     if budget < 1:
         raise SwarmMimoError("search budget must be positive")
     ground = GroundArray.build(gs_configs, f0)
-    w_rx, ratio_rx, gain_rx = ground.drone_feed()
-    gains = ground.gain * gain_rx
 
     def mean_gain(x):
         theta = min(max(x[0], 1e-6), math.pi - 1e-6)
@@ -365,8 +345,7 @@ def worst_case_gain(
         roll = min(max(x[2], -math.pi / 2), math.pi / 2)
         pitch = min(max(x[3], -math.pi / 2), math.pi / 2)
         rot = geo.rotation_matrices(roll, pitch, x[4])
-        chi = chi_batch(pos[None, :], ground.elem, ground.rotations, rot, ground.w, w_rx,
-                        gains, ground.ratio, ratio_rx)
+        chi = chi_batch(ground, pos[None, :], ground.rotations, rot)
         if not np.all(np.isfinite(chi)):
             return np.inf
         return float(chi.mean())
@@ -410,8 +389,6 @@ def kappa_estimate(gs_configs, f0: float, rng: np.random.Generator, n: int = 100
     if n < 1:
         raise SwarmMimoError("sample count must be positive")
     ground = GroundArray.build(gs_configs, f0)
-    w_rx, ratio_rx, gain_rx = ground.drone_feed()
-    gains = ground.gain * gain_rx
     region = geo.ShellRegion(_FAR_M, _FAR_M)
 
     total = 0.0
@@ -426,8 +403,7 @@ def kappa_estimate(gs_configs, f0: float, rng: np.random.Generator, n: int = 100
         pos = geo.sample_shell_positions(region, rng, take)
         ang = geo.sample_orientations(rng, take)
         rots = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
-        chi = chi_batch(pos, ground.elem, ground.rotations, rots, ground.w, w_rx, gains,
-                        ground.ratio, ratio_rx)
+        chi = chi_batch(ground, pos, ground.rotations, rots)
         mean = chi.mean(axis=1)
         good = np.isfinite(mean) & (mean >= 1e-12)
         excluded += int(np.size(mean) - np.count_nonzero(good))

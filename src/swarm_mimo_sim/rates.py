@@ -10,7 +10,7 @@ channel-inversion power control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -377,23 +377,17 @@ def shell_moments(params: RateParams, omega_value: float | None = None):
 def mrc_bound_optimal(params: RateParams, array_kind: str = "ula") -> float:
     """Far-sphere rate bound at an optimal spacing.
 
-    The line-array branch drops the correlation excess entirely; the
-    rectangular branch keeps the residual pair sum of its own geometry.
+    :func:`mrc_bound_shell` on the sphere of radius ``r_max``. The line-array
+    branch drops the correlation excess entirely; the rectangular branch
+    keeps the residual pair sum of its own geometry.
     """
-    p = params
+    p = replace(params, region=ShellRegion(params.region.r_max, params.region.r_max))
     kind = array_kind.lower()
     if kind == "ula":
-        omega_value = 0.0
-    elif kind == "ura":
-        omega_value = omega_surface(p.geometry, p.lam)
-    else:
-        raise SwarmMimoError(f"unknown array kind {array_kind!r}")
-    m = p.m
-    est = 0.0
-    if not math.isinf(p.rho_p):
-        est = (1.0 + p.k * p.rho_u) * p.kappa * p.chi_wc / (p.rho_u * p.rho_p)
-    denom = p.rho_u * (p.k - 1) * (1.0 + omega_value / m) + 1.0 + est
-    return p.prelog * math.log2(1.0 + m * p.rho_u / denom)
+        return mrc_bound_shell(p, 0.0)
+    if kind == "ura":
+        return mrc_bound_shell(p, omega_surface(p.geometry, p.lam))
+    raise SwarmMimoError(f"unknown array kind {array_kind!r}")
 
 
 def zf_bound_two(expectation_estimate: float, prelog: float, rho_u: float) -> float:

@@ -74,8 +74,7 @@ class TestChannelVector:
         ground = pol.GroundArray.build(cfgs, F0, geometry)
         rot = geo.rotation_matrix(geo.RotationAngles(0.1, 0.2, 0.3))[None]
         g = ch.channel_matrix(ground, pos[None], rot)[:, 0]
-        chi = pol.chi_batch(pos[None], ground.elem, ground.rotations, rot, ground.w, ground.w,
-                            ground.gain**2, ground.ratio, ground.ratio)[0]
+        chi = pol.chi_batch(ground, pos[None], ground.rotations, rot)[0]
         dists = np.linalg.norm(pos - geo.element_positions(geometry), axis=1)
         beta = np.array([ch.pathloss(d, LAM) for d in dists])
         assert np.linalg.norm(g) ** 2 == pytest.approx(float(np.sum(beta * chi)), rel=1e-10)
@@ -145,7 +144,7 @@ class TestGroundArray:
                                        line_array(4))
         exc = pol.DipoleExcitation.linear()
         given = (np.zeros((2, 3)), np.stack([np.eye(3)] * 2), exc.weights())
-        direct = pol.GroundArray(F0, *given, 0.5, pol.HALF_WAVE_DIPOLE_GAIN, exc, 0.0)
+        direct = pol.GroundArray(F0, *given, 0.5, pol.HALF_WAVE_DIPOLE_GAIN, 0.0)
         for arr in (ground.elem, ground.rotations, ground.w,
                     direct.elem, direct.rotations, direct.w):
             with pytest.raises(ValueError):

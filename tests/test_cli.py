@@ -92,6 +92,10 @@ class TestParseConfig:
         # drones inside the array: 50 half-wave elements span 3.06 m, 100 at 0.3 span 3.71 m
         ("gain-cdf", "[shell]\nr_min_m = 0.5\n", "shell.r_min_m"),
         ("validate", "[array]\nm_x = 100\n[shell]\nr_min_m = 1.0\n", "shell.r_min_m"),
+        # an inverted shell, which the geometry would refuse only once the run started
+        ("spacing-sweep", "[shell]\nr_min_m = 600\nr_max_m = 500\n", "shell.r_min_m"),
+        ("gain-cdf", "[shell]\nr_min_m = 600\nr_max_m = 500\n", "shell.r_min_m"),
+        ("validate", "[shell]\nr_min_m = 600\nr_max_m = 500\n", "shell.r_min_m"),
     ])
     def test_cost_guard(self, kind, text, key, tmp_path):
         # each key is within its range, but together they ask for too much work
@@ -213,6 +217,13 @@ ratio_points = 4
                 else:
                     assert (a / f).read_bytes() == (b / f).read_bytes(), f
 
+    @pytest.mark.parametrize("kind, name, edits", SMALL_RUNS, ids=[r[0] for r in SMALL_RUNS])
+    def test_writes_exactly_the_listed_files(self, kind, name, edits, tmp_path):
+        out = tmp_path / "out"
+        files = cli.run_experiment(kind, small_config(name, edits), 2, out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+        assert files[-1].endswith("_summary.json") and len(set(files)) == len(files)
+
     def test_csv_metadata_line(self, tmp_path):
         cli.run_experiment("tables", preset("tables.ini"), 4, tmp_path)
         first = (tmp_path / "table_image.csv").read_text().splitlines()[0]
@@ -275,3 +286,13 @@ class TestDomainErrorExit:
             "[sweep]\nratio_start = 0.5\nratio_stop = 0.5\nratio_points = 1\n"
         )
         assert cli.main(["spacing-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+    def test_domain_error_leaves_no_directory(self, tmp_path):
+        cfg = tmp_path / "d.ini"
+        cfg.write_text(
+            "[array]\nm_x = 200\n[shell]\nr_min_m = 1.0\nr_max_m = 2.0\n"
+            "[sweep]\nratio_start = 0.5\nratio_stop = 0.5\nratio_points = 1\n"
+        )
+        out = tmp_path / "fresh"
+        assert cli.main(["spacing-sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from swarm_mimo_sim import channel as ch
 from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import polarization as pol
+from swarm_mimo_sim._kernels import response_batch
 from swarm_mimo_sim.errors import DegenerateExcitationError, SingularDirectionError
 
 F0 = 2.4e9
@@ -288,9 +289,9 @@ class TestEffectiveGainArray:
         # cross-handed quadrature feeds at the two ends
         rng = np.random.default_rng(123)
         geometry = geo.ArrayGeometry(100, 1, LAM / 2, 0.0)
+        # (the drone's feed differs from the array's, so its gains come from the kernel)
         tx_exc = pol.DipoleExcitation(1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), math.pi / 2)
         rx_exc = pol.DipoleExcitation(1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), -math.pi / 2)
-        uav = pol.AntennaConfig(rx_exc)
         means = []
         for trial in range(10):
             cfgs = [
@@ -300,8 +301,9 @@ class TestEffectiveGainArray:
             ground = pol.GroundArray.build(cfgs, F0, geometry)
             v = geo.SphericalPosition(100.0, math.pi / 3, math.pi).to_cartesian()
             rot = geo.rotation_matrix(geo.sample_orientation(rng))
-            g = ch.channel_matrix(ground, v[None], rot[None], uav)[:, 0]
-            chi = np.abs(g) ** 2 / ch.pathloss(np.linalg.norm(v - ground.elem, axis=1), LAM)
+            h, _ = response_batch(v[None], ground.elem, ground.rotations, rot[None], ground.w,
+                                  rx_exc.weights(), ground.ratio, ground.ratio)
+            chi = ground.gain**2 * np.abs(h[0]) ** 2
             means.append(chi.mean())
         level_db = 10 * math.log10(np.mean(means))
         assert -11.0 <= level_db <= -5.0  # near -8 dB
@@ -325,16 +327,14 @@ class TestWorstCaseGain:
         cfgs = [circular_cfg(geo.sample_orientation(rng)) for _ in range(8)]
         wc = pol.worst_case_gain(cfgs, F0, budget=2000, seed=2, refine_top=4)
         # evaluate the mean gain at fresh random geometries; none may fall below
-        elem = np.zeros((8, 3))
-        gs = np.stack([geo.rotation_matrix(c.orientation) for c in cfgs])
-        w = cfgs[0].excitation.weights()
+        ground = pol.GroundArray.build(cfgs, F0)
         pos = geo.sample_shell_positions(geo.ShellRegion(1e4, 1e4), rng, 4000)
         ang = geo.sample_orientations(
             rng, 4000,
             ((-math.pi / 2, math.pi / 2), (-math.pi / 2, math.pi / 2), (0, 2 * math.pi)),
         )
         rots = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
-        chi = pol.chi_batch(pos, elem, gs, rots, w, w, pol.HALF_WAVE_DIPOLE_GAIN**2)
+        chi = pol.chi_batch(ground, pos, ground.rotations, rots)
         sampled_min = float(np.min(chi.mean(axis=1)))
         assert wc <= sampled_min + 1e-12
 
