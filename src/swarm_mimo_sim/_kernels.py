@@ -24,11 +24,10 @@ bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
   differs in about a third of the entries. numpy hands a one-row product to
   gemv instead, whose bits differ again: 300 single-sample calls and one
   batched call of the same drones differ in 5,928 of 15,000 ``h`` lanes,
-  while two-row calls match the batched call, with a shared or a per-sample
-  drone rotation alike. Batching single-sample callers therefore moves their
-  last bits: ``mission.run_mission`` calls the kernel once per group of
-  steps, so a one-drone mission moves, while stacks of two-drone or wider
-  calls keep every bit.
+  while two-row calls match the batched call. Batching single-sample
+  callers therefore moves their last bits: ``mission.run_mission`` calls the
+  kernel once per group of steps, so a one-drone mission moves, while stacks
+  of two-drone or wider calls keep every bit.
 - numpy multiplies a one-element complex array in place without the fused
   multiply-add of its vector loop (see ``_e1_lentz``).
 - numpy may compute ``a * f(x)`` in place into a temporary ``f(x)`` of 256 KiB
@@ -256,8 +255,8 @@ if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
-                     wt0, wt1, wr0, wr1, ratio_t, ratio_r):
+def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, wt0, wt1, wr0, wr1,
+                     ratio_t, ratio_r):
     n = pos.shape[0]
     m = elem.shape[0]
     h = np.empty((n, m), dtype=np.complex128)
@@ -267,7 +266,7 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, uav_per_sample,
     # its own rows of the outputs, so blocks may run in any order or at once
     def block(rows):
         gs = gs_r[rows] if gs_by_sample else gs_r[:, None]
-        uav = uav_r[rows] if uav_per_sample else uav_r
+        uav = uav_r[rows]
         rx = pos[rows, 0] - elem[:, 0, None]
         ry = pos[rows, 1] - elem[:, 1, None]
         rz = pos[rows, 2] - elem[:, 2, None]
@@ -338,7 +337,7 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
         element, or ``(n, 1, 3, 3)`` for one common orientation of the whole
         array per sample (the broadcast shape against ``(n, m)``). The two
         differ in rank, so the layout never depends on whether n == m.
-    uav_r : drone rotations, ``(3, 3)`` shared or ``(n, 3, 3)`` per sample.
+    uav_r : drone rotations, ``(n, 3, 3)``, one per sample.
     w_tx, w_rx : complex feed coefficients of the (theta, psi) dipoles.
     ratio_tx, ratio_rx : dipole length over wavelength for each side.
 
@@ -359,20 +358,12 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
         gs_r, gs_by_sample = gs_r[:, 0], True
     else:
         raise ValueError("gs_r must be (m, 3, 3) per element or (n, 1, 3, 3) per sample")
-    if uav_r.ndim == 2:
-        uav_r = uav_r[None, :, :]
-        uav_per_sample = False
-    elif uav_r.shape[0] == 1:
-        uav_per_sample = False
-    else:
-        if uav_r.shape[0] != n:
-            raise ValueError("uav_r must be (3, 3) or (n, 3, 3)")
-        uav_per_sample = True
+    if uav_r.shape != (n, 3, 3):
+        raise ValueError("uav_r must be (n, 3, 3), one rotation per sample")
     w_tx = np.asarray(w_tx, dtype=np.complex128)
     w_rx = np.asarray(w_rx, dtype=np.complex128)
-    ur = uav_r if uav_per_sample else uav_r[0]
     return _resp_core_numpy(
-        pos, elem, gs_r, gs_by_sample, ur, uav_per_sample,
+        pos, elem, gs_r, gs_by_sample, uav_r,
         complex(w_tx[0]), complex(w_tx[1]), complex(w_rx[0]), complex(w_rx[1]),
         float(ratio_tx), float(ratio_rx),
     )

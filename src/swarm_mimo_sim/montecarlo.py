@@ -1,8 +1,9 @@
 """Seeded Monte Carlo estimators that validate and feed the closed forms.
 
-Reproducibility contract: every estimator consumes a fixed-size chunk of
-samples from its own counter-based random substream, and partial sums are
-combined in chunk order. Results are therefore bit-identical for a fixed
+Reproducibility contract: :func:`_chunks` cuts every estimator's samples into
+fixed-size chunks and gives chunk ``i`` its own counter-based random
+substream, ``substream(seed, i)``; :func:`_estimate` combines the chunks'
+partial sums in chunk order. Results are therefore bit-identical for a fixed
 seed no matter how the chunks are scheduled, and independent of the
 parallelism inside the numeric kernels.
 """
@@ -35,34 +36,44 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Sample mean with its standard error and provenance."""
+    """Sample mean with its standard error."""
 
     mean: float
     stderr: float
     n: int
-    seed: int
 
 
-class _Accumulator:
-    "Combines per-chunk partial sums in fixed chunk order."
+def _chunks(n: int, seed: int, size: int = CHUNK):
+    """``(rng, take)`` for each chunk of ``n`` samples, in order.
 
-    def __init__(self):
-        self.parts: list[tuple[float, float, int]] = []
+    Every chunk takes ``size`` samples but the last, which takes the rest;
+    chunk ``i`` draws from ``substream(seed, i)``.
+    """
+    for index, start in enumerate(range(0, n, size)):
+        yield substream(seed, index), min(size, n - start)
 
-    def add(self, values: np.ndarray):
-        v = np.asarray(values, dtype=float)
-        self.parts.append((float(v.sum()), float((v * v).sum()), int(v.size)))
 
-    def result(self, seed: int) -> EstimatorResult:
-        total = math.fsum(p[0] for p in self.parts)
-        total_sq = math.fsum(p[1] for p in self.parts)
-        n = sum(p[2] for p in self.parts)
-        if n == 0:
-            raise SwarmMimoError("no samples accumulated")
-        mean = total / n
-        var = max(total_sq / n - mean * mean, 0.0)
-        stderr = math.sqrt(var / n) if n > 1 else 0.0
-        return EstimatorResult(mean=mean, stderr=stderr, n=n, seed=seed)
+def _estimate(n: int, seed: int, size: int, sample) -> EstimatorResult:
+    """Mean of ``sample(rng, take)``'s values over the chunks of :func:`_chunks`.
+
+    Each chunk contributes its sum and sum of squares, added in chunk order
+    with ``math.fsum``; a chunk's arrays are freed before the next is drawn.
+    """
+    sums, squares = [], []
+    count = 0
+    for rng, take in _chunks(n, seed, size):
+        v = np.asarray(sample(rng, take), dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise SwarmMimoError("non-finite Monte Carlo sample")
+        sums.append(float(v.sum()))
+        squares.append(float((v * v).sum()))
+        count += v.size
+    if count == 0:
+        raise SwarmMimoError("no samples accumulated")
+    mean = math.fsum(sums) / count
+    var = max(math.fsum(squares) / count - mean * mean, 0.0)
+    stderr = math.sqrt(var / count) if count > 1 else 0.0
+    return EstimatorResult(mean=mean, stderr=stderr, n=count)
 
 
 @dataclass(frozen=True)
@@ -186,17 +197,9 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
     Uses full channel synthesis (exact distances) and uncapped
     channel-inversion powers.
     """
-    if n < 1:
-        raise SwarmMimoError("sample count must be positive")
     ground = spec.ground()
-    acc = _Accumulator()
-    done = 0
-    index = 0
-    while done < n:
-        take = min(CHUNK, n - done)
-        rng = substream(seed, index)
-        index += 1
-        done += take
+
+    def sample(rng, take):
         pos_k = geo.sample_shell_positions(spec.region, rng, take)
         pos_j = geo.sample_shell_positions(spec.region, rng, take)
         rot_k = _rotations(spec, rng, take)
@@ -207,11 +210,9 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
         gain_k = np.mean(np.abs(g_k) ** 2, axis=1)
         gain_j = np.mean(np.abs(g_j) ** 2, axis=1)
         cross = np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
-        vals = (spec.rho_u / gain_k) * (spec.rho_u / gain_j) * cross
-        if not np.all(np.isfinite(vals)):
-            raise SwarmMimoError("singular sample in interference moment")
-        acc.add(vals)
-    return acc.result(seed)
+        return (spec.rho_u / gain_k) * (spec.rho_u / gain_j) * cross
+
+    return _estimate(n, seed, CHUNK, sample)
 
 
 def estimate_zf_inverse_moment(spec: ScenarioSpec, n: int, seed: int) -> EstimatorResult:
@@ -227,23 +228,18 @@ def estimate_zf_inverse_moment(spec: ScenarioSpec, n: int, seed: int) -> Estimat
     m = spec.geometry.m
     elem = spec.ground().elem
     lam = spec.lam
-    acc = _Accumulator()
-    done = 0
-    index = 0
-    chunk = max(1, min(CHUNK, 4_194_304 // max(m, 1)))  # bound the (take, M) buffers
-    while done < n:
-        take = min(chunk, n - done)
-        rng = substream(seed, index)
-        index += 1
-        done += take
+
+    def sample(rng, take):
         pos_1 = geo.sample_shell_positions(spec.region, rng, take)
         pos_2 = geo.sample_shell_positions(spec.region, rng, take)
         d1 = np.sqrt(np.sum((pos_1[:, None, :] - elem[None, :, :]) ** 2, axis=-1))
         d2 = np.sqrt(np.sum((pos_2[:, None, :] - elem[None, :, :]) ** 2, axis=-1))
         s = np.sum(np.exp(2j * math.pi * (d1 - d2) / lam), axis=1)
         cross = np.abs(s) ** 2 - m
-        acc.add(1.0 / (m - 1.0 - cross / m))
-    return acc.result(seed)
+        return 1.0 / (m - 1.0 - cross / m)
+
+    size = max(1, min(CHUNK, 4_194_304 // max(m, 1)))  # bound the (take, M) buffers
+    return _estimate(n, seed, size, sample)
 
 
 def estimate_ergodic_rate(
@@ -270,17 +266,9 @@ def estimate_ergodic_rate(
         raise SwarmMimoError("zero-forcing here assumes perfect channel knowledge")
     k = spec.k
     ground = spec.ground()
-    lam = spec.lam
-    p_p = pilot_snr(spec.rho_p, spec.region.r_max, spec.chi_wc, lam)
-    acc = _Accumulator()
-    done = 0
-    index = 0
-    draws_per_chunk = max(1, CHUNK // max(k, 1))
-    while done < n:
-        take = min(draws_per_chunk, n - done)
-        rng = substream(seed, index)
-        index += 1
-        done += take
+    p_p = pilot_snr(spec.rho_p, spec.region.r_max, spec.chi_wc, spec.lam)
+
+    def sample(rng, take):
         pos = geo.sample_shell_positions(spec.region, rng, take * k)
         rots = _rotations(spec, rng, take * k)
         gs = _gs_rotations(spec, ground, rng, take)
@@ -288,20 +276,19 @@ def estimate_ergodic_rate(
             gs = np.repeat(gs, k, axis=0)
         g_rows, _ = _channel_for(spec, ground, pos, gs, rots)
         g = g_rows.reshape(take, k, -1)  # (draws, K, M)
-        mean_gain = np.mean(np.abs(g) ** 2, axis=2)
-        powers = spec.rho_u / mean_gain
+        powers = spec.rho_u / np.mean(np.abs(g) ** 2, axis=2)
+        g_hat = g
         if csi == "estimated":
             noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
             g_hat = g + noise / math.sqrt(2.0 * p_p)
-        else:
-            g_hat = g
         g = g.transpose(0, 2, 1)  # (draws, M, K), one matrix per draw
         if receiver == "mrc":
             sinr = instantaneous_sinr_mrc(g, g_hat.transpose(0, 2, 1), powers)
         else:
             sinr = sinr_zf(g, powers)
-        acc.add(prelog * np.mean(np.log2(1.0 + sinr), axis=-1))
-    return acc.result(seed)
+        return prelog * np.mean(np.log2(1.0 + sinr), axis=-1)
+
+    return _estimate(n, seed, max(1, CHUNK // max(k, 1)), sample)
 
 
 def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
@@ -311,35 +298,29 @@ def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
     median in dB and the probability of falling below 10 dB.
     """
     thresholds_db = np.asarray(thresholds_db, dtype=float)
-    thr = 10.0 ** (thresholds_db / 10.0)
-    counts = np.zeros(thr.shape, dtype=np.int64)
-    below_10 = 0
     ground = spec.ground()
-    sums = np.empty(n)
-    done = 0
-    index = 0
-    while done < n:
-        take = min(CHUNK, n - done)
-        rng = substream(seed, index)
-        index += 1
+
+    def summed_gain(rng, take):
         pos = geo.sample_shell_positions(spec.region, rng, take)
         rots = _rotations(spec, rng, take)
         gs = _gs_rotations(spec, ground, rng, take)
         chi = _chi_for(spec, ground, pos, gs, rots)
-        pos, rots, chi = _redraw_bad(spec, ground, rng, pos, rots, chi)
-        total = chi.sum(axis=1)
-        counts += (total[:, None] < thr[None, :]).sum(axis=0)
-        below_10 += int(np.count_nonzero(total < 10.0))
-        sums[done:done + take] = total
-        done += take
-    cdf = counts / n
+        return _redraw_bad(spec, ground, rng, pos, rots, chi)[2].sum(axis=1)
+
+    sums = np.empty(n)  # the only n-sized buffer: the median needs every sample
+    for index, (rng, take) in enumerate(_chunks(n, seed)):
+        sums[index * CHUNK:index * CHUNK + take] = summed_gain(rng, take)
+    sums.sort()
+    # counts of samples strictly below each threshold
+    counts = np.searchsorted(sums, 10.0 ** (thresholds_db / 10.0), side="left")
+    below_10 = int(np.searchsorted(sums, 10.0, side="left"))
     stats = {
-        "median_db": float(10.0 * np.log10(np.median(sums))),
+        "median_db": float(10.0 * np.log10(np.median(sums, overwrite_input=True))),
         "p_below_10db": below_10 / n,
         "n": n,
         "seed": seed,
     }
-    return thresholds_db, cdf, stats
+    return thresholds_db, counts / n, stats
 
 
 def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int = 64):
@@ -348,9 +329,10 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
     For element pairs (l, l') the phase of the distance difference splits
     into a reciprocal-radius part (shell moments C and D) and a
     direction part (the sinc average). Each row reports the closed form,
-    the Monte Carlo mean of the exact phase factor, and the deviation in
-    standard errors. The sampled phase uses the same second-order distance
-    expansion the closed form integrates.
+    the Monte Carlo mean of the phase factor under the second-order distance
+    expansion that the closed form integrates (not of the exact phase), and
+    the deviation in standard errors. All ``n`` draws come from one
+    substream, ``substream(seed, 1)``, rather than from :func:`_chunks`.
     """
     geometry = spec.geometry
     lam = spec.lam

@@ -277,7 +277,7 @@ def channel_factor(
     tx_rot = geo.rotation_matrix(tx.orientation)
     rx_rot = geo.rotation_matrix(rx.orientation)
     tx_dipole, rx_dipole = tx.dipole_for(f0), rx.dipole_for(f0)
-    h, _ = response_batch(pos[None, :], np.zeros((1, 3)), tx_rot[None, :, :], rx_rot, wt, wr,
+    h, _ = response_batch(pos[None, :], np.zeros((1, 3)), tx_rot[None], rx_rot[None], wt, wr,
                           tx_dipole.length_ratio(f0), rx_dipole.length_ratio(f0))
     hval = complex(h[0, 0])
     if not np.isfinite(hval.real):
@@ -345,7 +345,7 @@ def worst_case_gain(
         roll = min(max(x[2], -math.pi / 2), math.pi / 2)
         pitch = min(max(x[3], -math.pi / 2), math.pi / 2)
         rot = geo.rotation_matrices(roll, pitch, x[4])
-        chi = chi_batch(ground, pos[None, :], ground.rotations, rot)
+        chi = chi_batch(ground, pos[None, :], ground.rotations, rot[None])
         if not np.all(np.isfinite(chi)):
             return np.inf
         return float(chi.mean())

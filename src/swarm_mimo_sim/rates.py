@@ -10,7 +10,7 @@ channel-inversion power control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -298,12 +298,18 @@ class RateParams:
         return self.geometry.m
 
 
-def _estimation_noise_term(p: RateParams) -> float:
-    "Channel-estimation plus noise contribution with worst-case pilot sizing."
-    if math.isinf(p.rho_p):
-        return 0.0
-    ratio = p.region.mean_square_radius() / p.region.r_max**2
-    return (1.0 + p.k * p.rho_u) * p.kappa * p.chi_wc * ratio / (p.rho_u * p.rho_p)
+def _mrc_rate(p: RateParams, omega_value: float, ratio: float) -> float:
+    """The combining-receiver bound for a correlation excess and an estimation ratio.
+
+    ``ratio`` is the drones' mean square range over ``r_max**2``: the pilots
+    are sized for the worst case, a drone at ``r_max``. Perfect channel
+    knowledge (``rho_p = inf``) has no estimation term.
+    """
+    est = 0.0
+    if not math.isinf(p.rho_p):
+        est = (1.0 + p.k * p.rho_u) * p.kappa * p.chi_wc * ratio / (p.rho_u * p.rho_p)
+    denom = p.rho_u * (p.k - 1) * (1.0 + omega_value / p.m) + 1.0 + est
+    return p.prelog * math.log2(1.0 + p.m * p.rho_u / denom)
 
 
 def mrc_bound_shell(params: RateParams, omega_value: float | None = None) -> float:
@@ -315,13 +321,7 @@ def mrc_bound_shell(params: RateParams, omega_value: float | None = None) -> flo
     p = params
     if omega_value is None:
         omega_value = omega(p.geometry, p.lam, p.region)
-    m = p.m
-    denom = (
-        p.rho_u * (p.k - 1) * (1.0 + omega_value / m)
-        + 1.0
-        + _estimation_noise_term(p)
-    )
-    return p.prelog * math.log2(1.0 + m * p.rho_u / denom)
+    return _mrc_rate(p, omega_value, p.region.mean_square_radius() / p.region.r_max**2)
 
 
 def mrc_bound_general(
@@ -381,12 +381,12 @@ def mrc_bound_optimal(params: RateParams, array_kind: str = "ula") -> float:
     branch drops the correlation excess entirely; the rectangular branch
     keeps the residual pair sum of its own geometry.
     """
-    p = replace(params, region=ShellRegion(params.region.r_max, params.region.r_max))
     kind = array_kind.lower()
+    # on the sphere the mean square range is r_max**2, an estimation ratio of 1.0
     if kind == "ula":
-        return mrc_bound_shell(p, 0.0)
+        return _mrc_rate(params, 0.0, 1.0)
     if kind == "ura":
-        return mrc_bound_shell(p, omega_surface(p.geometry, p.lam))
+        return _mrc_rate(params, omega_surface(params.geometry, params.lam), 1.0)
     raise SwarmMimoError(f"unknown array kind {array_kind!r}")
 
 

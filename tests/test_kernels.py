@@ -124,7 +124,7 @@ def kernel_layout(name):
         # the first drone sits on the z axis of the unrotated element 0
         pos = np.array([[0.0, 0.0, 10.0], [3.0, 4.0, 12.0]])
         elem = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
-        return pos, elem, np.stack([np.eye(3)] * 2), np.eye(3), CIRC, CIRC
+        return pos, elem, np.stack([np.eye(3)] * 2), np.stack([np.eye(3)] * 2), CIRC, CIRC
     if name == "feeds":
         # unequal feeds out of phase quadrature on both sides, so the norms'
         # cross term and the pairing of each weight with its pattern both show
@@ -150,10 +150,10 @@ def kernel_layout(name):
         n, m, per_sample, uav = 513, 64, False, _rots(rng, 513)
     elif name == "per_sample":  # n spans three lane blocks, the last one partly
         n, m, per_sample, uav = 5000, 7, True, _rots(rng, 5000)
-    elif name == "remainder":  # blocks of 256 rows and a one-row remainder
-        n, m, per_sample, uav = 257, 64, False, _rots(rng, 1)[0]
-    else:  # one drone, one shared rotation
-        n, m, per_sample, uav = 1, 50, False, _rots(rng, 1)[0]
+    elif name == "remainder":  # blocks of 256 rows and a one-row remainder, one drone attitude
+        n, m, per_sample, uav = 257, 64, False, np.repeat(_rots(rng, 1), 257, axis=0)
+    else:  # one drone
+        n, m, per_sample, uav = 1, 50, False, _rots(rng, 1)
     pos = rng.normal(size=(n, 3)) * 400.0
     elem = rng.normal(size=(m, 3))
     gs = _rots(rng, n)[:, None] if per_sample else _rots(rng, m)
@@ -165,7 +165,10 @@ def kernel_layout(name):
 # lanes of each layout, recorded from the per-element loop the blocked kernel
 # replaced (gain_cdf: from the kernel whose per-sample rotation was an einsum;
 # feeds: from the blocked kernel, the last one to return the norms); the
-# per_sample and gain_cdf lanes sit on both sides of each block edge.
+# per_sample and gain_cdf lanes sit on both sides of each block edge. The
+# singular, remainder and single lanes were recorded with one (3, 3) drone
+# rotation shared by all samples, which the kernel no longer takes; its
+# per-sample repeat keeps their bits.
 # n1sq and n2sq are the squared response norms those kernels returned; they
 # are the reference for ``response_norms`` on the same lanes.
 KERNEL_GOLDEN = {
@@ -231,7 +234,7 @@ def _lane_norms(args, i, l):
     f0 = 2.4e9  # a 12.5 cm wavelength keeps each length ratio exact
     tx_dipole, rx_dipole = (DipoleGeometry(r * wavelength(f0)) for r in ratios or (0.5, 0.5))
     return response_norms(pos[i] - elem[l], gs[i, 0] if gs.ndim == 4 else gs[l],
-                          uav[i] if uav.ndim == 3 else uav, w_tx, w_rx, tx_dipole, rx_dipole, f0)
+                          uav[i], w_tx, w_rx, tx_dipole, rx_dipole, f0)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GOLDEN))
@@ -327,7 +330,7 @@ def test_response_layout_shapes():
     pos = rng.normal(size=(n, 3)) * 30
     elem = rng.normal(size=(m, 3))
     gs = rotation_matrices(rng.uniform(-1, 1, m), rng.uniform(-1, 1, m), rng.uniform(0, 6, m))
-    uav = np.eye(3)
+    uav = np.stack([np.eye(3)] * n)
     wt = np.array([1.0, 0.0])
     h_el, _ = response_batch(pos, elem, gs, uav, wt, wt)
     h_ps, _ = response_batch(pos, elem, gs[:, None], uav, wt, wt)
@@ -335,9 +338,13 @@ def test_response_layout_shapes():
     assert np.allclose(np.diag(h_el), np.diag(h_ps))
     assert not np.allclose(h_el, h_ps)
     with pytest.raises(ValueError):  # (n, 3, 3) with n != m is neither layout
-        response_batch(pos[:3], elem, gs[:3], uav, wt, wt)
+        response_batch(pos[:3], elem, gs[:3], uav[:3], wt, wt)
     with pytest.raises(ValueError):
         response_batch(pos, elem, gs[:3, None], uav, wt, wt)
+    # the drone takes one rotation per sample: neither a shared one nor a short stack
+    for shared in (np.eye(3), uav[:1], uav[:3]):
+        with pytest.raises(ValueError, match="uav_r"):
+            response_batch(pos, elem, gs, shared, wt, wt)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (4, 4), (5, 3), (700, 50), (3, 9000)])
@@ -361,7 +368,7 @@ def test_singular_direction_marks_nan():
     elem = np.zeros((1, 3))
     eye = np.eye(3)[None, :, :]
     wt = np.array([1.0, 0.0])
-    h, dist = response_batch(pos, elem, eye, np.eye(3), wt, wt)
+    h, dist = response_batch(pos, elem, eye, eye, wt, wt)
     assert np.isnan(h[0, 0].real)
     assert dist[0, 0] == 10.0
 

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from swarm_mimo_sim import _kernels
 from swarm_mimo_sim import channel as ch
 from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import montecarlo as mc
@@ -35,31 +37,29 @@ class TestDeterminism:
         assert a.mean != b.mean
 
     def test_chunk_partials_order_independent(self):
-        # partial sums combined in fixed chunk order must match a manual
-        # out-of-order evaluation of the same substreams
+        # chunks evaluated out of order, then combined in chunk order, must
+        # match the estimator
         spec = spec_for()
         n = 3 * mc.CHUNK
         ref = mc.estimate_interference_moment(spec, n, seed=9)
-        acc = mc._Accumulator()
-        parts = []
+        ground = spec.ground()
+        chunks = list(mc._chunks(n, 9))
+        parts = {}
         for index in (2, 0, 1):
-            rng = mc.substream(9, index)
-            take = mc.CHUNK
+            rng, take = chunks[index]
             pos_k = geo.sample_shell_positions(spec.region, rng, take)
             pos_j = geo.sample_shell_positions(spec.region, rng, take)
             rot_k = mc._rotations(spec, rng, take)
             rot_j = mc._rotations(spec, rng, take)
-            ground = spec.ground()
             gs = mc._gs_rotations(spec, ground, rng, take)
             g_k, _ = mc._channel_for(spec, ground, pos_k, gs, rot_k)
             g_j, _ = mc._channel_for(spec, ground, pos_j, gs, rot_j)
-            vals = (spec.rho_u / np.mean(np.abs(g_k) ** 2, axis=1)) * (
+            parts[index] = (spec.rho_u / np.mean(np.abs(g_k) ** 2, axis=1)) * (
                 spec.rho_u / np.mean(np.abs(g_j) ** 2, axis=1)
             ) * np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
-            parts.append((index, vals))
-        for index, vals in sorted(parts):
-            acc.add(vals)
-        assert acc.result(9).mean == ref.mean
+        in_order = iter([parts[0], parts[1], parts[2]])
+        got = mc._estimate(n, 9, mc.CHUNK, lambda rng, take: next(in_order))
+        assert got == ref
 
 
 class TestInterferenceMoment:
@@ -152,11 +152,8 @@ class TestErgodicRate:
         n, seed, prelog = 500, 4, 0.8  # two chunks of 409 and 91 draws
         ground = spec.ground()
         p_p = ch.pilot_snr(spec.rho_p, spec.region.r_max, spec.chi_wc, spec.lam)
-        acc = mc._Accumulator()
-        per_chunk = mc.CHUNK // spec.k
-        for index, start in enumerate(range(0, n, per_chunk)):
-            take = min(per_chunk, n - start)
-            rng = mc.substream(seed, index)
+
+        def per_draw(rng, take):
             pos = geo.sample_shell_positions(spec.region, rng, take * spec.k)
             rots = mc._rotations(spec, rng, take * spec.k)
             gs = mc._gs_rotations(spec, ground, rng, take)
@@ -176,8 +173,9 @@ class TestErgodicRate:
                 else:
                     sinr = ch.sinr_zf(g[i].T, powers[i])
                 vals[i] = prelog * float(np.mean(np.log2(1.0 + sinr)))
-            acc.add(vals)
-        want = acc.result(seed)
+            return vals
+
+        want = mc._estimate(n, seed, mc.CHUNK // spec.k, per_draw)
         got = mc.estimate_ergodic_rate(spec, n, seed, receiver=receiver, csi=csi, prelog=prelog)
         assert (got.mean, got.stderr, got.n) == (want.mean, want.stderr, want.n)
         assert got.mean.hex() == want.mean.hex()
@@ -269,14 +267,71 @@ class TestValidateExpectations:
             assert [(r["l"], r["lp"]) for r in rows] == want, max_pairs
 
 
+class TestChunkLoop:
+    @pytest.mark.parametrize("size", [4, 5, mc.CHUNK])
+    def test_chunks_take_size_and_substream(self, size):
+        chunks = list(mc._chunks(2 * size + 3, 7, size))
+        assert [take for _, take in chunks] == [size, size, 3]
+        for index, (rng, _) in enumerate(chunks):
+            assert np.array_equal(rng.random(4), mc.substream(7, index).random(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_estimate_raises_on_non_finite_sample(self, bad):
+        with pytest.raises(SwarmMimoError, match="non-finite"):
+            mc._estimate(10, 0, 4, lambda rng, take: np.r_[np.ones(take - 1), bad])
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_estimate_raises_on_zero_samples(self, n):
+        with pytest.raises(SwarmMimoError, match="no samples"):
+            mc._estimate(n, 0, 4, lambda rng, take: np.ones(take))
+
+
 class TestResultInvariants:
     def test_stderr_definition(self):
-        acc = mc._Accumulator()
-        acc.add(np.array([1.0, 2.0, 3.0, 4.0]))
-        res = acc.result(0)
         vals = np.array([1.0, 2.0, 3.0, 4.0])
+        res = mc._estimate(4, 0, 4, lambda rng, take: vals)
         assert res.mean == vals.mean()
         assert res.stderr == pytest.approx(vals.std(ddof=0) / 2.0)
+        assert res.n == 4
+
+    def test_chunk_sums_combined_in_order(self):
+        # each chunk's sum and sum of squares, added with math.fsum in chunk order
+        parts = np.split(np.random.default_rng(1).normal(size=11) * 1e6, [4, 8])
+        given = iter(parts)
+        res = mc._estimate(11, 0, 4, lambda rng, take: next(given))
+        mean = math.fsum(float(v.sum()) for v in parts) / 11
+        square = math.fsum(float((v * v).sum()) for v in parts) / 11
+        assert (res.mean, res.n) == (mean, 11)
+        assert res.stderr == math.sqrt(max(square - mean * mean, 0.0) / 11)
+
+
+class TestChunkMemory:
+    """A chunk's temporaries are freed before the next chunk allocates its own."""
+
+    @staticmethod
+    def _ergodic(chunks):
+        spec = spec_for(m=16, spacing=LAM / 2, r_min=20.0, k=20,
+                        gs_orientation="pseudo-random", orientation_seed=3)
+        mc.estimate_ergodic_rate(spec, chunks * (mc.CHUNK // spec.k), 1)
+
+    @staticmethod
+    def _gain_cdf(chunks):
+        spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, gs_orientation="identical")
+        mc.gain_cdf(spec, chunks * mc.CHUNK, 1, np.arange(-10.0, 20.0, 1.0))
+
+    @pytest.mark.parametrize("run", ["_ergodic", "_gain_cdf"])
+    def test_peak_does_not_grow_with_chunks(self, run, monkeypatch):
+        # kernel blocks run inline, so the peak does not depend on thread timing
+        monkeypatch.setattr(_kernels, "_block_pool", lambda: None)
+        peaks = []
+        for chunks in (1, 2):
+            tracemalloc.start()
+            try:
+                getattr(self, run)(chunks)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestZfReceiverRate:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,3 +351,23 @@ def test_mrc_bounds_below_single_drone_capacity(m, k, spacing, rho_u, rho_p, pre
     assert rates.mrc_bound_shell(p) <= cap
     assert rates.mrc_bound_optimal(p, "ula") <= cap
     assert rates.mrc_bound_general(*rates.shell_moments(p), p) <= cap
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m_x=st.integers(1, 8), m_y=st.integers(1, 8), kind=st.sampled_from(["ula", "ura"]),
+       dx=st.floats(0.05, 2.0), dy=st.floats(0.05, 2.0), k=st.integers(1, 50),
+       rho_u=st.floats(0.01, 100.0), rho_p=st.one_of(st.just(math.inf), st.floats(0.1, 1e3)),
+       prelog=st.floats(0.05, 1.0), kappa=st.floats(0.1, 1.0), chi_wc=st.floats(0.01, 1.0),
+       r_min=st.floats(50.0, 500.0), width=st.floats(0.0, 1e4))
+def test_mrc_bound_optimal_is_shell_bound_on_far_sphere(m_x, m_y, kind, dx, dy, k, rho_u,
+                                                        rho_p, prelog, kappa, chi_wc, r_min,
+                                                        width):
+    # the definition: mrc_bound_shell on the sphere of radius r_max, bit for bit
+    p = make_params(m=m_x, m_y=m_y, k=k, rho_u=rho_u, rho_p=rho_p, prelog=prelog,
+                    spacing=dx * LAM, spacing_y=dy * LAM, region=shell(r_min, r_min + width),
+                    kappa=kappa, chi_wc=min(chi_wc, 1.0 / kappa))
+    r_max = p.region.r_max
+    sphere = replace(p, region=shell(r_max, r_max))
+    excess = 0.0 if kind == "ula" else rates.omega_surface(p.geometry, LAM)
+    want = rates.mrc_bound_shell(sphere, excess)
+    assert rates.mrc_bound_optimal(p, kind).hex() == want.hex()
