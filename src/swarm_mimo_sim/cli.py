@@ -35,18 +35,18 @@ _DB_RANGE = (-60.0, 80.0)
 
 @dataclass(frozen=True)
 class Key:
-    """One config key: type, default (None = required), constraint, help."""
+    """One config key: type, default, constraint and help text."""
 
     typ: type
-    default: object = None
+    default: object
     lo: float | None = None
     hi: float | None = None
     choices: tuple | None = None
     help: str = ""
 
 
-def _db(help_text: str, default=None) -> Key:
-    return Key(float, default, _DB_RANGE[0], _DB_RANGE[1], None, help_text + " (dB)")
+def _db(help_text: str, default: float) -> Key:
+    return Key(float, default, _DB_RANGE[0], _DB_RANGE[1], None, help_text + " in dB")
 
 
 _COHERENCE_KEYS = {
@@ -325,11 +325,7 @@ def parse_config(text: str, kind: str) -> dict:
             out[name] = _check(_coerce(raw, spec, name), spec, name)
     for section, keys in schema.items():
         for key_name, spec in keys.items():
-            name = f"{section}.{key_name}"
-            if name not in out:
-                if spec.default is None:
-                    raise ConfigError(f"missing required key {name}")
-                out[name] = spec.default
+            out.setdefault(f"{section}.{key_name}", spec.default)
     _check_cost(out, kind)
     return out
 
@@ -603,7 +599,7 @@ def main(argv=None) -> int:
     for kind, schema in SCHEMAS.items():
         keys = "; ".join(
             f"[{section}] " + ", ".join(
-                f"{name}={spec.default!r}" for name, spec in items.items()
+                f"{name}={spec.default!r} ({spec.help})" for name, spec in items.items()
             )
             for section, items in schema.items()
         )

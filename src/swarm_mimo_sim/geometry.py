@@ -268,3 +268,16 @@ def sample_orientations(
             )
         out[:, i] = rng.uniform(lo, hi, size=n)
     return out
+
+
+def sample_rotations(
+    rng: np.random.Generator,
+    n: int,
+    ranges=DEFAULT_ORIENTATION_RANGES,
+) -> np.ndarray:
+    """Rotation matrices ``(n, 3, 3)`` of ``n`` attitudes drawn by :func:`sample_orientations`.
+
+    The one sampler of random antenna attitudes in the package.
+    """
+    ang = sample_orientations(rng, n, ranges)
+    return rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])

@@ -26,7 +26,7 @@ from .channel import (
 )
 from .errors import SwarmMimoError
 from .montecarlo import substream
-from .polarization import AntennaConfig, DipoleExcitation, GroundArray
+from .polarization import HALF_WAVE_DIPOLE_GAIN, DipoleExcitation, GroundArray
 
 BOLTZMANN = 1.380649e-23
 
@@ -76,7 +76,6 @@ class MissionSpec:
     rho_p: float = 100.0
     tau_dl_frac: float = 0.125
     chi_wc: float = 0.1
-    excitation: str = "circular"
     orientation_seed: int = 0
     altitude: float | None = None
 
@@ -268,21 +267,6 @@ def instantaneous_power(spec: MissionSpec, d_k, chi_mean, d_wc: float | None = N
     return c_data / chi_mean + c_pilot / spec.chi_wc
 
 
-def _gs_configs(spec: MissionSpec):
-    "Frozen, arbitrarily oriented array elements for the mission."
-    exc = (
-        DipoleExcitation.circular()
-        if spec.excitation == "circular"
-        else DipoleExcitation.linear()
-    )
-    rng = substream(spec.orientation_seed, 0x6E0)
-    angles = geo.sample_orientations(rng, spec.geometry.m)
-    return [
-        AntennaConfig(exc, geo.RotationAngles(*angles[i]))
-        for i in range(spec.geometry.m)
-    ]
-
-
 # (step, drone, element) lanes per group of mission steps: 4 steps of 20 drones
 # at 100 elements, one kernel block; larger groups raise the peak memory
 _GROUP_LANES = 8192
@@ -320,7 +304,11 @@ def run_mission(
         duration = mission_time(spec)
     lam = geo.wavelength(spec.f_c)
     t_len, prelog = coherence_prelog(spec.coherence(), spec.k)
-    ground = GroundArray.build(_gs_configs(spec), spec.f_c, spec.geometry)
+    # frozen, arbitrarily oriented circular elements
+    rotations = geo.sample_rotations(substream(spec.orientation_seed, 0x6E0), spec.geometry.m)
+    ground = GroundArray(spec.f_c, geo.element_positions(spec.geometry), rotations,
+                         DipoleExcitation.circular().weights(), 0.5, HALF_WAVE_DIPOLE_GAIN,
+                         spec.geometry.aperture())
     times = np.arange(0.0, duration + 0.5 * step, step)
     arc = spec.speed * times
     pos = np.empty((times.size, spec.k, 3))

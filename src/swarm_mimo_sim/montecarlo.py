@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry as geo
 from .channel import instantaneous_sinr_mrc, pilot_snr, sinr_zf, synthesize
 from .errors import SwarmMimoError
-from .polarization import DipoleExcitation, GroundArray, HALF_WAVE_DIPOLE_GAIN, chi_batch
+from .polarization import _FAR_M, DipoleExcitation, GroundArray, HALF_WAVE_DIPOLE_GAIN, chi_batch
 from .rates import cb_db, expected_phase_sinc
 
 #: Samples per substream chunk. Part of the reproducibility contract:
@@ -127,7 +127,8 @@ class ScenarioSpec:
         """
         m = self.geometry.m
         if self.gs_orientation == "pseudo-random":
-            rotations = _rotations(self, substream(self.orientation_seed, 0xA11A), m)
+            rotations = geo.sample_rotations(substream(self.orientation_seed, 0xA11A), m,
+                                             self.orientation_ranges)
         else:
             rotations = np.broadcast_to(np.eye(3), (m, 3, 3))
         circular = self.excitation == "circular"
@@ -137,15 +138,11 @@ class ScenarioSpec:
                            exc.weights(), ratio, gain, self.geometry.aperture())
 
 
-def _rotations(spec: ScenarioSpec, rng, n: int) -> np.ndarray:
-    ang = geo.sample_orientations(rng, n, spec.orientation_ranges)
-    return geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
-
-
 def _gs_rotations(spec: ScenarioSpec, ground: GroundArray, rng, n: int) -> np.ndarray:
     "The array's own rotations, or one common ``(n, 1, 3, 3)`` draw per sample."
-    identical = spec.gs_orientation == "identical"
-    return _rotations(spec, rng, n)[:, None] if identical else ground.rotations
+    if spec.gs_orientation != "identical":
+        return ground.rotations
+    return geo.sample_rotations(rng, n, spec.orientation_ranges)[:, None]
 
 
 def _chi_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, uav_rots):
@@ -180,7 +177,7 @@ def _redraw_bad(spec, ground, rng, positions, uav_rots, chi):
             return positions, uav_rots, chi
         idx = np.flatnonzero(bad)
         positions[idx] = geo.sample_shell_positions(spec.region, rng, idx.size)
-        uav_rots[idx] = _rotations(spec, rng, idx.size)
+        uav_rots[idx] = geo.sample_rotations(rng, idx.size, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, idx.size)
         chi[idx] = _chi_for(spec, ground, positions[idx], gs, uav_rots[idx])
     raise SwarmMimoError("persistent singular directions while sampling")
@@ -202,8 +199,8 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
     def sample(rng, take):
         pos_k = geo.sample_shell_positions(spec.region, rng, take)
         pos_j = geo.sample_shell_positions(spec.region, rng, take)
-        rot_k = _rotations(spec, rng, take)
-        rot_j = _rotations(spec, rng, take)
+        rot_k = geo.sample_rotations(rng, take, spec.orientation_ranges)
+        rot_j = geo.sample_rotations(rng, take, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, take)
         g_k, _ = _channel_for(spec, ground, pos_k, gs, rot_k)
         g_j, _ = _channel_for(spec, ground, pos_j, gs, rot_j)
@@ -226,7 +223,9 @@ def estimate_zf_inverse_moment(spec: ScenarioSpec, n: int, seed: int) -> Estimat
     draws are rare at the requested sample size.
     """
     m = spec.geometry.m
-    elem = spec.ground().elem
+    if m < 2:
+        raise SwarmMimoError(f"the zero-forcing moment needs two or more elements, got {m}")
+    elem = geo.element_positions(spec.geometry)
     lam = spec.lam
 
     def sample(rng, take):
@@ -238,7 +237,7 @@ def estimate_zf_inverse_moment(spec: ScenarioSpec, n: int, seed: int) -> Estimat
         cross = np.abs(s) ** 2 - m
         return 1.0 / (m - 1.0 - cross / m)
 
-    size = max(1, min(CHUNK, 4_194_304 // max(m, 1)))  # bound the (take, M) buffers
+    size = max(1, min(CHUNK, 4_194_304 // m))  # bound the (take, M) buffers
     return _estimate(n, seed, size, sample)
 
 
@@ -270,7 +269,7 @@ def estimate_ergodic_rate(
 
     def sample(rng, take):
         pos = geo.sample_shell_positions(spec.region, rng, take * k)
-        rots = _rotations(spec, rng, take * k)
+        rots = geo.sample_rotations(rng, take * k, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, take)
         if gs.ndim == 4:  # one common array orientation per draw, shared by its k drones
             gs = np.repeat(gs, k, axis=0)
@@ -291,6 +290,28 @@ def estimate_ergodic_rate(
     return _estimate(n, seed, max(1, CHUNK // max(k, 1)), sample)
 
 
+def kappa_estimate(gs_configs, f0: float, seed: int, n: int = 100_000):
+    """Monte Carlo mean of the reciprocal mean gain over drone geometries.
+
+    The drones carry the array's own antenna, sit on a far sphere and take
+    attitudes from ``geo.DEFAULT_ORIENTATION_RANGES``. Samples whose mean
+    gain falls below 1e-12 are excluded (counted) to guard the
+    reciprocal against polarization nulls. Returns ``(kappa, stderr,
+    n_excluded)``.
+    """
+    ground = GroundArray.build(gs_configs, f0)
+    region = geo.ShellRegion(_FAR_M, _FAR_M)
+
+    def sample(rng, take):
+        pos = geo.sample_shell_positions(region, rng, take)
+        rots = geo.sample_rotations(rng, take)
+        mean = chi_batch(ground, pos, ground.rotations, rots).mean(axis=1)
+        return 1.0 / mean[np.isfinite(mean) & (mean >= 1e-12)]
+
+    res = _estimate(n, seed, CHUNK, sample)
+    return res.mean, res.stderr, n - res.n
+
+
 def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
     """Empirical CDF of the summed effective gain over the array.
 
@@ -302,7 +323,7 @@ def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
 
     def summed_gain(rng, take):
         pos = geo.sample_shell_positions(spec.region, rng, take)
-        rots = _rotations(spec, rng, take)
+        rots = geo.sample_rotations(rng, take, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, take)
         chi = _chi_for(spec, ground, pos, gs, rots)
         return _redraw_bad(spec, ground, rng, pos, rots, chi)[2].sum(axis=1)

@@ -302,17 +302,17 @@ def chi_batch(ground: GroundArray, positions: np.ndarray, gs_rots: np.ndarray,
     """Effective gains of drones carrying the array's antenna, shape ``(n, M)``.
 
     ``gs_rots`` stands in for ``ground.rotations``, so that a caller can
-    rotate the whole array per sample. Used by :func:`worst_case_gain`,
-    :func:`kappa_estimate` and the Monte Carlo estimators; NaN lanes
-    (singular directions) propagate to the caller, which raises or redraws.
+    rotate the whole array per sample. Used by :func:`worst_case_gain` and
+    the Monte Carlo estimators; NaN lanes (singular directions) propagate to
+    the caller, which raises, redraws or excludes them.
     """
     h, _ = response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
                           ground.ratio, ground.ratio)
     return ground.gain * ground.gain * np.abs(h) ** 2
 
 
-# drone range of the two searches below; their elements all sit at the origin,
-# so the gains depend on direction and attitude only
+# drone range of worst_case_gain and montecarlo.kappa_estimate; their elements
+# all sit at the origin, so the gains depend on direction and attitude only
 _FAR_M = 1.0e4
 
 
@@ -375,45 +375,3 @@ def worst_case_gain(
         )
         best = min(best, float(res.fun))
     return best
-
-
-def kappa_estimate(gs_configs, f0: float, rng: np.random.Generator, n: int = 100_000):
-    """Monte Carlo mean of the reciprocal mean gain over drone geometries.
-
-    The drones carry the array's own antenna, sit on a far sphere and take
-    attitudes from ``geo.DEFAULT_ORIENTATION_RANGES``. Samples whose mean
-    gain falls below 1e-12 are excluded (counted) to guard the
-    reciprocal against polarization nulls. Returns ``(kappa, stderr,
-    n_excluded)``.
-    """
-    if n < 1:
-        raise SwarmMimoError("sample count must be positive")
-    ground = GroundArray.build(gs_configs, f0)
-    region = geo.ShellRegion(_FAR_M, _FAR_M)
-
-    total = 0.0
-    total_sq = 0.0
-    kept = 0
-    excluded = 0
-    chunk = 16384
-    remaining = n
-    while remaining > 0:
-        take = min(chunk, remaining)
-        remaining -= take
-        pos = geo.sample_shell_positions(region, rng, take)
-        ang = geo.sample_orientations(rng, take)
-        rots = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
-        chi = chi_batch(ground, pos, ground.rotations, rots)
-        mean = chi.mean(axis=1)
-        good = np.isfinite(mean) & (mean >= 1e-12)
-        excluded += int(np.size(mean) - np.count_nonzero(good))
-        inv = 1.0 / mean[good]
-        total += float(inv.sum())
-        total_sq += float((inv * inv).sum())
-        kept += int(inv.size)
-    if kept == 0:
-        raise SwarmMimoError("all samples fell below the gain floor")
-    kappa = total / kept
-    var = max(total_sq / kept - kappa**2, 0.0)
-    stderr = math.sqrt(var / kept)
-    return kappa, stderr, excluded

@@ -18,7 +18,7 @@ from swarm_mimo_sim import mission as msn
 from swarm_mimo_sim import montecarlo as mc
 from swarm_mimo_sim import rates
 from swarm_mimo_sim.channel import CoherenceParams, coherence_prelog
-from swarm_mimo_sim.polarization import AntennaConfig, DipoleExcitation, kappa_estimate
+from swarm_mimo_sim.polarization import AntennaConfig, DipoleExcitation
 
 F_C = 2.4e9
 LAM = geo.wavelength(F_C)
@@ -148,9 +148,8 @@ def test_c6_interference_moment():
 
 def test_c7_lower_bound_validity():
     spec0 = _moment_scenario()
-    rng = np.random.default_rng(314)
     cfgs = [AntennaConfig(DipoleExcitation.circular()) for _ in range(8)]
-    kappa, _, _ = kappa_estimate(cfgs, F_C, rng, n=100_000)
+    kappa, _, _ = mc.kappa_estimate(cfgs, F_C, 314, n=100_000)
     chi_wc = min(0.1, 0.99 / kappa)
     params = rates.RateParams(
         geometry=spec0.geometry, region=spec0.region, lam=LAM, k=2,

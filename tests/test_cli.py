@@ -275,6 +275,10 @@ class TestMainEntry:
             cli.main(["--help"])
         out = capsys.readouterr().out
         assert "rate-curve" in out and "mission-sim" in out
+        with pytest.raises(SystemExit):
+            cli.main(["tables", "--help"])
+        words = " ".join(capsys.readouterr().out.split())  # argparse rewraps the text
+        assert "rho_u_db=10.0 (data SNR target in dB)" in words
 
 
 class TestDomainErrorExit:

@@ -198,3 +198,10 @@ class TestOrientationSampling:
         rng = np.random.default_rng(3)
         with pytest.raises(SwarmMimoError):
             geo.sample_orientation(rng, ((-3.0, 3.0), (0, 0), (0, 0)))
+
+    @pytest.mark.parametrize("ranges", [geo.DEFAULT_ORIENTATION_RANGES,
+                                        ((-0.3, 0.2), (0.0, 0.5), (1.0, 6.0))])
+    def test_sample_rotations_are_matrices_of_sampled_orientations(self, ranges):
+        ang = geo.sample_orientations(np.random.default_rng(4), 50, ranges)
+        want = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
+        assert np.array_equal(geo.sample_rotations(np.random.default_rng(4), 50, ranges), want)

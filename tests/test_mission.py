@@ -8,7 +8,7 @@ from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import mission as msn
 from swarm_mimo_sim.errors import SwarmMimoError
 from swarm_mimo_sim.montecarlo import substream
-from swarm_mimo_sim.polarization import GroundArray
+from swarm_mimo_sim.polarization import AntennaConfig, DipoleExcitation, GroundArray
 
 CAMERA = msn.CameraModel(r_px=1496, r_py=2664)
 
@@ -267,7 +267,10 @@ def per_step_records(spec, step, seed, duration, csi):
     expected = np.zeros(times.size * spec.k, dtype=msn.RECORD_DTYPE)
     for n, t in enumerate(times):
         pos = np.stack([msn.trajectory_position(spec, k, t)[0] for k in range(1, spec.k + 1)])
-        ground = GroundArray.build(msn._gs_configs(spec), spec.f_c, spec.geometry)
+        # the elements' frozen attitudes, one circular AntennaConfig each
+        angles = geo.sample_orientations(substream(spec.orientation_seed, 0x6E0), spec.geometry.m)
+        cfgs = [AntennaConfig(DipoleExcitation.circular(), geo.RotationAngles(*a)) for a in angles]
+        ground = GroundArray.build(cfgs, spec.f_c, spec.geometry)
         g = ch.channel_matrix(ground, pos, uav_rots)
         mean_gain = np.mean(np.abs(g) ** 2, axis=0)
         powers = spec.rho_u / mean_gain

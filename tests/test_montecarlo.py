@@ -10,7 +10,9 @@ from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import montecarlo as mc
 from swarm_mimo_sim import rates
 from swarm_mimo_sim.errors import SwarmMimoError
-from swarm_mimo_sim.polarization import HALF_WAVE_DIPOLE_GAIN
+from swarm_mimo_sim.polarization import (
+    HALF_WAVE_DIPOLE_GAIN, AntennaConfig, DipoleExcitation, GroundArray, chi_batch,
+)
 
 LAM = geo.wavelength(2.4e9)
 
@@ -49,8 +51,8 @@ class TestDeterminism:
             rng, take = chunks[index]
             pos_k = geo.sample_shell_positions(spec.region, rng, take)
             pos_j = geo.sample_shell_positions(spec.region, rng, take)
-            rot_k = mc._rotations(spec, rng, take)
-            rot_j = mc._rotations(spec, rng, take)
+            rot_k = geo.sample_rotations(rng, take, spec.orientation_ranges)
+            rot_j = geo.sample_rotations(rng, take, spec.orientation_ranges)
             gs = mc._gs_rotations(spec, ground, rng, take)
             g_k, _ = mc._channel_for(spec, ground, pos_k, gs, rot_k)
             g_j, _ = mc._channel_for(spec, ground, pos_j, gs, rot_j)
@@ -82,6 +84,10 @@ class TestInterferenceMoment:
 
 
 class TestZfInverseMoment:
+    def test_refuses_single_element(self):
+        with pytest.raises(SwarmMimoError, match="two or more elements, got 1"):
+            mc.estimate_zf_inverse_moment(spec_for(m=1, spacing=0.0), 100, seed=0)
+
     def test_large_array_bracket(self):
         # large arrays make near-collinear draws negligible at this sample
         # size, so the sample mean sits in the orthogonal-signature bracket
@@ -118,11 +124,8 @@ class TestErgodicRate:
         geometry = geo.ArrayGeometry(8, 1, 0.3 * LAM, 0.0)
         spec = mc.ScenarioSpec(geometry=geometry, region=region, k=4, rho_u=1.0,
                                rho_p=10.0, chi_wc=0.1)
-        rng = np.random.default_rng(0)
-        from swarm_mimo_sim.polarization import AntennaConfig, DipoleExcitation, kappa_estimate
-
         cfgs = [AntennaConfig(DipoleExcitation.circular()) for _ in range(8)]
-        kappa, _, _ = kappa_estimate(cfgs, 2.4e9, rng, n=40_000)
+        kappa, _, _ = mc.kappa_estimate(cfgs, 2.4e9, 0, n=40_000)
         chi_wc = min(spec.chi_wc, 1.0 / kappa)
         params = rates.RateParams(
             geometry=geometry, region=region, lam=LAM, k=4, rho_u=1.0, rho_p=10.0,
@@ -155,7 +158,7 @@ class TestErgodicRate:
 
         def per_draw(rng, take):
             pos = geo.sample_shell_positions(spec.region, rng, take * spec.k)
-            rots = mc._rotations(spec, rng, take * spec.k)
+            rots = geo.sample_rotations(rng, take * spec.k, spec.orientation_ranges)
             gs = mc._gs_rotations(spec, ground, rng, take)
             if gs.ndim == 4:
                 gs = np.repeat(gs, spec.k, axis=0)
@@ -179,6 +182,38 @@ class TestErgodicRate:
         got = mc.estimate_ergodic_rate(spec, n, seed, receiver=receiver, csi=csi, prelog=prelog)
         assert (got.mean, got.stderr, got.n) == (want.mean, want.stderr, want.n)
         assert got.mean.hex() == want.mean.hex()
+
+
+class TestKappaEstimate:
+    @staticmethod
+    def configs():
+        rng = np.random.default_rng(8)
+        return [AntennaConfig(DipoleExcitation.circular(), geo.sample_orientation(rng))
+                for _ in range(3)]
+
+    def test_bit_identical_for_seed(self):
+        a = mc.kappa_estimate(self.configs(), 2.4e9, 5, n=2_000)
+        b = mc.kappa_estimate(self.configs(), 2.4e9, 5, n=2_000)
+        assert a == b
+
+    def test_matches_chunk_loop_reference(self):
+        # two chunks, the second partial: each draws positions on the far
+        # sphere, then attitudes, and keeps the reciprocals above the floor
+        cfgs, n, seed = self.configs(), mc.CHUNK + 37, 6
+        ground = GroundArray.build(cfgs, 2.4e9)
+        sums, squares, kept = [], [], 0
+        for rng, take in mc._chunks(n, seed):
+            pos = geo.sample_shell_positions(geo.ShellRegion(1e4, 1e4), rng, take)
+            ang = geo.sample_orientations(rng, take)
+            rots = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
+            mean = chi_batch(ground, pos, ground.rotations, rots).mean(axis=1)
+            inv = 1.0 / mean[np.isfinite(mean) & (mean >= 1e-12)]
+            sums.append(float(inv.sum()))
+            squares.append(float((inv * inv).sum()))
+            kept += inv.size
+        kappa = math.fsum(sums) / kept
+        stderr = math.sqrt(max(math.fsum(squares) / kept - kappa * kappa, 0.0) / kept)
+        assert mc.kappa_estimate(cfgs, 2.4e9, seed, n=n) == (kappa, stderr, n - kept)
 
 
 class TestGainCdf:
@@ -348,7 +383,7 @@ class TestZfReceiverRate:
         moment = mc.estimate_interference_moment(spec, 40_000, seed=13)
         rng = mc.substream(14, 0)
         pos = geo.sample_shell_positions(spec.region, rng, 40_000)
-        rots = mc._rotations(spec, rng, 40_000)
+        rots = geo.sample_rotations(rng, 40_000, spec.orientation_ranges)
         ground = spec.ground()
         gs = mc._gs_rotations(spec, ground, rng, 40_000)
         g, beta = mc._channel_for(spec, ground, pos, gs, rots)
@@ -374,7 +409,7 @@ class TestIdenticalOrientationDraws:
         take = 50
         rng = mc.substream(3, 0)
         geo.sample_shell_positions(spec.region, rng, take * 2)
-        mc._rotations(spec, rng, take * 2)
+        geo.sample_rotations(rng, take * 2, spec.orientation_ranges)
         gs = np.repeat(mc._gs_rotations(spec, spec.ground(), rng, take), 2, axis=0)
         assert gs.shape == (take * 2, 1, 3, 3)
         assert np.array_equal(gs[0], gs[1]) and np.array_equal(gs[2], gs[3])

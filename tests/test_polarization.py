@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from swarm_mimo_sim import channel as ch
 from swarm_mimo_sim import geometry as geo
+from swarm_mimo_sim import montecarlo as mc
 from swarm_mimo_sim import polarization as pol
 from swarm_mimo_sim._kernels import response_batch
 from swarm_mimo_sim.errors import DegenerateExcitationError, SingularDirectionError
@@ -367,7 +368,7 @@ class TestKappa:
     def test_kappa_chi_wc_below_one(self):
         rng = np.random.default_rng(11)
         cfgs = [circular_cfg(geo.sample_orientation(rng)) for _ in range(12)]
-        kappa, se, _ = pol.kappa_estimate(cfgs, F0, rng, n=20_000)
+        kappa, se, _ = mc.kappa_estimate(cfgs, F0, 11, n=20_000)
         wc = pol.worst_case_gain(cfgs, F0, budget=3000, seed=5, refine_top=3)
         assert kappa * wc <= 1.0 + 1e-9
 
@@ -375,6 +376,6 @@ class TestKappa:
         # single linear dipole evaluated on its broadside ring: chi constant
         rng = np.random.default_rng(1)
         cfgs = [circular_cfg(geo.sample_orientation(rng)) for _ in range(6)]
-        kappa, se, excluded = pol.kappa_estimate(cfgs, F0, rng, n=30_000)
+        kappa, se, excluded = mc.kappa_estimate(cfgs, F0, 1, n=30_000)
         assert np.isfinite(kappa) and kappa > 0
         assert se < 0.2 * kappa
