@@ -9,6 +9,9 @@ where the 2x2 matrix ``T`` projects the transmit-side field polarization
 basis onto the receive dipole axes, all angles being computed in the antennas'
 own (rotated) frames. It also returns the exact distance; the polarization
 loss factor, a one-pair quantity, is left to ``polarization.channel_factor``.
+A lane on the z or y axis of its rotated transmit frame has no polarization
+basis: the call raises ``SingularDirectionError``, and no caller checks, skips
+or redraws such a lane.
 It works element-major on blocks of about ``_BLOCK_LANES`` (element, sample)
 lanes, so a call costs a few dozen numpy operations per block whatever its
 shape. The blocks of a wide call run on a pool of ``nproc`` threads (numpy
@@ -48,10 +51,12 @@ import threading
 
 import numpy as np
 
+from .errors import SingularDirectionError
+
 EULER_GAMMA = 0.5772156649015329
 
-# lanes whose propagation direction hits a basis singularity get a NaN ``h``;
-# callers decide whether to raise or redraw
+# a lane whose propagation direction lies this close to the z or y axis of its
+# rotated transmit frame, relative to its distance, makes the kernel raise
 _SING_EPS = 1e-14
 
 
@@ -282,9 +287,8 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, wt0, wt1, wr0, wr1,
         del rx, ry, rz
         rho_t = np.hypot(x, y)
         rho_p = np.hypot(x, z)
-        bad = (rho_t <= _SING_EPS * d) | (rho_p <= _SING_EPS * d)
-        rho_t = np.where(bad, 1.0, rho_t)
-        rho_p = np.where(bad, 1.0, rho_p)
+        if np.any((rho_t <= _SING_EPS * d) | (rho_p <= _SING_EPS * d)):
+            raise SingularDirectionError("direction singular in the rotated transmit frame")
         # the basis vectors in the reference frame, by component
         dt = d * rho_t
         dp = d * rho_p
@@ -313,7 +317,6 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, wt0, wt1, wr0, wr1,
         del ct_t, cp_t, ct_r, cp_r
         hv = a * (t11 * c + t12 * e)
         hv += b * (t21 * c + t22 * e)
-        hv[bad] = np.nan + 0j
         h[rows].T[...] = hv
 
     blocks = _row_blocks(n, m)
@@ -344,8 +347,9 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
     Returns
     -------
     h, dist : arrays of shape ``(n, m)``; ``h`` is the complex coupling
-    (antenna gains not applied) and ``dist`` the exact distance. ``h`` is NaN
-    on lanes whose direction is singular in the rotated transmit frame.
+    (antenna gains not applied) and ``dist`` the exact distance. Raises
+    ``SingularDirectionError`` if any lane's direction is singular in the
+    rotated transmit frame.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     elem = np.ascontiguousarray(elem, dtype=np.float64)

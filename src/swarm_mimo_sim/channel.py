@@ -19,12 +19,7 @@ import numpy as np
 
 from . import geometry as geo
 from ._kernels import response_batch
-from .errors import (
-    InfeasibleFrameError,
-    SingularChannelError,
-    SingularDirectionError,
-    SwarmMimoError,
-)
+from .errors import InfeasibleFrameError, SingularChannelError, SwarmMimoError
 from .polarization import GroundArray
 
 
@@ -130,8 +125,6 @@ def channel_matrix(
         ground.ratio,
         ground.ratio,
     )
-    if not np.all(np.isfinite(h.real)):
-        raise SingularDirectionError("singular direction for at least one element")
     g, _ = synthesize(h, dist, geo.wavelength(ground.f0), ground.gain * ground.gain)
     return g.reshape(pos.shape[:-1] + (-1,)).swapaxes(-1, -2).copy()
 

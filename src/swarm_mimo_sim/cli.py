@@ -274,19 +274,27 @@ def _check_cost(cfg: dict, kind: str):
                 f"sweep.ratio_points: {points} omega evaluations over {m} elements "
                 f"make {terms:.3g} pair terms; the limit is {_MAX_PAIR_TERMS:.0e}"
             )
-        return
-    # the estimators hold one complex channel entry per element and sample of a chunk
-    _check_buffer("array.m_x * array.m_y", f"a {mc.CHUNK}-sample chunk of {m} elements",
-                  16 * mc.CHUNK * m)
-    if kind == "gain-cdf":  # the median needs every sample's summed gain
-        _check_buffer("mc.n", f"{cfg['mc.n']} samples", 8 * cfg["mc.n"])
-        if cfg["array.m_y"] > 1:  # the scenario has no y spacing: rows would stack
-            raise ConfigError("array.m_y: gain-cdf takes a line array, m_y = 1")
-        if cfg["mc.threshold_db_min"] >= cfg["mc.threshold_db_max"]:
-            raise ConfigError("mc.threshold_db_min: must lie below mc.threshold_db_max, "
-                              "or the CDF has no thresholds")
-    # the channel and omega refuse drones inside the array, but only after sampling
-    aperture = _array_geometry(cfg).aperture()
+        # the widest spacing swept spans the most
+        ratio = cfg["sweep.ratio_start"]
+        if cfg["sweep.ratio_points"] > 1:
+            ratio = max(ratio, cfg["sweep.ratio_stop"])
+        delta = ratio * geo.wavelength(cfg["rf.f_c_hz"])
+        geometry = geo.ArrayGeometry(cfg["array.m_x"], cfg["array.m_y"], delta,
+                                     delta if cfg["sweep.two_dimensional"] else 0.0)
+    else:
+        # the estimators hold one complex channel entry per element and sample of a chunk
+        _check_buffer("array.m_x * array.m_y", f"a {mc.CHUNK}-sample chunk of {m} elements",
+                      16 * mc.CHUNK * m)
+        if kind == "gain-cdf":  # the median needs every sample's summed gain
+            _check_buffer("mc.n", f"{cfg['mc.n']} samples", 8 * cfg["mc.n"])
+            if cfg["array.m_y"] > 1:  # the scenario has no y spacing: rows would stack
+                raise ConfigError("array.m_y: gain-cdf takes a line array, m_y = 1")
+            if cfg["mc.threshold_db_min"] >= cfg["mc.threshold_db_max"]:
+                raise ConfigError("mc.threshold_db_min: must lie below mc.threshold_db_max, "
+                                  "or the CDF has no thresholds")
+        geometry = _array_geometry(cfg)
+    # omega and the channel refuse drones inside the array, but only after starting
+    aperture = geometry.aperture()
     if cfg["shell.r_min_m"] <= aperture:
         raise ConfigError(f"shell.r_min_m: {cfg['shell.r_min_m']} m does not exceed "
                           f"the array aperture, {aperture:.3f} m")

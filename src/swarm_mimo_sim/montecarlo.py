@@ -169,20 +169,6 @@ def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, ua
     return synthesize(h, dist, spec.lam, 1.0)
 
 
-def _redraw_bad(spec, ground, rng, positions, uav_rots, chi):
-    "Resample any singular-direction lanes (probability-zero events)."
-    for _ in range(100):
-        bad = ~np.all(np.isfinite(chi), axis=1)
-        if not np.any(bad):
-            return positions, uav_rots, chi
-        idx = np.flatnonzero(bad)
-        positions[idx] = geo.sample_shell_positions(spec.region, rng, idx.size)
-        uav_rots[idx] = geo.sample_rotations(rng, idx.size, spec.orientation_ranges)
-        gs = _gs_rotations(spec, ground, rng, idx.size)
-        chi[idx] = _chi_for(spec, ground, positions[idx], gs, uav_rots[idx])
-    raise SwarmMimoError("persistent singular directions while sampling")
-
-
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -297,7 +283,10 @@ def kappa_estimate(gs_configs, f0: float, seed: int, n: int = 100_000):
     attitudes from ``geo.DEFAULT_ORIENTATION_RANGES``. Samples whose mean
     gain falls below 1e-12 are excluded (counted) to guard the
     reciprocal against polarization nulls. Returns ``(kappa, stderr,
-    n_excluded)``.
+    n_excluded)``. ``stderr`` is the iid formula, which understates the
+    spread between random streams: 1/gain is heavy-tailed near polarization
+    nulls, and for 8 upright circular elements at n = 100k two streams gave
+    14.94 +- 1.59 and 19.88 +- 5.44.
     """
     ground = GroundArray.build(gs_configs, f0)
     region = geo.ShellRegion(_FAR_M, _FAR_M)
@@ -306,7 +295,7 @@ def kappa_estimate(gs_configs, f0: float, seed: int, n: int = 100_000):
         pos = geo.sample_shell_positions(region, rng, take)
         rots = geo.sample_rotations(rng, take)
         mean = chi_batch(ground, pos, ground.rotations, rots).mean(axis=1)
-        return 1.0 / mean[np.isfinite(mean) & (mean >= 1e-12)]
+        return 1.0 / mean[mean >= 1e-12]
 
     res = _estimate(n, seed, CHUNK, sample)
     return res.mean, res.stderr, n - res.n
@@ -325,8 +314,7 @@ def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
         pos = geo.sample_shell_positions(spec.region, rng, take)
         rots = geo.sample_rotations(rng, take, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, take)
-        chi = _chi_for(spec, ground, pos, gs, rots)
-        return _redraw_bad(spec, ground, rng, pos, rots, chi)[2].sum(axis=1)
+        return _chi_for(spec, ground, pos, gs, rots).sum(axis=1)
 
     sums = np.empty(n)  # the only n-sized buffer: the median needs every sample
     for index, (rng, take) in enumerate(_chunks(n, seed)):

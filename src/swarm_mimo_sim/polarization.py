@@ -280,10 +280,6 @@ def channel_factor(
     h, _ = response_batch(pos[None, :], np.zeros((1, 3)), tx_rot[None], rx_rot[None], wt, wr,
                           tx_dipole.length_ratio(f0), rx_dipole.length_ratio(f0))
     hval = complex(h[0, 0])
-    if not np.isfinite(hval.real):
-        raise SingularDirectionError(
-            "direction singular in the rotated transmit frame"
-        )
     n1, n2 = response_norms(pos, tx_rot, rx_rot, wt, wr, tx_dipole, rx_dipole, f0)
     denom = n1 * n2
     plf = abs(hval) ** 2 / denom if denom > 1e-30 else 0.0
@@ -303,8 +299,7 @@ def chi_batch(ground: GroundArray, positions: np.ndarray, gs_rots: np.ndarray,
 
     ``gs_rots`` stands in for ``ground.rotations``, so that a caller can
     rotate the whole array per sample. Used by :func:`worst_case_gain` and
-    the Monte Carlo estimators; NaN lanes (singular directions) propagate to
-    the caller, which raises, redraws or excludes them.
+    the Monte Carlo estimators; a singular direction raises in the kernel.
     """
     h, _ = response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
                           ground.ratio, ground.ratio)
@@ -345,10 +340,7 @@ def worst_case_gain(
         roll = min(max(x[2], -math.pi / 2), math.pi / 2)
         pitch = min(max(x[3], -math.pi / 2), math.pi / 2)
         rot = geo.rotation_matrices(roll, pitch, x[4])
-        chi = chi_batch(ground, pos[None, :], ground.rotations, rot[None])
-        if not np.all(np.isfinite(chi)):
-            return np.inf
-        return float(chi.mean())
+        return float(chi_batch(ground, pos[None, :], ground.rotations, rot[None]).mean())
 
     rng = np.random.default_rng(seed)
     cands = np.column_stack(

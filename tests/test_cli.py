@@ -96,6 +96,11 @@ class TestParseConfig:
         ("spacing-sweep", "[shell]\nr_min_m = 600\nr_max_m = 500\n", "shell.r_min_m"),
         ("gain-cdf", "[shell]\nr_min_m = 600\nr_max_m = 500\n", "shell.r_min_m"),
         ("validate", "[shell]\nr_min_m = 600\nr_max_m = 500\n", "shell.r_min_m"),
+        # drones inside the array at the widest spacing swept: 50 elements at
+        # 3 wavelengths span 18.4 m; a 2-D sweep at 3 wavelengths spans 4.8 m, not 3.4 m
+        ("spacing-sweep", "[shell]\nr_min_m = 10\nr_max_m = 12\n", "shell.r_min_m"),
+        ("spacing-sweep", "[array]\nm_x = 10\nm_y = 10\n[shell]\nr_min_m = 3.5\nr_max_m = 4\n"
+         "[sweep]\nratio_points = 2\ntwo_dimensional = true\n", "shell.r_min_m"),
     ])
     def test_cost_guard(self, kind, text, key, tmp_path):
         # each key is within its range, but together they ask for too much work
@@ -105,6 +110,11 @@ class TestParseConfig:
         path = tmp_path / "big.ini"
         path.write_text(text)
         assert cli.main([kind, "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_spacing_sweep_aperture_at_ratio_start_alone(self):
+        # one grid point sweeps ratio_start only, whatever ratio_stop says
+        cli.parse_config("[shell]\nr_min_m = 10\nr_max_m = 12\n"
+                         "[sweep]\nratio_start = 0.5\nratio_points = 1\n", "spacing-sweep")
 
     def test_presets_round_trip(self):
         for name, kind in (
@@ -282,21 +292,18 @@ class TestMainEntry:
 
 
 class TestDomainErrorExit:
+    # a valid config whose coherence interval cannot carry the pilots: the
+    # frame check raises InfeasibleFrameError once the run has started
+    INFEASIBLE = "[tables]\nb_c_hz = 1000\n"
+
     def test_exit_code_three(self, tmp_path):
-        # valid config whose array aperture violates the shell inner radius
         cfg = tmp_path / "d.ini"
-        cfg.write_text(
-            "[array]\nm_x = 200\n[shell]\nr_min_m = 1.0\nr_max_m = 2.0\n"
-            "[sweep]\nratio_start = 0.5\nratio_stop = 0.5\nratio_points = 1\n"
-        )
-        assert cli.main(["spacing-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        cfg.write_text(self.INFEASIBLE)
+        assert cli.main(["tables", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
     def test_domain_error_leaves_no_directory(self, tmp_path):
         cfg = tmp_path / "d.ini"
-        cfg.write_text(
-            "[array]\nm_x = 200\n[shell]\nr_min_m = 1.0\nr_max_m = 2.0\n"
-            "[sweep]\nratio_start = 0.5\nratio_stop = 0.5\nratio_points = 1\n"
-        )
+        cfg.write_text(self.INFEASIBLE)
         out = tmp_path / "fresh"
-        assert cli.main(["spacing-sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        assert cli.main(["tables", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()

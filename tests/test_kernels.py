@@ -222,10 +222,23 @@ KERNEL_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GOLDEN))
 def test_response_golden_bits(name):
-    h, dist = response_batch(*kernel_layout(name))
-    for (i, l), want in KERNEL_GOLDEN[name]:
-        got = (h[i, l].real, h[i, l].imag, dist[i, l])
-        assert tuple(float(v).hex() for v in got) == want[:3], (i, l)
+    args = kernel_layout(name)
+    if name == "singular":
+        # lane (0, 0) sits on the z axis of its element, so the whole call
+        # raises; lanes (0, 1) and (1, 0) keep their bits in calls that leave
+        # it out: element 1 for both drones, and drone 1 alone
+        with pytest.raises(SingularDirectionError):
+            response_batch(*args)
+        pos, elem, gs, uav, *feeds = args
+        h_e1, d_e1 = response_batch(pos, elem[1:], gs[1:], uav, *feeds)
+        h_d1, d_d1 = response_batch(pos[1:], elem, gs, uav[1:], *feeds)
+        got = {(0, 1): (h_e1[0, 0], d_e1[0, 0]), (1, 0): (h_d1[0, 0], d_d1[0, 0])}
+    else:
+        h, dist = response_batch(*args)
+        got = {lane: (h[lane], dist[lane]) for lane, _ in KERNEL_GOLDEN[name]}
+    want = dict(KERNEL_GOLDEN[name])
+    for lane, (hv, dv) in got.items():
+        assert tuple(float(v).hex() for v in (hv.real, hv.imag, dv)) == want[lane][:3], lane
 
 
 def _lane_norms(args, i, l):
@@ -363,14 +376,30 @@ def test_common_rotation_agrees_across_layouts(n, m):
     assert np.array_equal(d_ps, d_el)
 
 
-def test_singular_direction_marks_nan():
+def test_singular_direction_raises():
     pos = np.array([[0.0, 0.0, 10.0]])  # on the z axis of an unrotated element
     elem = np.zeros((1, 3))
     eye = np.eye(3)[None, :, :]
     wt = np.array([1.0, 0.0])
-    h, dist = response_batch(pos, elem, eye, eye, wt, wt)
-    assert np.isnan(h[0, 0].real)
-    assert dist[0, 0] == 10.0
+    with pytest.raises(SingularDirectionError):
+        response_batch(pos, elem, eye, eye, wt, wt)
+
+
+@pytest.mark.parametrize("name", ["per_sample", "merged"])
+@pytest.mark.parametrize("row", [0, -1])
+def test_singular_lane_in_pooled_call_raises(name, row, monkeypatch):
+    # one drone of a multi-block call moved onto the rotated z axis of an
+    # element, in the first or the last block; the block's raise reaches the caller
+    pos, elem, gs, *rest = kernel_layout(name)
+    assert len(_row_blocks(pos.shape[0], elem.shape[0])) > 1
+    l = 3
+    axis = gs[row, 0, :, 2] if gs.ndim == 4 else gs[l, :, 2]
+    pos = pos.copy()
+    pos[row] = elem[l] + 250.0 * axis
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(_kernels, "_pool", pool)
+        with pytest.raises(SingularDirectionError):
+            response_batch(pos, elem, gs, *rest)
 
 
 @pytest.mark.parametrize("m, rows", [(1, 1), (1, 2), (2, 1), (3, 5), (7, 2340), (50, 327),
@@ -401,7 +430,7 @@ def test_polarization_loss_factor_at_most_one(seed, n, m, ratio, amp, phase):
     w_tx = np.array([np.sqrt(1.0 - amp * amp), amp * np.exp(1j * phase)])
     args = (pos, elem, _rots(rng, n)[:, None], _rots(rng, n), w_tx, CIRC, ratio, 0.5)
     h, _ = response_batch(*args)
-    for i, l in zip(*np.nonzero(np.isfinite(h))):
+    for i, l in np.ndindex(h.shape):
         n1, n2 = _lane_norms(args, i, l)
         assert abs(h[i, l]) ** 2 <= n1 * n2 * (1.0 + 1e-12), (i, l)
 
@@ -421,6 +450,5 @@ def test_coupling_power_invariant_under_scene_rotation(seed, n, m, per_sample, r
     args = (np.array([0.6, 0.8j]), CIRC, ratio, 0.5)
     h, _ = response_batch(pos, elem, gs, uav, *args)
     h_q, _ = response_batch(pos @ q.T, elem @ q.T, q @ gs, q @ uav, *args)
-    ok = np.isfinite(h) & np.isfinite(h_q)
-    p, p_q = np.abs(h[ok]) ** 2, np.abs(h_q[ok]) ** 2
-    assert np.all(np.abs(p_q - p) <= 1e-12 * np.max(p, initial=1e-300))
+    p, p_q = np.abs(h) ** 2, np.abs(h_q) ** 2
+    assert np.all(np.abs(p_q - p) <= 1e-12 * np.max(p))

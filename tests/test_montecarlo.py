@@ -9,7 +9,7 @@ from swarm_mimo_sim import channel as ch
 from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import montecarlo as mc
 from swarm_mimo_sim import rates
-from swarm_mimo_sim.errors import SwarmMimoError
+from swarm_mimo_sim.errors import SingularDirectionError, SwarmMimoError
 from swarm_mimo_sim.polarization import (
     HALF_WAVE_DIPOLE_GAIN, AntennaConfig, DipoleExcitation, GroundArray, chi_batch,
 )
@@ -207,7 +207,7 @@ class TestKappaEstimate:
             ang = geo.sample_orientations(rng, take)
             rots = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
             mean = chi_batch(ground, pos, ground.rotations, rots).mean(axis=1)
-            inv = 1.0 / mean[np.isfinite(mean) & (mean >= 1e-12)]
+            inv = 1.0 / mean[mean >= 1e-12]
             sums.append(float(inv.sum()))
             squares.append(float((inv * inv).sum()))
             kept += inv.size
@@ -451,3 +451,32 @@ class TestScenarioGround:
         assert cdf[0] < 1.0 and stats["p_below_10db"] == 1.0
         assert np.isfinite(mc.estimate_ergodic_rate(spec, 100, 1).mean)
         assert np.isfinite(mc.estimate_interference_moment(spec, 2000, 1).mean)
+
+
+class TestSingularDirection:
+    """A drone on the z axis of an upright element fails the whole run.
+
+    No estimator redraws, skips or excludes it: the kernel raises, and the
+    error passes through the chunk loop unchanged.
+    """
+
+    @pytest.fixture(autouse=True)
+    def drones_above_element_zero(self, monkeypatch):
+        # element 0 sits upright at the origin, so every drone is on its z axis
+        def above(region, rng, n):
+            return np.tile([0.0, 0.0, region.r_max], (n, 1))
+
+        monkeypatch.setattr(geo, "sample_shell_positions", above)
+
+    @pytest.mark.parametrize("run", [
+        lambda spec: mc.gain_cdf(spec, 100, 1, np.array([0.0, 10.0])),
+        lambda spec: mc.estimate_interference_moment(spec, 100, 1),
+        lambda spec: mc.estimate_ergodic_rate(spec, 100, 1),
+    ], ids=["gain_cdf", "interference_moment", "ergodic_rate"])
+    def test_estimator_raises(self, run):
+        with pytest.raises(SingularDirectionError):
+            run(spec_for(gs_orientation="fixed"))
+
+    def test_kappa_estimate_raises(self):
+        with pytest.raises(SingularDirectionError):
+            mc.kappa_estimate([AntennaConfig(DipoleExcitation.circular())], 2.4e9, 1, n=100)
