@@ -145,6 +145,7 @@ def ml_estimate(g: np.ndarray, p_p: float, rng: np.random.Generator) -> np.ndarr
         return g.copy()
     z = rng.standard_normal(g.shape[:-2] + (2,) + g.shape[-2:])
     w = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    del z  # the real draws, freed before the estimate is formed
     return g + w / math.sqrt(2.0 * p_p)
 
 

@@ -274,13 +274,16 @@ def _check_cost(cfg: dict, kind: str):
                 f"sweep.ratio_points: {points} omega evaluations over {m} elements "
                 f"make {terms:.3g} pair terms; the limit is {_MAX_PAIR_TERMS:.0e}"
             )
-        # the widest spacing swept spans the most
+        if cfg["array.m_y"] > 1 and not cfg["sweep.two_dimensional"]:
+            # a sweep over delta_x alone has no y spacing: rows would stack
+            raise ConfigError("array.m_y: a sweep over delta_x alone takes a line array, "
+                              "m_y = 1; a rectangle needs sweep.two_dimensional = true")
+        # the widest spacing swept spans the most; a line's y spacing spans nothing
         ratio = cfg["sweep.ratio_start"]
         if cfg["sweep.ratio_points"] > 1:
             ratio = max(ratio, cfg["sweep.ratio_stop"])
         delta = ratio * geo.wavelength(cfg["rf.f_c_hz"])
-        geometry = geo.ArrayGeometry(cfg["array.m_x"], cfg["array.m_y"], delta,
-                                     delta if cfg["sweep.two_dimensional"] else 0.0)
+        geometry = geo.ArrayGeometry(cfg["array.m_x"], cfg["array.m_y"], delta, delta)
     else:
         # the estimators hold one complex channel entry per element and sample of a chunk
         _check_buffer("array.m_x * array.m_y", f"a {mc.CHUNK}-sample chunk of {m} elements",
@@ -407,26 +410,22 @@ def _run_rate_curve(cfg, seed):
 
 
 def _run_spacing_sweep(cfg, seed):
+    m_x, m_y = cfg["array.m_x"], cfg["array.m_y"]
     lam = geo.wavelength(cfg["rf.f_c_hz"])
     region = geo.ShellRegion(cfg["shell.r_min_m"], cfg["shell.r_max_m"])
     ratios = np.linspace(cfg["sweep.ratio_start"], cfg["sweep.ratio_stop"],
                          cfg["sweep.ratio_points"])
     if cfg["sweep.two_dimensional"]:
-        grid = spacing.omega_sweep(cfg["array.m_x"], cfg["array.m_y"], lam, region,
-                                   ratios, ratios)
-        rows = [
-            (grid.delta_x_over_lam[i], grid.delta_y_over_lam[j], grid.omega_values[i, j])
-            for i in range(ratios.size)
-            for j in range(ratios.size)
-        ]
+        vals = spacing.omega_sweep(m_x, m_y, lam, region, ratios, ratios)
+        rows = [(rx, ry, vals[i, j]) for i, rx in enumerate(ratios) for j, ry in enumerate(ratios)]
         header = ["delta_x_over_lambda", "delta_y_over_lambda", "omega"]
+        optimal = spacing.optimal_spacing_ura(m_x, m_y, lam, region.r_min)[:20].tolist()
     else:
-        grid = spacing.omega_sweep(cfg["array.m_x"], cfg["array.m_y"], lam, region, ratios)
-        rows = [(grid.delta_x_over_lam[i], grid.omega_values[i]) for i in range(ratios.size)]
+        vals = spacing.omega_sweep(m_x, m_y, lam, region, ratios)
+        rows = list(zip(ratios, vals))
         header = ["delta_x_over_lambda", "omega"]
-    optimal = spacing.optimal_spacing_ula(cfg["array.m_x"] * cfg["array.m_y"], lam,
-                                          region.r_min)
-    return {"spacing_sweep.csv": (header, rows)}, {"optimal_spacings_m": optimal[:20]}
+        optimal = spacing.optimal_spacing_ula(m_x, lam, region.r_min)[:20]
+    return {"spacing_sweep.csv": (header, rows)}, {"optimal_spacings_m": optimal}
 
 
 def _array_geometry(cfg) -> geo.ArrayGeometry:

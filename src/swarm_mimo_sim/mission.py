@@ -151,11 +151,9 @@ def image_rate(camera: CameraModel, gsd: float, v: float) -> float:
     )
 
 
-def video_rate(camera: CameraModel, k: int = 1) -> float:
-    "Sum bit rate of ``k`` drones streaming compressed video."
-    if k < 1:
-        raise SwarmMimoError("drone count must be >= 1")
-    return k * camera.r_px * camera.r_py * camera.bits_per_pixel * camera.fps / camera.compression
+def video_rate(camera: CameraModel) -> float:
+    "Bit rate of one drone streaming compressed video."
+    return camera.r_px * camera.r_py * camera.bits_per_pixel * camera.fps / camera.compression
 
 
 def mission_time(spec: MissionSpec, cross_track_pixels: int | None = None) -> float:
@@ -259,11 +257,11 @@ def link_budget_coefficients(spec: MissionSpec, d_k: float, d_wc: float | None =
     return c_data, c_pilot
 
 
-def instantaneous_power(spec: MissionSpec, d_k, chi_mean, d_wc: float | None = None):
+def instantaneous_power(spec: MissionSpec, d_k, chi_mean):
     "Transmit power (W) at distance ``d_k`` with mean gain ``chi_mean`` (scalars or arrays)."
     if np.any(chi_mean <= 0) or spec.chi_wc <= 0:
         raise SwarmMimoError("gains must be positive")
-    c_data, c_pilot = link_budget_coefficients(spec, d_k, d_wc)
+    c_data, c_pilot = link_budget_coefficients(spec, d_k)
     return c_data / chi_mean + c_pilot / spec.chi_wc
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import channel
 from . import geometry as geo
 from .channel import instantaneous_sinr_mrc, pilot_snr, sinr_zf, synthesize
 from .errors import SwarmMimoError
@@ -263,9 +264,8 @@ def estimate_ergodic_rate(
         g = g_rows.reshape(take, k, -1)  # (draws, K, M)
         powers = spec.rho_u / np.mean(np.abs(g) ** 2, axis=2)
         g_hat = g
-        if csi == "estimated":
-            noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-            g_hat = g + noise / math.sqrt(2.0 * p_p)
+        if csi == "estimated":  # the (draws, K, M) stack as one (draws * K, M) matrix
+            g_hat = channel.ml_estimate(g.reshape(-1, g.shape[-1]), p_p, rng).reshape(g.shape)
         g = g.transpose(0, 2, 1)  # (draws, M, K), one matrix per draw
         if receiver == "mrc":
             sinr = instantaneous_sinr_mrc(g, g_hat.transpose(0, 2, 1), powers)

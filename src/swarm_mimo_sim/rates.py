@@ -76,7 +76,7 @@ def cb_db(b, region: ShellRegion, groups=None):
     pos = mag > 0
     if np.any(pos):
         m = mag[pos]
-        if region.is_surface or region.r_max - region.r_min < 1e-6 * region.r_max:
+        if region.r_max - region.r_min < 1e-6 * region.r_max:  # a thin shell or a surface
             c[pos] = np.cos(m / region.r_max)
             d[pos] = np.sin(m / region.r_max)
         else:

@@ -3,22 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SwarmMimoError
 from .geometry import ArrayGeometry, ShellRegion
 from .rates import omega
-
-
-@dataclass(frozen=True)
-class SpacingGrid:
-    """Correlation excess sampled over spacing/wavelength grid points."""
-
-    delta_x_over_lam: np.ndarray
-    delta_y_over_lam: np.ndarray | None
-    omega_values: np.ndarray
 
 
 def optimal_spacing_ula(m: int, lam: float, r_min: float) -> list[float]:
@@ -79,25 +69,23 @@ def omega_sweep(
     region: ShellRegion,
     ratios_x: np.ndarray,
     ratios_y: np.ndarray | None = None,
-) -> SpacingGrid:
-    """Evaluate the correlation excess across spacing/wavelength ratios.
+) -> np.ndarray:
+    """Correlation excess across spacing/wavelength ratios.
 
-    One-dimensional for a line array; a full grid when ``ratios_y`` is given.
+    ``(nx,)`` values over ``delta_x`` for a line array, or the ``(nx, ny)``
+    grid over ``(delta_x, delta_y)`` when ``ratios_y`` is given. A sweep over
+    ``delta_x`` alone of an array with ``m_y > 1`` would stack its rows at
+    ``delta_y = 0``, so it is refused.
     """
+    line = ratios_y is None
+    if line and m_y > 1:
+        raise SwarmMimoError(f"a sweep over delta_x alone takes a line array, got m_y = {m_y}")
     ratios_x = np.asarray(ratios_x, dtype=float)
-    if ratios_x.size == 0:
+    ratios_y = np.zeros(1) if line else np.asarray(ratios_y, dtype=float)
+    if ratios_x.size == 0 or ratios_y.size == 0:
         raise SwarmMimoError("spacing grid must be nonempty")
-    if ratios_y is None:
-        vals = np.array(
-            [
-                omega(ArrayGeometry(m_x, m_y, rx * lam, 0.0), lam, region)
-                for rx in ratios_x
-            ]
-        )
-        return SpacingGrid(ratios_x, None, vals)
-    ratios_y = np.asarray(ratios_y, dtype=float)
     vals = np.empty((ratios_x.size, ratios_y.size))
-    for i, rx in enumerate(ratios_x):
-        for j, ry in enumerate(ratios_y):
-            vals[i, j] = omega(ArrayGeometry(m_x, m_y, rx * lam, ry * lam), lam, region)
-    return SpacingGrid(ratios_x, ratios_y, vals)
+    for i, j in np.ndindex(vals.shape):
+        geometry = ArrayGeometry(m_x, m_y, ratios_x[i] * lam, ratios_y[j] * lam)
+        vals[i, j] = omega(geometry, lam, region)
+    return vals[:, 0] if line else vals

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from swarm_mimo_sim import cli
+from swarm_mimo_sim import cli, spacing
+from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim.errors import ConfigError
 
 # every experiment at a small size: (kind, preset, text edits)
@@ -89,6 +90,8 @@ class TestParseConfig:
         ("rate-curve", "[rate]\nk_values = 0,5\n", "rate.k_values"),
         # gain-cdf spaces rows by 0, so a second row would sit on the first
         ("gain-cdf", "[array]\nm_y = 2\n", "array.m_y"),
+        # so does a spacing sweep over delta_x alone
+        ("spacing-sweep", "[array]\nm_y = 3\n", "array.m_y"),
         # drones inside the array: 50 half-wave elements span 3.06 m, 100 at 0.3 span 3.71 m
         ("gain-cdf", "[shell]\nr_min_m = 0.5\n", "shell.r_min_m"),
         ("validate", "[array]\nm_x = 100\n[shell]\nr_min_m = 1.0\n", "shell.r_min_m"),
@@ -185,6 +188,34 @@ ratio_points = 4
         assert vals[1.0] <= 1e-9
         assert vals[0.25] > 1e-3 and vals[0.75] > 1e-3
 
+    def test_spacing_sweep_two_dimensional(self, tmp_path):
+        text = """
+[array]
+m_x = 4
+m_y = 3
+[shell]
+r_min_m = 20.0
+r_max_m = 500.0
+[sweep]
+ratio_start = 0.5
+ratio_stop = 1.5
+ratio_points = 3
+two_dimensional = true
+"""
+        cli.run_experiment("spacing-sweep", text, 1, tmp_path)
+        lines = [
+            l for l in (tmp_path / "spacing_sweep.csv").read_text().splitlines()
+            if not l.startswith("#")
+        ]
+        header, *rows = lines
+        assert header == "delta_x_over_lambda,delta_y_over_lambda,omega"
+        assert len(rows) == 3 * 3
+        summary = json.loads((tmp_path / "spacing_sweep_summary.json").read_text())
+        lam = geo.wavelength(2.4e9)
+        # (delta_x, delta_y) pairs of the 4 x 3 array, not multiples for a 12-element line
+        assert summary["optimal_spacings_m"] == spacing.optimal_spacing_ura(
+            4, 3, lam, 20.0)[:20].tolist()
+
     def test_gain_cdf_runs_small(self, tmp_path):
         text = preset("gain_cdf_circular_identical.ini").replace("n = 100000", "n = 2000")
         cli.run_experiment("gain-cdf", text, 3, tmp_path)
@@ -250,6 +281,8 @@ from swarm_mimo_sim import polarization as pol
 out = Path(sys.argv[1])
 for kind, text in zip(sys.argv[2::2], sys.argv[3::2]):
     cli.run_experiment(kind, text, 9, out / kind)
+scipy = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+assert not scipy, f"the six experiments loaded {scipy}"
 cfgs = [pol.AntennaConfig(pol.DipoleExcitation.circular()) for _ in range(4)]
 coarse = pol.worst_case_gain(cfgs, 2.4e9, budget=50, seed=3, refine_top=0)
 assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded without a refinement"

@@ -58,39 +58,52 @@ class TestOptimalSpacingUra:
 class TestOmegaSweep:
     def test_single_point_matches_direct_call(self):
         region = ShellRegion(499.0, 500.0)
-        grid = spacing.omega_sweep(8, 1, LAM, region, np.array([0.37]))
+        vals = spacing.omega_sweep(8, 1, LAM, region, np.array([0.37]))
         direct = rates.omega(ArrayGeometry(8, 1, 0.37 * LAM, 0.0), LAM, region)
-        assert grid.omega_values[0] == direct
+        assert vals.shape == (1,) and vals[0] == direct
+
+    def test_grid_shape_and_points(self):
+        region = ShellRegion(20.0, 500.0)
+        rx, ry = np.array([0.4, 0.6]), np.array([0.5, 0.7, 0.9])
+        vals = spacing.omega_sweep(3, 2, LAM, region, rx, ry)
+        assert vals.shape == (2, 3)
+        direct = rates.omega(ArrayGeometry(3, 2, 0.6 * LAM, 0.9 * LAM), LAM, region)
+        assert vals[1, 2] == direct
 
     def test_line_minima_at_half_multiples(self):
         region = ShellRegion(499.0, 500.0)
         ratios = np.linspace(0.1, 1.6, 31)  # includes 0.5, 1.0, 1.5
-        grid = spacing.omega_sweep(50, 1, LAM, region, ratios)
-        assert np.all(grid.omega_values >= 0.0)
+        vals = spacing.omega_sweep(50, 1, LAM, region, ratios)
+        assert np.all(vals >= 0.0)
         for target in (0.5, 1.0, 1.5):
             idx = int(np.argmin(np.abs(ratios - target)))
-            assert grid.omega_values[idx] <= 1e-9
+            assert vals[idx] <= 1e-9
             # neighbors are strictly worse
-            assert grid.omega_values[idx - 1] > 1e-3
-            assert grid.omega_values[idx + 1 if idx + 1 < ratios.size else idx - 2] > 1e-3
+            assert vals[idx - 1] > 1e-3
+            assert vals[idx + 1 if idx + 1 < ratios.size else idx - 2] > 1e-3
 
     def test_rect_grid_local_minimum_near_lattice(self):
         region = ShellRegion(20.0, 500.0)
         ratios = np.array([2.3, 2.5, 2.7])
-        grid = spacing.omega_sweep(5, 5, LAM, region, ratios, ratios)
-        center = grid.omega_values[1, 1]
-        assert center < grid.omega_values[0, 1]
-        assert center < grid.omega_values[2, 1]
-        assert center < grid.omega_values[1, 0]
-        assert center < grid.omega_values[1, 2]
+        vals = spacing.omega_sweep(5, 5, LAM, region, ratios, ratios)
+        center = vals[1, 1]
+        assert center < vals[0, 1]
+        assert center < vals[2, 1]
+        assert center < vals[1, 0]
+        assert center < vals[1, 2]
 
     def test_deterministic(self):
         region = ShellRegion(499.0, 500.0)
         ratios = np.linspace(0.2, 0.9, 7)
         a = spacing.omega_sweep(6, 1, LAM, region, ratios)
         b = spacing.omega_sweep(6, 1, LAM, region, ratios)
-        assert np.array_equal(a.omega_values, b.omega_values)
+        assert np.array_equal(a, b)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(SwarmMimoError):
             spacing.omega_sweep(4, 1, LAM, ShellRegion(499.0, 500.0), np.array([]))
+
+    def test_delta_x_sweep_of_rectangle_rejected(self):
+        # at delta_y = 0 the rows of a 4 x 3 array would sit on top of each other
+        with pytest.raises(SwarmMimoError, match="m_y = 3"):
+            spacing.omega_sweep(4, 3, LAM, ShellRegion(499.0, 500.0), np.array([0.5, 3.0]))
