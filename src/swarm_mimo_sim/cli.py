@@ -278,6 +278,10 @@ def _check_cost(cfg: dict, kind: str):
             # a sweep over delta_x alone has no y spacing: rows would stack
             raise ConfigError("array.m_y: a sweep over delta_x alone takes a line array, "
                               "m_y = 1; a rectangle needs sweep.two_dimensional = true")
+        if cfg["array.m_y"] == 1 and cfg["sweep.two_dimensional"]:
+            # one row spans nothing along y: every delta_y column repeats the first
+            raise ConfigError("sweep.two_dimensional: a line array, m_y = 1, has no y "
+                              "spacing to sweep; set array.m_y > 1 or leave it false")
         # the widest spacing swept spans the most; a line's y spacing spans nothing
         ratio = cfg["sweep.ratio_start"]
         if cfg["sweep.ratio_points"] > 1:
@@ -419,12 +423,12 @@ def _run_spacing_sweep(cfg, seed):
         vals = spacing.omega_sweep(m_x, m_y, lam, region, ratios, ratios)
         rows = [(rx, ry, vals[i, j]) for i, rx in enumerate(ratios) for j, ry in enumerate(ratios)]
         header = ["delta_x_over_lambda", "delta_y_over_lambda", "omega"]
-        optimal = spacing.optimal_spacing_ura(m_x, m_y, lam, region.r_min)[:20].tolist()
+        optimal = spacing.optimal_spacing_ura(m_x, m_y, lam, region.r_min).tolist()
     else:
         vals = spacing.omega_sweep(m_x, m_y, lam, region, ratios)
         rows = list(zip(ratios, vals))
         header = ["delta_x_over_lambda", "omega"]
-        optimal = spacing.optimal_spacing_ula(m_x, lam, region.r_min)[:20]
+        optimal = spacing.optimal_spacing_ula(m_x, lam, region.r_min)
     return {"spacing_sweep.csv": (header, rows)}, {"optimal_spacings_m": optimal}
 
 

@@ -26,7 +26,7 @@ from .channel import (
 )
 from .errors import SwarmMimoError
 from .montecarlo import substream
-from .polarization import HALF_WAVE_DIPOLE_GAIN, DipoleExcitation, GroundArray
+from .polarization import DipoleExcitation, GroundArray
 
 BOLTZMANN = 1.380649e-23
 
@@ -305,8 +305,7 @@ def run_mission(
     # frozen, arbitrarily oriented circular elements
     rotations = geo.sample_rotations(substream(spec.orientation_seed, 0x6E0), spec.geometry.m)
     ground = GroundArray(spec.f_c, geo.element_positions(spec.geometry), rotations,
-                         DipoleExcitation.circular().weights(), 0.5, HALF_WAVE_DIPOLE_GAIN,
-                         spec.geometry.aperture())
+                         DipoleExcitation.circular().weights(), spec.geometry.aperture())
     times = np.arange(0.0, duration + 0.5 * step, step)
     arc = spec.speed * times
     pos = np.empty((times.size, spec.k, 3))

@@ -19,7 +19,7 @@ from . import channel
 from . import geometry as geo
 from .channel import instantaneous_sinr_mrc, pilot_snr, sinr_zf, synthesize
 from .errors import SwarmMimoError
-from .polarization import _FAR_M, DipoleExcitation, GroundArray, HALF_WAVE_DIPOLE_GAIN, chi_batch
+from .polarization import _FAR_M, DipoleExcitation, GroundArray, chi_batch
 from .rates import cb_db, expected_phase_sinc
 
 #: Samples per substream chunk. Part of the reproducibility contract:
@@ -134,9 +134,10 @@ class ScenarioSpec:
             rotations = np.broadcast_to(np.eye(3), (m, 3, 3))
         circular = self.excitation == "circular"
         exc = DipoleExcitation.circular() if circular else DipoleExcitation.linear()
-        ratio, gain = (0.5, HALF_WAVE_DIPOLE_GAIN) if self.pattern == "dipole" else (0.0, 1.0)
+        # the isotropic and unit elements: a flat pattern (ratio 0) with unit gain
+        element = () if self.pattern == "dipole" else (0.0, 1.0)
         return GroundArray(self.f_c, geo.element_positions(self.geometry), rotations,
-                           exc.weights(), ratio, gain, self.geometry.aperture())
+                           exc.weights(), self.geometry.aperture(), *element)
 
 
 def _gs_rotations(spec: ScenarioSpec, ground: GroundArray, rng, n: int) -> np.ndarray:

@@ -11,8 +11,11 @@ where the entries of ``T`` are the projections of the transmit-side
 polarization basis vectors onto the receive dipole axes and the field-pattern
 factors inside ``E_tx``/``E_rx`` are evaluated at the elevation angles seen in
 each antenna's own frame. The effective gain ``chi = G_t * G_r * |h|^2``
-multiplies in the dipole gains because the patterns themselves are normalized
-to a unity maximum.
+multiplies in the dipole gains because the patterns themselves have a unity
+maximum. That holds for every element the package builds: the half-wave
+dipole with gain :data:`HALF_WAVE_DIPOLE_GAIN`, and the flat unit pattern
+(length ratio 0, gain 1) of ``montecarlo.ScenarioSpec``'s isotropic and unit
+elements. Other lengths would need their own gain, so none is offered.
 """
 
 from __future__ import annotations
@@ -66,37 +69,11 @@ class DipoleExcitation:
 
 
 @dataclass(frozen=True)
-class DipoleGeometry:
-    """Physical dipole length and broadside gain."""
-
-    length: float
-    gain: float = HALF_WAVE_DIPOLE_GAIN
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise SwarmMimoError("dipole length must be positive")
-        if self.gain < 1.0:
-            raise SwarmMimoError("dipole gain must be >= 1")
-
-    @staticmethod
-    def half_wave(f0: float) -> "DipoleGeometry":
-        return DipoleGeometry(geo.wavelength(f0) / 2.0)
-
-    def length_ratio(self, f0: float) -> float:
-        "Dipole length over wavelength at the operating frequency."
-        return self.length / geo.wavelength(f0)
-
-
-@dataclass(frozen=True)
 class AntennaConfig:
-    """Excitation, orientation, and dipole geometry of one cross-dipole antenna."""
+    """Excitation and orientation of one half-wave cross-dipole antenna."""
 
     excitation: DipoleExcitation
     orientation: geo.RotationAngles = field(default_factory=geo.RotationAngles)
-    dipole: DipoleGeometry | None = None
-
-    def dipole_for(self, f0: float) -> DipoleGeometry:
-        return self.dipole if self.dipole is not None else DipoleGeometry.half_wave(f0)
 
 
 @dataclass(frozen=True)
@@ -114,19 +91,20 @@ class GroundArray:
 
     Holds the element positions ``elem`` (``(m, 3)``, all at the origin when
     built without a geometry), the per-element rotations (``(m, 3, 3)``), the
-    feed weights, dipole length ratio and gain that every element shares, and
-    the aperture. It keeps read-only copies of its arrays. The drones it
-    serves carry the same antenna: feed ``w``, length ratio ``ratio`` and
-    gain ``gain``.
+    feed weights that every element shares, and the aperture. It keeps
+    read-only copies of its arrays. The drones it serves carry the same
+    antenna: feed ``w``, dipole length over wavelength ``ratio`` and gain
+    ``gain``. These default to the half-wave dipole; ``(0.0, 1.0)`` gives
+    the unit element of ``montecarlo.ScenarioSpec``.
     """
 
     f0: float
     elem: np.ndarray
     rotations: np.ndarray
     w: np.ndarray
-    ratio: float
-    gain: float
     aperture: float
+    ratio: float = 0.5
+    gain: float = HALF_WAVE_DIPOLE_GAIN
 
     def __post_init__(self):
         for name in ("elem", "rotations", "w"):
@@ -136,16 +114,12 @@ class GroundArray:
 
     @classmethod
     def build(cls, gs_configs, f0: float, geometry: geo.ArrayGeometry | None = None):
-        "Check that all elements share one feed and dipole, then fix the array for ``f0``."
+        "Check that all elements share one feed, then fix the array for ``f0``."
         if len(gs_configs) < 1:
             raise SwarmMimoError("need at least one array element")
         weights = np.array([c.excitation.weights() for c in gs_configs])
-        dipoles = [c.dipole_for(f0) for c in gs_configs]
-        shapes = np.array([(d.length_ratio(f0), d.gain) for d in dipoles])
         if not np.allclose(weights[1:], weights[0]):
             raise SwarmMimoError("array elements must share one excitation")
-        if not np.allclose(shapes[1:], shapes[0]):
-            raise SwarmMimoError("array elements must share one dipole")
         if geometry is not None:
             if geometry.m != len(gs_configs):
                 raise SwarmMimoError("geometry and gs_configs disagree on element count")
@@ -155,20 +129,21 @@ class GroundArray:
         ang = np.array([(c.orientation.roll, c.orientation.pitch, c.orientation.yaw)
                         for c in gs_configs])
         rotations = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
-        return cls(f0, elem, rotations, weights[0], *shapes[0].tolist(), aperture)
+        return cls(f0, elem, rotations, weights[0], aperture)
 
 
-def field_pattern(theta: float, dipole: DipoleGeometry, f0: float) -> float:
-    """Normalized dipole field pattern at elevation ``theta`` from the axis.
+def field_pattern(theta: float, ratio: float = 0.5) -> float:
+    """Dipole field pattern at elevation ``theta`` from the axis.
 
-    The removable singularity at theta in {0, pi} returns the limit 0.
+    ``ratio`` is the dipole length over the wavelength; at the default half
+    wave the pattern peaks at 1. The removable singularity at theta in
+    {0, pi} returns the limit 0.
 
     Oracle: the scalar form of the pattern that ``_kernels.response_batch``
     evaluates per lane; tests build the coupling from it and ``t_matrix`` and
     hold :func:`channel_factor` against that, and :func:`response_norms`
     builds on it.
     """
-    ratio = dipole.length_ratio(f0)
     s = math.sin(theta)
     if abs(s) < 1e-12:
         return 0.0
@@ -230,11 +205,11 @@ def t_matrix(
     )
 
 
-def response_norms(uav_rel, tx_rot, rx_rot, w_tx, w_rx, tx_dipole, rx_dipole, f0: float):
+def response_norms(uav_rel, tx_rot, rx_rot, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.5):
     """Squared norms ``(n1, n2)`` of the two response vectors of one antenna pair.
 
     ``uav_rel`` points from the transmitter to the receiver; each side gives
-    its rotation, feed weights and :class:`DipoleGeometry`. ``n1 = |conj(w_t0)
+    its rotation, feed weights and dipole length ratio. ``n1 = |conj(w_t0)
     F(theta) theta_hat + conj(w_t1) F(psi) psi_hat|^2`` in the transmit frame,
     ``n2 = |w_r0 F(theta')|^2 + |w_r1 F(psi')|^2`` at the receive frame's
     angles to the transmitter. ``|h|^2 <= n1 n2`` (Cauchy-Schwarz), and the
@@ -246,11 +221,11 @@ def response_norms(uav_rel, tx_rot, rx_rot, w_tx, w_rx, tx_dipole, rx_dipole, f0
     """
     v = np.asarray(uav_rel, dtype=float)
     theta_hat, psi_hat, p_hat = polarization_basis(tx_rot.T @ v)
-    f_tx = [field_pattern(a, tx_dipole, f0) for a in np.arccos(p_hat[[2, 1]])]
+    f_tx = [field_pattern(a, ratio_tx) for a in np.arccos(p_hat[[2, 1]])]
     e_tx = np.conj(w_tx[0]) * f_tx[0] * theta_hat + np.conj(w_tx[1]) * f_tx[1] * psi_hat
     # rotating the unit direction can carry a cosine just past 1
     back = np.clip(-(rx_rot.T @ v) / np.linalg.norm(v), -1.0, 1.0)
-    e_rx = w_rx * [field_pattern(a, rx_dipole, f0) for a in np.arccos(back[[2, 1]])]
+    e_rx = w_rx * [field_pattern(a, ratio_rx) for a in np.arccos(back[[2, 1]])]
     return float(np.vdot(e_tx, e_tx).real), float(np.vdot(e_rx, e_rx).real)
 
 
@@ -258,7 +233,6 @@ def channel_factor(
     tx: AntennaConfig,
     rx: AntennaConfig,
     uav_rel: np.ndarray,
-    f0: float,
 ) -> PolarizationResult:
     """Complex coupling, PLF, and effective gain for one antenna pair.
 
@@ -276,15 +250,12 @@ def channel_factor(
     pos = np.asarray(uav_rel, dtype=float)
     tx_rot = geo.rotation_matrix(tx.orientation)
     rx_rot = geo.rotation_matrix(rx.orientation)
-    tx_dipole, rx_dipole = tx.dipole_for(f0), rx.dipole_for(f0)
-    h, _ = response_batch(pos[None, :], np.zeros((1, 3)), tx_rot[None], rx_rot[None], wt, wr,
-                          tx_dipole.length_ratio(f0), rx_dipole.length_ratio(f0))
+    h, _ = response_batch(pos[None, :], np.zeros((1, 3)), tx_rot[None], rx_rot[None], wt, wr)
     hval = complex(h[0, 0])
-    n1, n2 = response_norms(pos, tx_rot, rx_rot, wt, wr, tx_dipole, rx_dipole, f0)
+    n1, n2 = response_norms(pos, tx_rot, rx_rot, wt, wr)
     denom = n1 * n2
     plf = abs(hval) ** 2 / denom if denom > 1e-30 else 0.0
-    gains = tx_dipole.gain * rx_dipole.gain
-    hfull = math.sqrt(gains) * hval
+    hfull = HALF_WAVE_DIPOLE_GAIN * hval
     return PolarizationResult(h=hfull, plf=min(plf, 1.0), chi=abs(hfull) ** 2)
 
 

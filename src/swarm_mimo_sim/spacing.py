@@ -11,54 +11,51 @@ from .geometry import ArrayGeometry, ShellRegion
 from .rates import omega
 
 
+#: how many of the most compact optimal spacings each function returns
+N_OPTIMAL = 20
+
+
 def optimal_spacing_ula(m: int, lam: float, r_min: float) -> list[float]:
     """Line-array spacings nulling the correlation excess.
 
-    All half-wavelength multiples whose aperture still fits inside the shell
-    inner radius; empty when even the first multiple does not fit.
+    The first :data:`N_OPTIMAL` half-wavelength multiples whose aperture
+    still fits inside the shell inner radius; empty when even the first
+    multiple does not fit.
     """
     if r_min <= 0 or lam <= 0:
         raise SwarmMimoError("wavelength and inner radius must be positive")
     if m < 2:
         return [lam / 2.0]
     n_max = math.floor(2.0 * r_min / (lam * (m - 1)))
-    return [n * lam / 2.0 for n in range(1, n_max + 1)]
+    return [n * lam / 2.0 for n in range(1, min(n_max, N_OPTIMAL) + 1)]
 
 
 def optimal_spacing_ura(m_x: int, m_y: int, lam: float, r_min: float) -> np.ndarray:
     """Rectangular-array spacing pairs with near-zero correlation excess.
 
     Rows ``(n lam/2, m lam/2)`` of an ``(n_pairs, 2)`` array, with
-    ``n >= m_y`` and ``m >= m_x`` and an aperture that fits the inner radius,
-    ordered most compact first; ``(0, 2)`` when none fits.
+    ``n >= m_y`` and ``m >= m_x`` and an aperture that fits the inner radius:
+    the :data:`N_OPTIMAL` most compact, ordered most compact first; ``(0, 2)``
+    when none fits.
     """
     if r_min <= 0 or lam <= 0:
         raise SwarmMimoError("wavelength and inner radius must be positive")
     if m_x == 1 and m_y == 1:
         return np.array([[lam / 2.0, lam / 2.0]])
-    limit = 4.0 * r_min**2 / lam**2
-
-    def axis_cap(count_sq: int, start: int, other_min_sq) -> np.ndarray:
-        # largest multiplier keeping the aperture inside the shell; a
-        # one-element axis contributes nothing, so only its minimum is used
-        room = limit - np.asarray(other_min_sq, dtype=float)
-        if count_sq == 0:
-            return np.full(room.shape, start)
-        cap = np.minimum(np.floor(np.sqrt(np.maximum(room, 0.0) / count_sq)), start + 10_000)
-        return np.where(room <= 0, start - 1, cap).astype(np.int64)
-
     cx = (m_x - 1) ** 2
     cy = (m_y - 1) ** 2
-    ns = np.arange(m_y, int(axis_cap(cx, m_y, cy * m_x**2)) + 1)
-    counts = np.maximum(axis_cap(cy, m_x, cx * ns**2) - m_x + 1, 0)
-    n = np.repeat(ns, counts)
-    m = m_x + np.arange(n.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # the squared aperture grows strictly along an axis that spans anything,
+    # so the most compact pairs lie within N_OPTIMAL multipliers of the start;
+    # a one-element axis contributes nothing, so only its start is used
+    n, m = np.meshgrid(np.arange(m_y, m_y + (N_OPTIMAL if cx else 1)),
+                       np.arange(m_x, m_x + (N_OPTIMAL if cy else 1)), indexing="ij")
+    n, m = n.ravel(), m.ravel()
     # squared aperture in units of (lam/2)^2, exact in integers
     key = cx * n**2 + cy * m**2
-    keep = key < math.ceil(limit)
+    keep = key < math.ceil(4.0 * r_min**2 / lam**2)
     n, m = n[keep], m[keep]
     # the pairs run in (n, m) order, so a stable sort on the key breaks ties by (n, m)
-    order = np.argsort(key[keep], kind="stable")
+    order = np.argsort(key[keep], kind="stable")[:N_OPTIMAL]
     return np.column_stack([n[order], m[order]]) * lam / 2.0
 
 

@@ -59,7 +59,7 @@ class TestChannelVector:
         res = pol.channel_factor(
             pol.AntennaConfig(pol.DipoleExcitation.circular()),
             pol.AntennaConfig(pol.DipoleExcitation.circular()),
-            np.array([70.0, 10.0, 40.0]), F0,
+            np.array([70.0, 10.0, 40.0]),
         )
         d = np.linalg.norm([70.0, 10.0, 40.0])
         assert abs(g[0]) == pytest.approx(
@@ -86,7 +86,7 @@ class TestChannelVector:
         g = ch.channel_matrix(pol.GroundArray.build(cfgs, F0, geometry), pos[None],
                               np.eye(3)[None])[:, 0]
         d = np.linalg.norm(pos)
-        res = pol.channel_factor(cfgs[0], pol.AntennaConfig(cfgs[0].excitation), pos, F0)
+        res = pol.channel_factor(cfgs[0], pol.AntennaConfig(cfgs[0].excitation), pos)
         expected = 32 * ch.pathloss(d, LAM) * res.chi
         assert np.linalg.norm(g) ** 2 == pytest.approx(expected, rel=1e-3)
 
@@ -119,22 +119,6 @@ class TestGroundArray:
         with pytest.raises(SwarmMimoError, match="share one excitation"):
             pol.GroundArray.build(cfgs, F0, line_array(4))
 
-    @pytest.mark.parametrize("dipole", [
-        pol.DipoleGeometry(0.01, 3.0),
-        pol.DipoleGeometry(0.01),  # length only
-        pol.DipoleGeometry(LAM / 2, 3.0),  # gain only
-    ])
-    def test_rejects_mixed_dipoles(self, dipole):
-        other = pol.AntennaConfig(pol.DipoleExcitation.circular(), dipole=dipole)
-        with pytest.raises(SwarmMimoError, match="share one dipole"):
-            pol.GroundArray.build(circular_configs(1) + [other], F0, line_array(2))
-
-    def test_accepts_explicit_half_wave_dipole(self):
-        half_wave = pol.AntennaConfig(pol.DipoleExcitation.circular(),
-                                      dipole=pol.DipoleGeometry.half_wave(F0))
-        ground = pol.GroundArray.build(circular_configs(1) + [half_wave], F0, line_array(2))
-        assert ground.ratio == pytest.approx(0.5) and ground.gain == pol.HALF_WAVE_DIPOLE_GAIN
-
     def test_rejects_element_count_mismatch(self):
         with pytest.raises(SwarmMimoError):
             pol.GroundArray.build(circular_configs(3), F0, line_array(4))
@@ -144,7 +128,7 @@ class TestGroundArray:
                                        line_array(4))
         exc = pol.DipoleExcitation.linear()
         given = (np.zeros((2, 3)), np.stack([np.eye(3)] * 2), exc.weights())
-        direct = pol.GroundArray(F0, *given, 0.5, pol.HALF_WAVE_DIPOLE_GAIN, 0.0)
+        direct = pol.GroundArray(F0, *given, 0.0)
         for arr in (ground.elem, ground.rotations, ground.w,
                     direct.elem, direct.rotations, direct.w):
             with pytest.raises(ValueError):

@@ -92,6 +92,8 @@ class TestParseConfig:
         ("gain-cdf", "[array]\nm_y = 2\n", "array.m_y"),
         # so does a spacing sweep over delta_x alone
         ("spacing-sweep", "[array]\nm_y = 3\n", "array.m_y"),
+        # a line array has no y spacing: each delta_y column would repeat the first
+        ("spacing-sweep", "[sweep]\ntwo_dimensional = true\n", "sweep.two_dimensional"),
         # drones inside the array: 50 half-wave elements span 3.06 m, 100 at 0.3 span 3.71 m
         ("gain-cdf", "[shell]\nr_min_m = 0.5\n", "shell.r_min_m"),
         ("validate", "[array]\nm_x = 100\n[shell]\nr_min_m = 1.0\n", "shell.r_min_m"),
@@ -214,7 +216,7 @@ two_dimensional = true
         lam = geo.wavelength(2.4e9)
         # (delta_x, delta_y) pairs of the 4 x 3 array, not multiples for a 12-element line
         assert summary["optimal_spacings_m"] == spacing.optimal_spacing_ura(
-            4, 3, lam, 20.0)[:20].tolist()
+            4, 3, lam, 20.0).tolist()
 
     def test_gain_cdf_runs_small(self, tmp_path):
         text = preset("gain_cdf_circular_identical.ini").replace("n = 100000", "n = 2000")
@@ -301,6 +303,30 @@ def test_cold_start_skips_optimizer(tmp_path):
         args += [kind, small_config(name, edits)]
     proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps memory only on Linux")
+def test_spacing_sweep_fits_small_address_space(tmp_path):
+    # a 2 x 2 array at the default 499 m shell has tens of millions of feasible
+    # spacing pairs; the summary lists 20, and the run must not build the rest
+    import resource
+
+    def cap():  # acts on the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[array]\nm_x = 2\nm_y = 2\n[sweep]\nratio_points = 2\n"
+                   "two_dimensional = true\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    args = [sys.executable, "-m", "swarm_mimo_sim.cli", "spacing-sweep", "--config", str(cfg),
+            "--out", str(tmp_path / "out")]
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300,
+                          preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "out" / "spacing_sweep_summary.json").read_text())
+    assert len(summary["optimal_spacings_m"]) == spacing.N_OPTIMAL == 20
 
 
 class TestMainEntry:

@@ -19,9 +19,8 @@ from swarm_mimo_sim.geometry import (
     element_positions,
     rotation_matrices,
     sample_shell_positions,
-    wavelength,
 )
-from swarm_mimo_sim.polarization import DipoleGeometry, response_norms
+from swarm_mimo_sim.polarization import response_norms
 
 
 def test_si_ci_against_scipy():
@@ -244,10 +243,8 @@ def test_response_golden_bits(name):
 def _lane_norms(args, i, l):
     "``response_norms`` of lane (i, l) of the ``response_batch`` call ``args``."
     pos, elem, gs, uav, w_tx, w_rx, *ratios = args
-    f0 = 2.4e9  # a 12.5 cm wavelength keeps each length ratio exact
-    tx_dipole, rx_dipole = (DipoleGeometry(r * wavelength(f0)) for r in ratios or (0.5, 0.5))
     return response_norms(pos[i] - elem[l], gs[i, 0] if gs.ndim == 4 else gs[l],
-                          uav[i], w_tx, w_rx, tx_dipole, rx_dipole, f0)
+                          uav[i], w_tx, w_rx, *ratios)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GOLDEN))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from swarm_mimo_sim import rates, spacing
 from swarm_mimo_sim.errors import SwarmMimoError
@@ -12,10 +13,15 @@ LAM = 0.125
 
 class TestOptimalSpacingUla:
     def test_fifty_elements(self):
+        # 163 multiples fit the shell; the first 20 are returned
         out = spacing.optimal_spacing_ula(50, LAM, 500.0)
-        assert len(out) == 163
+        assert len(out) == 20
         assert out[0] == pytest.approx(LAM / 2)
-        assert out[-1] == pytest.approx(163 * LAM / 2)
+        assert out[-1] == pytest.approx(10 * LAM)
+
+    def test_wide_shell_stops_at_twenty(self):
+        # 16,000 multiples fit; the list stops at the ones that are reported
+        assert len(spacing.optimal_spacing_ula(2, LAM, 1000.0)) == spacing.N_OPTIMAL == 20
 
     def test_two_elements_tight_shell(self):
         out = spacing.optimal_spacing_ula(2, LAM, LAM / 2)
@@ -53,6 +59,25 @@ class TestOptimalSpacingUra:
 
     def test_infeasible(self):
         assert spacing.optimal_spacing_ura(5, 5, LAM, 1.0).shape == (0, 2)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(m_x=st.integers(1, 8), m_y=st.integers(1, 8), r_min=st.floats(0.01, 40.0))
+    def test_most_compact_of_every_feasible_pair(self, m_x, m_y, r_min):
+        assume(m_x * m_y > 1)
+        out = spacing.optimal_spacing_ura(m_x, m_y, LAM, r_min)
+        assert out.shape[0] <= spacing.N_OPTIMAL
+        # brute force: every multiplier pair whose aperture fits, sorted by
+        # squared aperture in units of (lam/2)^2, then by n, then by m
+        limit = 4.0 * r_min**2 / LAM**2
+        top = math.isqrt(int(limit)) + 1
+        n, m = (a.ravel() for a in np.meshgrid(
+            np.arange(m_y, m_y + (top if m_x > 1 else 1)),
+            np.arange(m_x, m_x + (top if m_y > 1 else 1)), indexing="ij"))
+        key = (m_x - 1) ** 2 * n * n + (m_y - 1) ** 2 * m * m
+        fits = key < limit
+        order = np.lexsort((m[fits], n[fits], key[fits]))[:spacing.N_OPTIMAL]
+        want = np.column_stack([n[fits][order], m[fits][order]]) * LAM / 2
+        assert out.tolist() == want.tolist()
 
 
 class TestOmegaSweep:
