@@ -133,8 +133,6 @@ def si_ci_arrays(x: np.ndarray, groups=None):
     call one group.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.size == 0:
-        return np.empty(0), np.empty(0)
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("si_ci_arrays requires finite x > 0")
     if groups is None:

@@ -196,14 +196,9 @@ SCHEMAS: dict[str, dict[str, dict[str, Key]]] = {
 def _coerce(raw: str, key: Key, name: str):
     try:
         if key.typ is bool:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return key.typ(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"{name}: cannot parse {raw!r} as {key.typ.__name__}") from exc
 
 

@@ -137,13 +137,16 @@ def field_pattern(theta: float, ratio: float = 0.5) -> float:
 
     ``ratio`` is the dipole length over the wavelength; at the default half
     wave the pattern peaks at 1. The removable singularity at theta in
-    {0, pi} returns the limit 0.
+    {0, pi} returns the limit 0. Ratio 0 is the flat unit pattern of an
+    isotropic element: 1.0 at every theta, the axes included.
 
     Oracle: the scalar form of the pattern that ``_kernels.response_batch``
     evaluates per lane; tests build the coupling from it and ``t_matrix`` and
     hold :func:`channel_factor` against that, and :func:`response_norms`
     builds on it.
     """
+    if ratio == 0.0:
+        return 1.0
     s = math.sin(theta)
     if abs(s) < 1e-12:
         return 0.0

@@ -1,4 +1,4 @@
-"""Closed-form ergodic-rate lower bounds and their special functions.
+"""Closed-form ergodic-rate lower bounds and the shell moments under them.
 
 The central quantity is ``omega``: the position-averaged excess correlation
 between the spatial signatures of two drones independently uniform in a
@@ -20,39 +20,8 @@ from .geometry import ArrayGeometry, ShellRegion
 
 
 # ---------------------------------------------------------------------------
-# special functions
+# shell moments
 # ---------------------------------------------------------------------------
-
-
-def si(x):
-    """Sine integral, the integral of sin(t)/t from 0 to x. Odd in x.
-
-    Oracle: a scalar entry to ``_kernels.si_ci_arrays``, the Si/Ci under
-    :func:`cb_db` and :func:`omega`; tests hold it against quadrature.
-    """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    pos = np.abs(arr) > 0
-    s, _ = si_ci_arrays(np.abs(arr[pos]))
-    out[pos] = np.sign(arr[pos]) * s
-    return float(out[0]) if scalar else out
-
-
-def ci(x):
-    """Cosine integral for x > 0.
-
-    Oracle: a scalar entry to ``_kernels.si_ci_arrays``, the Si/Ci under
-    :func:`cb_db` and :func:`omega`; tests hold it against quadrature.
-    """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0):
-        raise SwarmMimoError("ci requires x > 0")
-    _, c = si_ci_arrays(arr)
-    return float(c[0]) if scalar else c
 
 
 def cb_db(b, region: ShellRegion, groups=None):
@@ -136,10 +105,10 @@ def _offset_products(count: int, delta: int):
     return delta * (2 * a - delta)
 
 
-# lanes per cd_of_b call in _omega_sum; bounds the working set of a large array
+# lanes per cb_db call in omega; bounds the working set of a large array
 _CHUNK_LANES = 4096
 
-# entries per block of padded offset rows in _omega_sum's pass 3
+# entries per block of padded offset rows in omega's pass 3
 _PAD_ENTRIES = 1 << 16
 
 
@@ -155,19 +124,40 @@ def _group_chunks(group_of_lane, limit):
     yield lo, n
 
 
-def _omega_sum(geometry: ArrayGeometry, lam: float, cd_of_b) -> float:
-    """Shared pair-sum: sinc^2 weight times the radial moment factor.
+def _kept_offsets(geometry: ArrayGeometry, lam: float):
+    """The (dp, dq) element offsets that enter the pair sum, in order, and their weights.
 
-    ``cd_of_b(b, groups)`` maps an array of b values to C^2 + D^2. Each
-    distinct integer index product (p, q) is evaluated once, in three passes:
+    A weight is :func:`expected_phase_sinc` squared: one ``math.hypot`` per
+    offset, as that function computes it, then one ``np.sinc`` over all. The
+    (0, 0) offset and weights below 1e-30 are left out, so a line array at a
+    multiple of half a wavelength keeps no offset.
+    """
+    mx, my = geometry.m_x, geometry.m_y
+    offsets = [(a, b) for a in range(-(mx - 1), mx) for b in range(-(my - 1), my)]
+    hyp = [math.hypot(a * geometry.delta_x, b * geometry.delta_y) for a, b in offsets]
+    w = np.sinc((2.0 / lam) * np.array(hyp)) ** 2
+    w[len(offsets) // 2] = 0.0  # the (0, 0) offset, in the middle
+    kept = np.flatnonzero(w >= 1e-30)
+    return [offsets[i] for i in kept.tolist()], w[kept]
 
-    1. list the (dp, dq) offsets in order with array operations: one
-       ``math.hypot`` per offset, as :func:`expected_phase_sinc` computes it,
-       then one ``np.sinc`` over all of them; the products first needed at an
+
+def omega(geometry: ArrayGeometry, lam: float, region: ShellRegion) -> float:
+    """Excess signature correlation for shell-uniform drone positions.
+
+    The sum over ordered element pairs of the pair's offset weight (see
+    :func:`_kept_offsets`) times C^2 + D^2, the squared :func:`cb_db` moments
+    at the pair's phase constant. Nonnegative; zero for a line array at
+    multiples of half a wavelength. Requires the shell inner radius to
+    exceed the array aperture.
+
+    A pair's phase constant depends only on its integer index products
+    (p, q), and each distinct product is evaluated once, in three passes:
+
+    1. list each kept offset's products; the products first needed at an
        offset form that offset's group;
-    2. evaluate all new products in a few calls of whole groups, where each
-       group stops its Si/Ci continued fraction as if it had a call of its
-       own (see :func:`si_ci_arrays`);
+    2. evaluate all new products in a few :func:`cb_db` calls of whole
+       groups, where each group stops its Si/Ci continued fraction as if it
+       had a call of its own (see :func:`si_ci_arrays`);
     3. lay each offset's terms out as a row padded with trailing zeros and
        add along the rows with ``cumsum``, which adds in order; then add the
        weighted row sums offset by offset, again with ``cumsum``. The rows go
@@ -175,27 +165,26 @@ def _omega_sum(geometry: ArrayGeometry, lam: float, cd_of_b) -> float:
        offset has more terms), so the padding costs a bounded amount of
        memory.
 
-    The result is bit-identical to one ``cd_of_b`` call per offset whose
+    The result is bit-identical to one :func:`cb_db` call per offset whose
     terms are added with ``sum()``, accumulated over the offsets in order.
     """
+    if region.r_min <= geometry.aperture():
+        raise SwarmMimoError(
+            f"inner radius {region.r_min} must exceed the aperture "
+            f"{geometry.aperture():.3f}"
+        )
+    offsets, weights = _kept_offsets(geometry, lam)
+    if not offsets:
+        return 0.0
     mx, my = geometry.m_x, geometry.m_y
     dx2, dy2 = geometry.delta_x**2, geometry.delta_y**2
     scale = math.pi / lam
     qspan = 2 * (my - 1) ** 2 + 1  # code p * qspan + q orders keys as (p, q)
     # pass 1
-    offsets = [(a, b) for a in range(-(mx - 1), mx) for b in range(-(my - 1), my)]
-    hyp = [math.hypot(a * geometry.delta_x, b * geometry.delta_y) for a, b in offsets]
-    w = np.sinc((2.0 / lam) * np.array(hyp)) ** 2
-    w[len(offsets) // 2] = 0.0  # the (0, 0) offset, in the middle
-    kept = np.flatnonzero(w >= 1e-30)
-    if kept.size == 0:
-        return 0.0
-    weights = w[kept]
-    offsets = [offsets[i] for i in kept.tolist()]
     px = {a: _offset_products(mx, a) * qspan for a in {a for a, _ in offsets}}
     qy = {b: _offset_products(my, b) for b in {b for _, b in offsets}}
     codes = [(px[a][:, None] + qy[b][None, :]).ravel() for a, b in offsets]
-    del offsets, hyp, w, kept  # free the per-offset lists before the sort
+    del offsets  # free the per-offset list before the sort
     sizes = np.array([c.size for c in codes])
     codes = np.concatenate(codes)
     order = np.argsort(codes, kind="stable")  # stable: first occurrence first
@@ -215,7 +204,8 @@ def _omega_sum(geometry: ArrayGeometry, lam: float, cd_of_b) -> float:
         k = ev[lo:hi]
         p = (keys[k] + (qspan - 1) // 2) // qspan
         q = keys[k] - p * qspan
-        vals[k] = cd_of_b(scale * (p * dx2 + q * dy2), group[k])
+        c, d = cb_db(scale * (p * dx2 + q * dy2), region, group[k])
+        vals[k] = c**2 + d**2
 
     # pass 3
     width = int(sizes.max())
@@ -230,29 +220,19 @@ def _omega_sum(geometry: ArrayGeometry, lam: float, cd_of_b) -> float:
     return np.cumsum(weights * sums)[-1]
 
 
-def omega(geometry: ArrayGeometry, lam: float, region: ShellRegion) -> float:
-    """Excess signature correlation for shell-uniform drone positions.
-
-    Nonnegative; zero for a line array at spacings that are multiples of
-    half a wavelength. Requires the shell inner radius to exceed the array
-    aperture.
-    """
-    if region.r_min <= geometry.aperture():
-        raise SwarmMimoError(
-            f"inner radius {region.r_min} must exceed the aperture "
-            f"{geometry.aperture():.3f}"
-        )
-
-    def cd_of_b(b, groups):
-        c, d = cb_db(b, region, groups)
-        return np.atleast_1d(c) ** 2 + np.atleast_1d(d) ** 2
-
-    return _omega_sum(geometry, lam, cd_of_b)
-
-
 def omega_surface(geometry: ArrayGeometry, lam: float) -> float:
-    """Limit of :func:`omega` when drones sit on a far sphere (C^2+D^2 = 1)."""
-    return _omega_sum(geometry, lam, lambda b, groups: np.ones_like(b))
+    """Limit of :func:`omega` when drones sit on a far sphere.
+
+    There C^2 + D^2 = 1 for every pair, so the pair sum is a weighted count
+    of element pairs: each kept offset (dp, dq) adds its weight times its
+    (m_x - |dp|)(m_y - |dq|) ordered pairs, offset by offset in the order in
+    which :func:`omega` adds its offsets. No per-pair work is done.
+    """
+    offsets, weights = _kept_offsets(geometry, lam)
+    if not offsets:
+        return 0.0
+    counts = np.array([(geometry.m_x - abs(a)) * (geometry.m_y - abs(b)) for a, b in offsets])
+    return np.cumsum(weights * counts)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"array\.m_x"):
             cli.parse_config("[array]\nm_x = fifty\n", "spacing-sweep")
 
+    def test_bad_boolean_names_key(self, tmp_path):
+        text = "[sweep]\ntwo_dimensional = maybe\n"
+        with pytest.raises(ConfigError, match=r"sweep\.two_dimensional: cannot parse 'maybe' as bool"):
+            cli.parse_config(text, "spacing-sweep")
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert cli.main(["spacing-sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+
     def test_choice_error(self):
         with pytest.raises(ConfigError, match="antenna.excitation"):
             cli.parse_config("[antenna]\nexcitation = elliptic\n", "gain-cdf")

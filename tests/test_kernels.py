@@ -25,7 +25,7 @@ from swarm_mimo_sim.polarization import response_norms
 
 def test_si_ci_against_scipy():
     x = np.concatenate(
-        [np.linspace(1e-8, 2.0, 400), np.linspace(2.0001, 60.0, 500), [150.0, 1e3, 1e5]]
+        [np.linspace(1e-8, 2.0, 400), np.linspace(2.0001, 60.0, 500), [150.0, 1e3, 1e5, 1e8]]
     )
     si, ci = si_ci_arrays(x)
     si_ref, ci_ref = sici(x)
@@ -417,7 +417,8 @@ def test_per_sample_rotation_matches_einsum(m, rows):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 12),
-       ratio=st.floats(0.05, 1.5), amp=st.floats(0.0, 1.0), phase=st.floats(-3.2, 3.2))
+       ratio=st.one_of(st.just(0.0), st.floats(0.05, 1.5)), amp=st.floats(0.0, 1.0),
+       phase=st.floats(-3.2, 3.2))
 def test_polarization_loss_factor_at_most_one(seed, n, m, ratio, amp, phase):
     # |h|^2 <= n1 * n2 (Cauchy-Schwarz): the PLF never exceeds 1, before
     # channel_factor clamps it

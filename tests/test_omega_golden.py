@@ -111,7 +111,7 @@ def test_omega_matches_per_offset_reference(m_x, m_y, rx, ry, shell):
 
 
 def _padded_entries(m_x, m_y):
-    "Entries of _omega_sum's padded rows when every offset is kept."
+    "Entries of omega's padded rows when every offset is kept."
     width = max((m_x - 1) * m_y, m_x * (m_y - 1))
     return ((2 * m_x - 1) * (2 * m_y - 1) - 1) * width
 
@@ -171,3 +171,19 @@ def test_omega_16x16_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= OMEGA_16X16_PEAK_BYTES + 256 * 1024
+
+
+def test_omega_surface_40x40_counts_pairs():
+    # the far-sphere limit weighs each offset's pair count, with no per-pair
+    # array: a sum over per-pair terms needs about 120 MiB here
+    import tracemalloc
+
+    g = geo.ArrayGeometry(40, 40, 0.3 * LAM, 0.4 * LAM)
+    tracemalloc.start()
+    try:
+        value = rates.omega_surface(g, LAM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert float(value).hex() == "0x1.9f81a4e2074e3p+11"
+    assert peak < 4 * 2**20

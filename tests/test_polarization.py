@@ -32,6 +32,11 @@ class TestFieldPattern:
         assert pol.field_pattern(math.pi) == 0.0
         assert pol.field_pattern(1e-13) == 0.0
 
+    def test_ratio_zero_is_flat(self):
+        # the isotropic element of the response kernel, axes included
+        for theta in (0.0, 1e-13, 0.7, math.pi / 2, math.pi):
+            assert pol.field_pattern(theta, 0.0) == 1.0
+
     def test_quarter_angle_value(self):
         theta = math.pi / 4
         expected = (math.cos(math.pi / 2 * math.cos(theta)) - math.cos(math.pi / 2)) / math.sin(theta)

@@ -33,30 +33,6 @@ def make_params(m=50, k=20, rho_u=1.0, rho_p=10.0, prelog=0.8728667, spacing=LAM
     )
 
 
-class TestSpecialFunctions:
-    def test_si_origin_and_odd(self):
-        assert rates.si(0.0) == 0.0
-        assert rates.si(-2.0) == -rates.si(2.0)
-
-    def test_si_asymptote(self):
-        assert rates.si(1e8) == pytest.approx(math.pi / 2, abs=1e-7)
-
-    def test_against_quadrature(self):
-        for x in (0.3, 1.0, 2.5, 7.0):
-            si_q = quad(lambda t: math.sin(t) / t, 0, x)[0]
-            assert rates.si(x) == pytest.approx(si_q, abs=1e-10)
-        euler = 0.5772156649015329
-        for x in (0.5, 1.0, 4.0):
-            ci_q = euler + math.log(x) + quad(lambda t: (math.cos(t) - 1) / t, 0, x)[0]
-            assert rates.ci(x) == pytest.approx(ci_q, abs=1e-10)
-
-    def test_ci_domain(self):
-        with pytest.raises(SwarmMimoError):
-            rates.ci(0.0)
-        with pytest.raises(SwarmMimoError):
-            rates.ci(-1.0)
-
-
 class TestShellMomentsCD:
     def test_zero_argument(self):
         c, d = rates.cb_db(0.0, shell())

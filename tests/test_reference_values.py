@@ -3,8 +3,9 @@
 ``tests/test_omega_golden.py`` and the benchmark's digests pin bits, which move
 with the numpy build, the BLAS and any change in summation order. These checks
 pin values instead: a change that may move last bits must still land within
-1e-12 of each recorded value. The benchmark's scalar operations are rebuilt
-here at seed 1 from the package alone.
+1e-12 of each recorded value. The response kernel's lanes are those of
+``tests/test_kernels.py``'s layouts. The benchmark's scalar operations are
+rebuilt here at seed 1 from the package alone.
 """
 
 import json
@@ -17,6 +18,8 @@ from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import montecarlo as mc
 from swarm_mimo_sim import polarization as pol
 from swarm_mimo_sim import rates
+from swarm_mimo_sim._kernels import response_batch
+from test_kernels import kernel_layout
 
 REF = json.loads(Path(__file__).with_name("reference_values.json").read_text())
 BENCH = REF["benchmark_seed_1"]
@@ -44,6 +47,23 @@ def test_omega(case):
     else:
         value = rates.omega(g, LAM, geo.ShellRegion(*shell))
     assert_close(value, recorded)
+
+
+@pytest.mark.parametrize("name", sorted(REF["kernel"]))
+def test_response_kernel(name):
+    pos, elem, gs, uav, *feeds = kernel_layout(name)
+    if name == "singular":  # each finite lane from a call that leaves the singular one out
+        h_e, d_e = response_batch(pos, elem[1:], gs[1:], uav, *feeds)
+        h_d, d_d = response_batch(pos[1:], elem, gs, uav[1:], *feeds)
+        got = {(0, 1): (h_e[0, 0], d_e[0, 0]), (1, 0): (h_d[0, 0], d_d[0, 0])}
+    else:
+        h, dist = response_batch(pos, elem, gs, uav, *feeds)
+        got = {(i, l): (h[i, l], dist[i, l]) for (i, l), _ in REF["kernel"][name]}
+    for (i, l), (re, im, recorded_dist) in REF["kernel"][name]:
+        h, dist = got[(i, l)]
+        want = complex(float.fromhex(re), float.fromhex(im))
+        assert abs(h - want) <= REL * abs(want), (name, i, l, complex(h))
+        assert_close(dist, recorded_dist)
 
 
 def test_benchmark_omega_ura():
