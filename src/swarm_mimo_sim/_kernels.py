@@ -19,6 +19,11 @@ releases the interpreter lock inside its loops). Each block writes only its
 own output rows, and the block boundaries do not depend on the thread count,
 so neither do the outputs. A forked child builds its own pool.
 
+``map_tasks`` is the one way onto the pool, and it has three callers: this
+kernel's row blocks, ``channel.synthesize``'s row blocks (the same
+``_row_blocks``), and ``montecarlo.validate_expectations``' pair rows once its
+draws fill a block. None of their tasks submits work to the pool.
+
 Last bits depend on which numpy and OpenBLAS code paths run, so outputs are
 bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
 
@@ -35,7 +40,15 @@ bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
   multiply-add of its vector loop (see ``_e1_lentz``).
 - numpy may compute ``a * f(x)`` in place into a temporary ``f(x)`` of 256 KiB
   or more, with the operands swapped, which changes how a complex product
-  rounds; ``_e1_lentz`` therefore calls ``np.multiply`` explicitly.
+  rounds; ``_e1_lentz`` therefore calls ``np.multiply`` explicitly. It swaps
+  only when the left operand is not a temporary. ``channel.synthesize``'s
+  one complex product of two arrays, ``(sqrt(beta * gains) * h) * phase``,
+  has temporaries on both sides, and numpy keeps the left one. The real
+  ``sqrt(beta * gains)`` times the complex ``h`` has no temporary of its
+  result's type, and every other operation there is real or has a scalar
+  operand. So whether a block is large enough to be computed in place, and
+  whether the product is written into a preallocated output, changes no
+  operand order and no bit.
 - The per-sample ground rotation of the basis is written out as three-term
   sums in the order in which numpy's einsum ``"nij,lnj->lni"`` adds, j = 0,
   2, 1, unfused, from +0.0, so it keeps the bits of the einsum it replaced; in
@@ -258,6 +271,23 @@ if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
     os.register_at_fork(after_in_child=_drop_pool)
 
 
+def map_tasks(task, items, pooled=True):
+    """``[task(item) for item in items]``, on the block pool if there is one.
+
+    The tasks go to the pool only if ``pooled`` is true, there are two or more
+    of them, and ``_block_pool`` gives a pool; it is looked up at each call,
+    so replacing it keeps every caller inline. Otherwise they run inline, in
+    order. Results come back in item order, and the first exception a task
+    raised reaches the caller. A task must not submit work to the pool: a
+    worker that waits on its own pool can wait for ever.
+    """
+    items = list(items)
+    pool = _block_pool() if pooled and len(items) > 1 else None
+    if pool is None:
+        return [task(item) for item in items]
+    return list(pool.map(task, items))
+
+
 def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, wt0, wt1, wr0, wr1,
                      ratio_t, ratio_r):
     n = pos.shape[0]
@@ -317,13 +347,7 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, wt0, wt1, wr0, wr1,
         hv += b * (t21 * c + t22 * e)
         h[rows].T[...] = hv
 
-    blocks = _row_blocks(n, m)
-    pool = _block_pool() if len(blocks) > 1 else None
-    if pool is None:
-        for rows in blocks:
-            block(rows)
-    else:
-        list(pool.map(block, blocks))  # re-raises the first exception a block raised
+    map_tasks(block, _row_blocks(n, m))
     return h, dist
 
 

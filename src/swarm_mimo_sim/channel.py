@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from ._kernels import response_batch
+from ._kernels import _row_blocks, map_tasks, response_batch
 from .errors import InfeasibleFrameError, SingularChannelError, SwarmMimoError
 from .polarization import GroundArray
 
@@ -54,14 +54,25 @@ def pathloss(d, lam: float):
     return (lam / (4.0 * math.pi * d)) ** 2
 
 
-def synthesize(h: np.ndarray, dist: np.ndarray, lam: float, gains: float):
-    """Channel entries and pathlosses from couplings ``h`` at distances ``dist``.
+def synthesize(h: np.ndarray, dist: np.ndarray, lam: float, gains: float) -> np.ndarray:
+    """Channel entries from ``(n, M)`` couplings ``h`` at distances ``dist``.
 
     Each entry is sqrt(pathloss * gains) times the coupling times the exact
-    propagation phase. Returns ``(g, beta)`` in the shape of ``h``.
+    propagation phase. The kernel's row blocks are written into one ``(n, M)``
+    output, on its pool when there are several, so a call holds the output
+    and a few block-sized temporaries. Every operation is elementwise, so the
+    entries keep the bits of the one expression over the whole array (see
+    ``_kernels``).
     """
-    beta = pathloss(dist, lam)
-    return np.sqrt(beta * gains) * h * np.exp(-2j * math.pi * dist / lam), beta
+    g = np.empty(h.shape, dtype=np.complex128)
+
+    def block(rows):
+        d = dist[rows]
+        np.multiply(np.sqrt(pathloss(d, lam) * gains) * h[rows],
+                    np.exp(-2j * math.pi * d / lam), out=g[rows])
+
+    map_tasks(block, _row_blocks(*h.shape))
+    return g
 
 
 def coherence_interval(params: CoherenceParams) -> float:
@@ -125,7 +136,7 @@ def channel_matrix(
         ground.ratio,
         ground.ratio,
     )
-    g, _ = synthesize(h, dist, geo.wavelength(ground.f0), ground.gain * ground.gain)
+    g = synthesize(h, dist, geo.wavelength(ground.f0), ground.gain * ground.gain)
     return g.reshape(pos.shape[:-1] + (-1,)).swapaxes(-1, -2).copy()
 
 

@@ -395,15 +395,19 @@ def _run_rate_curve(cfg, seed):
         v_max=cfg["coherence.v_max_mps"],
         tau_dl_frac=cfg["coherence.tau_dl_frac"],
     )
-    rows = []
-    m_req = {}
-    for k in _parse_int_list(str(cfg["rate.k_values"]), "rate.k_values"):
-        params = _far_sphere(cfg, "rate", coh, k)
-        for m in m_values:
-            geom = geo.ArrayGeometry(m, 1, params.lam / 2.0, 0.0)
+    k_params = [(k, _far_sphere(cfg, "rate", coh, k))
+                for k in _parse_int_list(str(cfg["rate.k_values"]), "rate.k_values")]
+    half_wave = geo.wavelength(coh.f_c) / 2.0  # every k's params.lam / 2
+    # each m's geometry is built once and serves every k; rows are listed k by k
+    k_rows = [[] for _ in k_params]
+    for m in m_values:
+        geom = geo.ArrayGeometry(m, 1, half_wave, 0.0)
+        for (k, params), out in zip(k_params, k_rows):
             rate = rates.mrc_bound_optimal(replace(params, geometry=geom), "ula")
-            rows.append((k, m, rate, rate * band))
-        m_req[str(k)] = rates.m_required(cfg["rate.q_target_mbps"] * 1e6, band, params)
+            out.append((k, m, rate, rate * band))
+    rows = [row for out in k_rows for row in out]
+    m_req = {str(k): rates.m_required(cfg["rate.q_target_mbps"] * 1e6, band, params)
+             for k, params in k_params}
     header = ["k", "m", "rate_bps_per_hz", "throughput_bps"]
     return {"rate_curve.csv": (header, rows)}, {"m_required": m_req}
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import channel
 from . import geometry as geo
+from ._kernels import _BLOCK_LANES, map_tasks
 from .channel import instantaneous_sinr_mrc, pilot_snr, sinr_zf, synthesize
 from .errors import SwarmMimoError
 from .polarization import _FAR_M, DipoleExcitation, GroundArray, chi_batch
@@ -155,7 +156,7 @@ def _chi_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, uav_ro
 
 
 def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, uav_rots):
-    """(n, M) complex channel rows and their pathlosses, from exact distances."""
+    """(n, M) complex channel rows, from exact distances."""
     from ._kernels import response_batch
 
     if spec.pattern == "unit":
@@ -166,8 +167,9 @@ def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, ua
         h, dist = response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
                                  ground.ratio, ground.ratio)
         # the gain scales h, not synthesize's gains: moving it there changes last bits,
-        # so it waits for a deliberate re-record of the seeded outputs
-        h = h * ground.gain
+        # so it waits for a deliberate re-record of the seeded outputs; in place, it
+        # keeps the operand order of h * ground.gain and needs no second (n, M) array
+        h *= ground.gain
     return synthesize(h, dist, spec.lam, 1.0)
 
 
@@ -190,8 +192,8 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
         rot_k = geo.sample_rotations(rng, take, spec.orientation_ranges)
         rot_j = geo.sample_rotations(rng, take, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, take)
-        g_k, _ = _channel_for(spec, ground, pos_k, gs, rot_k)
-        g_j, _ = _channel_for(spec, ground, pos_j, gs, rot_j)
+        g_k = _channel_for(spec, ground, pos_k, gs, rot_k)
+        g_j = _channel_for(spec, ground, pos_j, gs, rot_j)
         gain_k = np.mean(np.abs(g_k) ** 2, axis=1)
         gain_j = np.mean(np.abs(g_j) ** 2, axis=1)
         cross = np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
@@ -261,7 +263,7 @@ def estimate_ergodic_rate(
         gs = _gs_rotations(spec, ground, rng, take)
         if gs.ndim == 4:  # one common array orientation per draw, shared by its k drones
             gs = np.repeat(gs, k, axis=0)
-        g_rows, _ = _channel_for(spec, ground, pos, gs, rots)
+        g_rows = _channel_for(spec, ground, pos, gs, rots)
         g = g_rows.reshape(take, k, -1)  # (draws, K, M)
         powers = spec.rho_u / np.mean(np.abs(g) ** 2, axis=2)
         g_hat = g
@@ -369,8 +371,9 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
         pairs.append((l, lp, p - pp, q - qp, bval))
     # one group per pair: each value is that of a call of its own
     cvals, dvals = cb_db([bval for *_, bval in pairs], spec.region, np.arange(len(pairs)))
-    rows = []
-    for (l, lp, dp, dq, bval), cval, dval in zip(pairs, cvals.tolist(), dvals.tolist()):
+
+    def row(pair):
+        (l, lp, dp, dq, bval), cval, dval = pair
         sincval = expected_phase_sinc(dp, dq, geometry, lam)
         closed = complex(cval, dval) * sincval
         phase = bval / d - (2.0 * math.pi / lam) * sin_theta * (
@@ -381,17 +384,19 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
         mc = complex(z.mean())
         se = float(np.sqrt((np.abs(z - mc) ** 2).mean() / n))
         dev = abs(mc - closed) / se if se > 0 else 0.0
-        rows.append(
-            {
-                "l": l,
-                "lp": lp,
-                "closed_re": closed.real,
-                "closed_im": closed.imag,
-                "mc_re": mc.real,
-                "mc_im": mc.imag,
-                "stderr": se,
-                "dev_se": dev,
-            }
-        )
+        return {
+            "l": l,
+            "lp": lp,
+            "closed_re": closed.real,
+            "closed_im": closed.imag,
+            "mc_re": mc.real,
+            "mc_im": mc.imag,
+            "stderr": se,
+            "dev_se": dev,
+        }
+
+    # the rows only read the shared draws: on the kernel's pool once the draws
+    # are as wide as one of its blocks, in pick order either way
+    rows = map_tasks(row, zip(pairs, cvals.tolist(), dvals.tolist()), pooled=n >= _BLOCK_LANES)
     max_dev = max(r["dev_se"] for r in rows)
     return rows, max_dev

@@ -1,8 +1,11 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from swarm_mimo_sim import _kernels
 from swarm_mimo_sim import channel as ch
 from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import polarization as pol
@@ -111,6 +114,54 @@ class TestChannelVector:
                 pol.GroundArray.build(circular_configs(100), F0, geometry),
                 np.array([[1.0, 0.5, 0.5]]), np.eye(3)[None],
             )
+
+
+def _synthesize_reference(h, dist, lam, gains):
+    "The one expression over the whole array that ``synthesize`` computes by row blocks."
+    beta = ch.pathloss(dist, lam)
+    return np.sqrt(beta * gains) * h * np.exp(-2j * math.pi * dist / lam)
+
+
+class TestSynthesize:
+    """Row-blocked synthesis keeps every bit of the whole-array expression."""
+
+    # one block, several blocks (8180 x 64 is the ergodic chunk), a one-row
+    # remainder merged into the block before it, and a few very wide rows
+    SHAPES = [(1, 1), (2, 3), (8180, 64), (8192, 50), (16385, 1), (3, 20000)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_bits_match_whole_array_expression(self, shape, monkeypatch):
+        rng = np.random.default_rng(shape[0] * 7919 + shape[1])
+        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        dist = rng.uniform(20.0, 500.0, size=shape)
+        gain = pol.HALF_WAVE_DIPOLE_GAIN
+        # the gain on the coupling (as montecarlo applies it) or in the pathloss
+        cases = [(h * gain, 1.0), (h, gain * gain)]
+        wants = [_synthesize_reference(hh, dist, LAM, gains) for hh, gains in cases]
+
+        def check(how):
+            for (hh, gains), want in zip(cases, wants):
+                got = ch.synthesize(hh, dist, LAM, gains)
+                assert got.shape == shape and got.tobytes() == want.tobytes(), (how, gains)
+
+        # one worker, and more workers than cores switching threads every microsecond
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 8):
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(_kernels, "_pool", pool)
+                    check(workers)
+        finally:
+            sys.setswitchinterval(switch)
+        monkeypatch.setattr(_kernels, "_block_pool", lambda: None)  # one usable core: inline
+        check("inline")
+
+    def test_rejects_nonpositive_distance_in_any_block(self):
+        dist = np.full((8192, 50), 100.0)
+        dist[-1, -1] = 0.0
+        with pytest.raises(SwarmMimoError, match="distance must be positive"):
+            ch.synthesize(np.ones(dist.shape, complex), dist, LAM, 1.0)
 
 
 class TestGroundArray:

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from swarm_mimo_sim import cli, spacing
+from swarm_mimo_sim import _kernels, cli, spacing
 from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim.errors import ConfigError
 
@@ -251,6 +252,23 @@ two_dimensional = true
         summary = json.loads((tmp_path / "validate_summary.json").read_text())
         assert summary["phase_moment_max_dev_se"] < 5.0
         assert summary["interference_moment"]["dev_se"] < 5.0
+
+    def test_validate_files_independent_of_pool(self, tmp_path, monkeypatch):
+        # 20,000 draws fill more than one block: the pair rows, the kernel and
+        # the channel synthesis of the interference moment all run on the pool
+        text = preset("validate.ini").replace("100000", "20000")
+        with ThreadPoolExecutor(8) as pool:
+            monkeypatch.setattr(_kernels, "_pool", pool)
+            files = cli.run_experiment("validate", text, 7, tmp_path / "on")
+        monkeypatch.setattr(_kernels, "_block_pool", lambda: None)
+        assert cli.run_experiment("validate", text, 7, tmp_path / "off") == files
+        for f in files:
+            on, off = ((tmp_path / d / f).read_bytes() for d in ("on", "off"))
+            if f.endswith(".json"):  # identical apart from the run's own wall time
+                on, off = (json.loads(b) for b in (on, off))
+                on.pop("wall_clock_s"), off.pop("wall_clock_s")
+                on, off = json.dumps(on), json.dumps(off)  # floats as repr: every bit
+            assert on == off, f
 
     def test_byte_identical_reruns(self, tmp_path):
         # every experiment, at a small size, twice with one seed

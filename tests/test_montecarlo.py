@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,8 +56,8 @@ class TestDeterminism:
             rot_k = geo.sample_rotations(rng, take, spec.orientation_ranges)
             rot_j = geo.sample_rotations(rng, take, spec.orientation_ranges)
             gs = mc._gs_rotations(spec, ground, rng, take)
-            g_k, _ = mc._channel_for(spec, ground, pos_k, gs, rot_k)
-            g_j, _ = mc._channel_for(spec, ground, pos_j, gs, rot_j)
+            g_k = mc._channel_for(spec, ground, pos_k, gs, rot_k)
+            g_j = mc._channel_for(spec, ground, pos_j, gs, rot_j)
             parts[index] = (spec.rho_u / np.mean(np.abs(g_k) ** 2, axis=1)) * (
                 spec.rho_u / np.mean(np.abs(g_j) ** 2, axis=1)
             ) * np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
@@ -162,7 +164,7 @@ class TestErgodicRate:
             gs = mc._gs_rotations(spec, ground, rng, take)
             if gs.ndim == 4:
                 gs = np.repeat(gs, spec.k, axis=0)
-            g_rows, _ = mc._channel_for(spec, ground, pos, gs, rots)
+            g_rows = mc._channel_for(spec, ground, pos, gs, rots)
             g = g_rows.reshape(take, spec.k, -1)
             powers = spec.rho_u / np.mean(np.abs(g) ** 2, axis=2)
             g_hat = g
@@ -302,6 +304,50 @@ class TestValidateExpectations:
             assert [(r["l"], r["lp"]) for r in rows] == want, max_pairs
 
 
+class _CountingPool(ThreadPoolExecutor):
+    "A thread pool that counts the task batches handed to it."
+
+    maps = 0
+
+    def map(self, fn, *iterables, **kw):
+        self.maps += 1
+        return super().map(fn, *iterables, **kw)
+
+
+def _row_bits(rows):
+    return [[float(v).hex() for v in r.values()] for r in rows]
+
+
+class TestValidatePool:
+    """The pair rows run on the kernel's pool once the draws fill a block."""
+
+    def test_rows_independent_of_worker_count(self, monkeypatch):
+        spec = spec_for(m=8, spacing=0.3 * LAM)
+        n = _kernels._BLOCK_LANES + 5
+        pooled = {}
+        # one worker, and more workers than cores switching threads every microsecond
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 8):
+                with _CountingPool(workers) as pool:
+                    monkeypatch.setattr(_kernels, "_pool", pool)
+                    pooled[workers] = _row_bits(mc.validate_expectations(spec, n, seed=4)[0])
+                    assert pool.maps == 1, workers
+        finally:
+            sys.setswitchinterval(switch)
+        monkeypatch.setattr(_kernels, "_block_pool", lambda: None)  # one usable core: inline
+        inline = _row_bits(mc.validate_expectations(spec, n, seed=4)[0])
+        assert pooled[1] == inline and pooled[8] == inline
+
+    def test_narrow_draws_stay_inline(self, monkeypatch):
+        # the benchmark's warm-up runs are this narrow, and must not build a pool
+        with _CountingPool(2) as pool:
+            monkeypatch.setattr(_kernels, "_pool", pool)
+            mc.validate_expectations(spec_for(m=8), _kernels._BLOCK_LANES - 1, seed=4)
+            assert pool.maps == 0
+
+
 class TestChunkLoop:
     @pytest.mark.parametrize("size", [4, 5, mc.CHUNK])
     def test_chunks_take_size_and_substream(self, size):
@@ -369,6 +415,25 @@ class TestChunkMemory:
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+def test_ergodic_chunk_peak_memory(monkeypatch):
+    # one chunk of the benchmark's ergodic case: 409 draws of 20 drones on 64
+    # elements. Its peak is in the SINR and the estimate (about 3.4 times its
+    # complex (rows, M) array); whole-array synthesis peaked at 5.1 times.
+    monkeypatch.setattr(_kernels, "_block_pool", lambda: None)
+    spec = spec_for(m=64, spacing=LAM / 2, r_min=20.0, k=20,
+                    gs_orientation="pseudo-random", orientation_seed=3)
+    draws = mc.CHUNK // spec.k
+    mc.estimate_ergodic_rate(spec, 2, 1)  # first-call allocations outside the trace
+    tracemalloc.start()
+    try:
+        mc.estimate_ergodic_rate(spec, draws, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    channel_bytes = draws * spec.k * spec.geometry.m * np.dtype(np.complex128).itemsize
+    assert peak <= 3.6 * channel_bytes, peak / channel_bytes
+
+
 class TestZfReceiverRate:
     def test_two_drone_zf_rate_below_isolated_ceiling(self):
         m = 64
@@ -386,7 +451,7 @@ class TestZfReceiverRate:
         rots = geo.sample_rotations(rng, 40_000, spec.orientation_ranges)
         ground = spec.ground()
         gs = mc._gs_rotations(spec, ground, rng, 40_000)
-        g, beta = mc._channel_for(spec, ground, pos, gs, rots)
+        g = mc._channel_for(spec, ground, pos, gs, rots)
         e_inv = float(np.mean(1.0 / np.mean(np.abs(g) ** 2, axis=1)))
         params = rates.RateParams(
             geometry=spec.geometry, region=spec.region, lam=LAM, k=3,
