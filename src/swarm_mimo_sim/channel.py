@@ -140,24 +140,40 @@ def channel_matrix(
     return g.reshape(pos.shape[:-1] + (-1,)).swapaxes(-1, -2).copy()
 
 
-def ml_estimate(g: np.ndarray, p_p: float, rng: np.random.Generator) -> np.ndarray:
+def pilot_draws(rng: np.random.Generator, shape, p_p: float):
+    """The standard normals of the pilot noise of a ``(..., M, K)`` stack of ``shape``.
+
+    Each matrix draws all its real parts, then all its imaginary parts, so the
+    result is ``(..., 2, M, K)`` and a stack consumes the stream its matrices
+    would in turn; a ``(rows, M)`` block of channel rows is one matrix. At an
+    infinite pilot SNR the estimate is exact and nothing is drawn: the result
+    is None.
+    """
+    if math.isinf(p_p):
+        return None
+    return rng.standard_normal(shape[:-2] + (2,) + shape[-2:])
+
+
+def ml_estimate(g: np.ndarray, p_p: float, z) -> np.ndarray:
     """Maximum-likelihood channel estimate from orthogonal pilots.
 
     Equivalent to despreading the received pilot block: the estimate is the
-    true matrix plus white complex Gaussian noise scaled by 1/sqrt(p_p).
-    ``g`` may be a ``(..., M, K)`` stack; each matrix draws its real part,
-    then its imaginary part, so a stack consumes the stream its matrices
-    would in turn.
+    true matrix plus white complex Gaussian noise scaled by 1/sqrt(p_p). The
+    noise is formed from ``z``, the draws :func:`pilot_draws` makes for ``g``'s
+    shape (or a slice of them that matches ``g``), so a caller may draw them
+    before it builds ``g``. At an infinite pilot SNR the estimate is ``g`` and
+    ``z`` is not read.
     """
     if p_p <= 0:
         raise SwarmMimoError("pilot power must be positive")
     g = np.asarray(g)
     if math.isinf(p_p):
         return g.copy()
-    z = rng.standard_normal(g.shape[:-2] + (2,) + g.shape[-2:])
     w = z[..., 0, :, :] + 1j * z[..., 1, :, :]
-    del z  # the real draws, freed before the estimate is formed
-    return g + w / math.sqrt(2.0 * p_p)
+    # in place, with the bits of g + w / sqrt(2 p_p): addition commutes
+    w /= math.sqrt(2.0 * p_p)
+    w += g
+    return w
 
 
 def instantaneous_sinr_mrc(

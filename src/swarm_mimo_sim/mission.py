@@ -22,6 +22,7 @@ from .channel import (
     instantaneous_sinr_mrc,
     ml_estimate,
     pathloss,
+    pilot_draws,
     pilot_snr,
 )
 from .errors import SwarmMimoError
@@ -327,7 +328,7 @@ def run_mission(
         mean_gain = np.mean(np.abs(g) ** 2, axis=-2)
         powers = spec.rho_u / mean_gain
         if csi == "estimated":
-            g_hat = ml_estimate(g, p_p, rng)
+            g_hat = ml_estimate(g, p_p, pilot_draws(rng, g.shape, p_p))
         else:
             g_hat = g
         sinr = instantaneous_sinr_mrc(g, g_hat, powers)

@@ -5,19 +5,23 @@ fixed-size chunks and gives chunk ``i`` its own counter-based random
 substream, ``substream(seed, i)``; :func:`_estimate` combines the chunks'
 partial sums in chunk order. Results are therefore bit-identical for a fixed
 seed no matter how the chunks are scheduled, and independent of the
-parallelism inside the numeric kernels.
+parallelism inside the numeric kernels. Within a chunk every random draw comes
+before any channel is built, and synthesis draws nothing: an estimator draws
+its positions and rotations and, for the ergodic rate with estimated CSI,
+then the pilot noise of all the chunk's channel rows.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel
 from . import geometry as geo
-from ._kernels import _BLOCK_LANES, map_tasks
+from ._kernels import _BLOCK_LANES, _row_blocks, map_tasks
 from .channel import instantaneous_sinr_mrc, pilot_snr, sinr_zf, synthesize
 from .errors import SwarmMimoError
 from .polarization import _FAR_M, DipoleExcitation, GroundArray, chi_batch
@@ -173,6 +177,22 @@ def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, ua
     return synthesize(h, dist, spec.lam, 1.0)
 
 
+def _draw_groups(take: int, k: int, m: int):
+    """Slices of whole draws that cut a chunk's ``take * k`` channel rows on block bounds.
+
+    The groups join the kernel's row blocks of the whole chunk
+    (``_row_blocks``, where a one-row remainder joins the block before it)
+    until one ends on a draw, every lcm(block rows, k) rows. A group's kernel
+    and synthesis calls therefore cut their rows into the chunk's own blocks,
+    and keep the bits of one call on the whole chunk.
+    """
+    start = 0
+    for block in _row_blocks(take * k, m):
+        if block.stop % k == 0:
+            yield slice(start, block.stop // k)
+            start = block.stop // k
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -245,7 +265,9 @@ def estimate_ergodic_rate(
     control, optionally perturbs the channel with pilot noise sized by the
     scenario's worst-case gain, and evaluates the instantaneous SINR of the
     selected receiver. The estimate averages drones and draws; ``stderr``
-    reflects draw-to-draw variation.
+    reflects draw-to-draw variation. A chunk makes all its draws first, then
+    synthesizes, estimates and combines one group of whole draws at a time
+    (:func:`_draw_groups`), so it holds one group's channels, not the chunk's.
     """
     if receiver not in ("mrc", "zf"):
         raise SwarmMimoError(f"unknown receiver {receiver!r}")
@@ -253,7 +275,7 @@ def estimate_ergodic_rate(
         raise SwarmMimoError(f"unknown csi mode {csi!r}")
     if receiver == "zf" and csi != "perfect":
         raise SwarmMimoError("zero-forcing here assumes perfect channel knowledge")
-    k = spec.k
+    k, m = spec.k, spec.geometry.m
     ground = spec.ground()
     p_p = pilot_snr(spec.rho_p, spec.region.r_max, spec.chi_wc, spec.lam)
 
@@ -261,20 +283,25 @@ def estimate_ergodic_rate(
         pos = geo.sample_shell_positions(spec.region, rng, take * k)
         rots = geo.sample_rotations(rng, take * k, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, take)
-        if gs.ndim == 4:  # one common array orientation per draw, shared by its k drones
-            gs = np.repeat(gs, k, axis=0)
-        g_rows = _channel_for(spec, ground, pos, gs, rots)
-        g = g_rows.reshape(take, k, -1)  # (draws, K, M)
-        powers = spec.rho_u / np.mean(np.abs(g) ** 2, axis=2)
-        g_hat = g
-        if csi == "estimated":  # the (draws, K, M) stack as one (draws * K, M) matrix
-            g_hat = channel.ml_estimate(g.reshape(-1, g.shape[-1]), p_p, rng).reshape(g.shape)
-        g = g.transpose(0, 2, 1)  # (draws, M, K), one matrix per draw
-        if receiver == "mrc":
-            sinr = instantaneous_sinr_mrc(g, g_hat.transpose(0, 2, 1), powers)
-        else:
-            sinr = sinr_zf(g, powers)
-        return prelog * np.mean(np.log2(1.0 + sinr), axis=-1)
+        noise = channel.pilot_draws(rng, (take * k, m), p_p) if csi == "estimated" else None
+        rates = np.empty(take)
+        for draws in _draw_groups(take, k, m):
+            rows = slice(draws.start * k, draws.stop * k)
+            # one common array orientation per draw, shared by its k drones
+            gs_rows = np.repeat(gs[draws], k, axis=0) if gs.ndim == 4 else gs
+            g_rows = _channel_for(spec, ground, pos[rows], gs_rows, rots[rows])
+            g = g_rows.reshape(-1, k, m)  # (draws, K, M)
+            powers = spec.rho_u / np.mean(np.abs(g) ** 2, axis=2)
+            g_hat = g
+            if noise is not None:  # the group's (draws * K, M) rows as one matrix
+                g_hat = channel.ml_estimate(g_rows, p_p, noise[:, rows]).reshape(g.shape)
+            g = g.transpose(0, 2, 1)  # (draws, M, K), one matrix per draw
+            if receiver == "mrc":
+                sinr = instantaneous_sinr_mrc(g, g_hat.transpose(0, 2, 1), powers)
+            else:
+                sinr = sinr_zf(g, powers)
+            rates[draws] = prelog * np.mean(np.log2(1.0 + sinr), axis=-1)
+        return rates
 
     return _estimate(n, seed, max(1, CHUNK // max(k, 1)), sample)
 
@@ -357,7 +384,8 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
         picks = sorted(substream(seed, 0xFA1).choice(count, size=max_pairs, replace=False))
     rng = substream(seed, 1)
     d, theta, phi = geo._shell_draws(spec.region, rng, n)
-    sin_theta, cos_phi, sin_phi = np.sin(theta), np.cos(phi), np.sin(phi)
+    k_sin_theta = (2.0 * math.pi / lam) * np.sin(theta)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     pairs = []
     for k in picks:
         row, col = divmod(int(k), m - 1)
@@ -372,17 +400,32 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
     # one group per pair: each value is that of a call of its own
     cvals, dvals = cb_db([bval for *_, bval in pairs], spec.region, np.arange(len(pairs)))
 
+    # n-sized buffers that live as long as the call, one set per thread: rows
+    # that allocated their own temporaries faulted the freed pages back in
+    local = threading.local()
+
     def row(pair):
         (l, lp, dp, dq, bval), cval, dval = pair
         sincval = expected_phase_sinc(dp, dq, geometry, lam)
         closed = complex(cval, dval) * sincval
-        phase = bval / d - (2.0 * math.pi / lam) * sin_theta * (
-            dp * geometry.delta_x * cos_phi
-            + dq * geometry.delta_y * sin_phi
-        )
-        z = np.exp(1j * phase)
+        if not hasattr(local, "bufs"):
+            local.bufs = np.empty(n), np.empty(n), np.empty(n, dtype=np.complex128)
+        a, b, z = local.bufs
+        # phase = bval / d - (2 pi / lam) sin(theta) (dp dx cos(phi) + dq dy sin(phi)),
+        # one operation at a time in the order of that expression
+        np.multiply(dp * geometry.delta_x, cos_phi, out=a)
+        np.multiply(dq * geometry.delta_y, sin_phi, out=b)
+        np.add(a, b, out=a)
+        np.multiply(k_sin_theta, a, out=a)
+        np.divide(bval, d, out=b)
+        np.subtract(b, a, out=a)
+        np.multiply(1j, a, out=z)
+        np.exp(z, out=z)
         mc = complex(z.mean())
-        se = float(np.sqrt((np.abs(z - mc) ** 2).mean() / n))
+        np.subtract(z, mc, out=z)
+        np.abs(z, out=a)
+        np.square(a, out=a)
+        se = float(np.sqrt(a.mean() / n))
         dev = abs(mc - closed) / se if se > 0 else 0.0
         return {
             "l": l,

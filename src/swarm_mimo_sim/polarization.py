@@ -275,9 +275,13 @@ def chi_batch(ground: GroundArray, positions: np.ndarray, gs_rots: np.ndarray,
     rotate the whole array per sample. Used by :func:`worst_case_gain` and
     the Monte Carlo estimators; a singular direction raises in the kernel.
     """
-    h, _ = response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
-                          ground.ratio, ground.ratio)
-    return ground.gain * ground.gain * np.abs(h) ** 2
+    # the distances go at once, and the gain is formed in place with the bits
+    # of gain * gain * |h| ** 2: one square, then one product with the scalar
+    gain = np.abs(response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w,
+                                 ground.w, ground.ratio, ground.ratio)[0])
+    np.square(gain, out=gain)
+    gain *= ground.gain * ground.gain
+    return gain
 
 
 # drone range of worst_case_gain and montecarlo.kappa_estimate; their elements

@@ -130,7 +130,7 @@ class TestSynthesize:
     SHAPES = [(1, 1), (2, 3), (8180, 64), (8192, 50), (16385, 1), (3, 20000)]
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-    def test_bits_match_whole_array_expression(self, shape, monkeypatch):
+    def test_bits_match_whole_array_expression(self, shape, monkeypatch, inline_kernel):
         rng = np.random.default_rng(shape[0] * 7919 + shape[1])
         h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         dist = rng.uniform(20.0, 500.0, size=shape)
@@ -154,7 +154,7 @@ class TestSynthesize:
                     check(workers)
         finally:
             sys.setswitchinterval(switch)
-        monkeypatch.setattr(_kernels, "_block_pool", lambda: None)  # one usable core: inline
+        inline_kernel()  # one usable core: inline
         check("inline")
 
     def test_rejects_nonpositive_distance_in_any_block(self):
@@ -231,7 +231,8 @@ class TestMlEstimate:
     def test_perfect_csi_limit(self):
         rng = np.random.default_rng(0)
         g = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
-        assert np.array_equal(ch.ml_estimate(g, math.inf, rng), g)
+        assert ch.pilot_draws(rng, g.shape, math.inf) is None  # nothing drawn
+        assert np.array_equal(ch.ml_estimate(g, math.inf, None), g)
 
     def test_error_variance(self):
         rng = np.random.default_rng(1)
@@ -239,7 +240,7 @@ class TestMlEstimate:
         p_p = 3.7
         errs = []
         for _ in range(10_000):
-            est = ch.ml_estimate(g, p_p, rng)
+            est = ch.ml_estimate(g, p_p, ch.pilot_draws(rng, g.shape, p_p))
             errs.append(np.sum(np.abs(est - g) ** 2))
         errs = np.asarray(errs)
         expected = g.size / p_p
@@ -252,9 +253,31 @@ class TestMlEstimate:
         acc = 0.0
         n = 5000
         for _ in range(n):
-            est = ch.ml_estimate(g, 2.0, rng)
+            est = ch.ml_estimate(g, 2.0, ch.pilot_draws(rng, g.shape, 2.0))
             acc += np.vdot(g, est - g)
         assert abs(acc) / n < 0.05 * np.linalg.norm(g) ** 2
+
+    @pytest.mark.parametrize("shape", [(5, 3), (8180, 64)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_draw_order_and_bits(self, shape):
+        # all real parts, then all imaginary parts; the estimate keeps the bits
+        # of g + w / sqrt(2 p_p), also where numpy computes in place (8 MB here)
+        rng = np.random.default_rng(4)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        z = ch.pilot_draws(np.random.default_rng(5), shape, 2.5)
+        assert z.shape == (2,) + shape
+        assert np.array_equal(z.ravel(), np.random.default_rng(5).standard_normal(2 * g.size))
+        want = g + (z[0] + 1j * z[1]) / math.sqrt(2.0 * 2.5)
+        assert ch.ml_estimate(g, 2.5, z).tobytes() == want.tobytes()
+
+    def test_rows_from_their_slice_of_the_draws(self):
+        # a block of channel rows drawn at once and estimated a group of rows at
+        # a time, as montecarlo's ergodic chunks do
+        rng = np.random.default_rng(6)
+        g = rng.normal(size=(40, 8)) + 1j * rng.normal(size=(40, 8))
+        z = ch.pilot_draws(rng, g.shape, 7.0)
+        whole = ch.ml_estimate(g, 7.0, z)
+        for rows in (slice(0, 16), slice(16, 39), slice(39, 40)):
+            assert ch.ml_estimate(g[rows], 7.0, z[:, rows]).tobytes() == whole[rows].tobytes()
 
 
 class TestSinr:
@@ -374,9 +397,10 @@ class TestStacks:
     def test_ml_estimate(self, stack, k):
         g, _, _ = self.channels(stack, k)
         rng = np.random.default_rng(9)
-        g_hat = ch.ml_estimate(g, 40.0, np.random.default_rng(9))
+        g_hat = ch.ml_estimate(g, 40.0, ch.pilot_draws(np.random.default_rng(9), g.shape, 40.0))
         for s in range(stack):  # one matrix after another from the same stream
-            assert _same_bits(g_hat[s], ch.ml_estimate(g[s], 40.0, rng)), s
+            z = ch.pilot_draws(rng, g[s].shape, 40.0)
+            assert _same_bits(g_hat[s], ch.ml_estimate(g[s], 40.0, z)), s
 
     @pytest.mark.parametrize("stack, k", [(5, 2), (3, 20), (1, 2), (1, 20)])
     def test_sinr_mrc(self, stack, k):

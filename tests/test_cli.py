@@ -253,14 +253,14 @@ two_dimensional = true
         assert summary["phase_moment_max_dev_se"] < 5.0
         assert summary["interference_moment"]["dev_se"] < 5.0
 
-    def test_validate_files_independent_of_pool(self, tmp_path, monkeypatch):
+    def test_validate_files_independent_of_pool(self, tmp_path, monkeypatch, inline_kernel):
         # 20,000 draws fill more than one block: the pair rows, the kernel and
         # the channel synthesis of the interference moment all run on the pool
         text = preset("validate.ini").replace("100000", "20000")
         with ThreadPoolExecutor(8) as pool:
             monkeypatch.setattr(_kernels, "_pool", pool)
             files = cli.run_experiment("validate", text, 7, tmp_path / "on")
-        monkeypatch.setattr(_kernels, "_block_pool", lambda: None)
+        inline_kernel()
         assert cli.run_experiment("validate", text, 7, tmp_path / "off") == files
         for f in files:
             on, off = ((tmp_path / d / f).read_bytes() for d in ("on", "off"))

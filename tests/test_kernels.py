@@ -278,7 +278,7 @@ MULTI_BLOCK = ["per_sample", "gain_cdf", "merged"]
 
 
 @pytest.mark.parametrize("name", MULTI_BLOCK)
-def test_response_independent_of_worker_count(name, monkeypatch):
+def test_response_independent_of_worker_count(name, monkeypatch, inline_kernel):
     args = kernel_layout(name)
     assert len(_row_blocks(args[0].shape[0], args[1].shape[0])) > 1
     pooled = _bits(*response_batch(*args))
@@ -292,7 +292,7 @@ def test_response_independent_of_worker_count(name, monkeypatch):
                 assert _bits(*response_batch(*args)) == pooled, workers
     finally:
         sys.setswitchinterval(switch)
-    monkeypatch.setattr(_kernels, "_block_pool", lambda: None)  # one usable core: inline
+    inline_kernel()  # one usable core: inline
     assert _bits(*response_batch(*args)) == pooled
 
 

@@ -274,7 +274,9 @@ def per_step_records(spec, step, seed, duration, csi):
         g = ch.channel_matrix(ground, pos, uav_rots)
         mean_gain = np.mean(np.abs(g) ** 2, axis=0)
         powers = spec.rho_u / mean_gain
-        g_hat = ch.ml_estimate(g, p_p, rng) if csi == "estimated" else g
+        g_hat = g
+        if csi == "estimated":
+            g_hat = ch.ml_estimate(g, p_p, ch.pilot_draws(rng, g.shape, p_p))
         sinr = ch.instantaneous_sinr_mrc(g, g_hat, powers)
         throughput = prelog * spec.bandwidth * np.log2(1.0 + sinr)
         dist = np.linalg.norm(pos, axis=1)

@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -321,7 +320,7 @@ def _row_bits(rows):
 class TestValidatePool:
     """The pair rows run on the kernel's pool once the draws fill a block."""
 
-    def test_rows_independent_of_worker_count(self, monkeypatch):
+    def test_rows_independent_of_worker_count(self, monkeypatch, inline_kernel):
         spec = spec_for(m=8, spacing=0.3 * LAM)
         n = _kernels._BLOCK_LANES + 5
         pooled = {}
@@ -336,7 +335,7 @@ class TestValidatePool:
                     assert pool.maps == 1, workers
         finally:
             sys.setswitchinterval(switch)
-        monkeypatch.setattr(_kernels, "_block_pool", lambda: None)  # one usable core: inline
+        inline_kernel()  # one usable core: inline
         inline = _row_bits(mc.validate_expectations(spec, n, seed=4)[0])
         assert pooled[1] == inline and pooled[8] == inline
 
@@ -401,37 +400,137 @@ class TestChunkMemory:
         mc.gain_cdf(spec, chunks * mc.CHUNK, 1, np.arange(-10.0, 20.0, 1.0))
 
     @pytest.mark.parametrize("run", ["_ergodic", "_gain_cdf"])
-    def test_peak_does_not_grow_with_chunks(self, run, monkeypatch):
+    def test_peak_does_not_grow_with_chunks(self, run, inline_kernel, traced_peak):
         # kernel blocks run inline, so the peak does not depend on thread timing
-        monkeypatch.setattr(_kernels, "_block_pool", lambda: None)
-        peaks = []
-        for chunks in (1, 2):
-            tracemalloc.start()
-            try:
-                getattr(self, run)(chunks)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        inline_kernel()
+        peaks = [traced_peak(lambda: getattr(self, run)(chunks))[1] for chunks in (1, 2)]
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
-def test_ergodic_chunk_peak_memory(monkeypatch):
+def test_ergodic_chunk_peak_memory(inline_kernel, traced_peak):
     # one chunk of the benchmark's ergodic case: 409 draws of 20 drones on 64
-    # elements. Its peak is in the SINR and the estimate (about 3.4 times its
-    # complex (rows, M) array); whole-array synthesis peaked at 5.1 times.
-    monkeypatch.setattr(_kernels, "_block_pool", lambda: None)
+    # elements, at most 3.6 times its complex (rows, M) array; whole-array
+    # synthesis peaked at 5.1 times (test_grouped_chunk_peak_memory pins the
+    # grouped chunk's tighter bounds)
+    inline_kernel()
     spec = spec_for(m=64, spacing=LAM / 2, r_min=20.0, k=20,
                     gs_orientation="pseudo-random", orientation_seed=3)
     draws = mc.CHUNK // spec.k
     mc.estimate_ergodic_rate(spec, 2, 1)  # first-call allocations outside the trace
-    tracemalloc.start()
-    try:
-        mc.estimate_ergodic_rate(spec, draws, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: mc.estimate_ergodic_rate(spec, draws, 1))
     channel_bytes = draws * spec.k * spec.geometry.m * np.dtype(np.complex128).itemsize
     assert peak <= 3.6 * channel_bytes, peak / channel_bytes
+
+
+# one ergodic chunk of the benchmark's case, cut into groups of whole draws:
+# (csi, bound on the tracemalloc peak over the chunk's complex (rows, M) array).
+# The pilot draws alone are 1.0 times it; the rest is one group's working set
+# and the chunk's positions and rotations. This measured 1.95 and 0.79; the
+# whole-chunk pipeline peaked at 3.42 and 2.69.
+GROUPED_CHUNK_PEAKS = [("estimated", 2.1), ("perfect", 0.85)]
+
+
+@pytest.mark.parametrize("csi, bound", GROUPED_CHUNK_PEAKS)
+def test_grouped_chunk_peak_memory(csi, bound, inline_kernel, traced_peak):
+    inline_kernel()
+    spec = spec_for(m=64, spacing=LAM / 2, r_min=20.0, k=20,
+                    gs_orientation="pseudo-random", orientation_seed=3)
+    draws = mc.CHUNK // spec.k
+    mc.estimate_ergodic_rate(spec, 2, 1, csi=csi)  # first-call allocations outside the trace
+    _, peak = traced_peak(lambda: mc.estimate_ergodic_rate(spec, draws, 1, csi=csi))
+    channel_bytes = draws * spec.k * spec.geometry.m * np.dtype(np.complex128).itemsize
+    assert peak <= bound * channel_bytes, peak / channel_bytes
+
+
+class TestErgodicGroups:
+    """A chunk is estimated one group of whole draws at a time, with the bits of the whole chunk."""
+
+    @pytest.mark.parametrize("take, k, m", [
+        (409, 20, 64),  # the benchmark's chunk: six groups of 64 draws and one of 25
+        (257, 1, 64),  # a one-row remainder joins the group before it
+        (513, 1, 64),
+        (91, 20, 24),
+        (2730, 3, 50),
+        (1, 1, 64),
+        (3, 7, 10_000),  # two-row blocks
+    ])
+    def test_groups_cut_on_block_bounds(self, take, k, m):
+        groups = list(mc._draw_groups(take, k, m))
+        assert groups[0].start == 0 and groups[-1].stop == take
+        assert all(a.stop == b.start and a.start < a.stop for a, b in zip(groups, groups[1:]))
+        blocks = [(b.start, b.stop) for b in _kernels._row_blocks(take * k, m)]
+        for g in groups:
+            first, last = g.start * k, g.stop * k
+            # the group's own kernel blocks are the chunk's blocks over its rows
+            own = [(first + b.start, first + b.stop) for b in _kernels._row_blocks(last - first, m)]
+            assert own == [b for b in blocks if first <= b[0] < last], g
+
+    @pytest.mark.parametrize("take, k", [(257, 1), (409, 20)])
+    def test_group_channels_match_whole_chunk(self, take, k):
+        # a one-row kernel call would change last bits (gemv), so the groups
+        # must not leave one row on its own
+        spec = spec_for(m=64, spacing=LAM / 2, r_min=20.0, k=k,
+                        gs_orientation="pseudo-random", orientation_seed=3)
+        ground = spec.ground()
+        rng = np.random.default_rng(take)
+        pos = geo.sample_shell_positions(spec.region, rng, take * k)
+        rots = geo.sample_rotations(rng, take * k)
+        whole = mc._channel_for(spec, ground, pos, ground.rotations, rots)
+        for g in mc._draw_groups(take, k, spec.geometry.m):
+            rows = slice(g.start * k, g.stop * k)
+            part = mc._channel_for(spec, ground, pos[rows], ground.rotations, rots[rows])
+            assert part.tobytes() == whole[rows].tobytes(), g
+
+    def test_benchmark_chunk_groups(self):
+        sizes = [g.stop - g.start for g in mc._draw_groups(409, 20, 64)]
+        assert sizes == [64] * 6 + [25]
+        assert [g.stop - g.start for g in mc._draw_groups(257, 1, 64)] == [257]
+
+
+# float.hex of estimate_ergodic_rate's (mean, stderr), recorded before the
+# chunks were cut into groups: 64 elements at half a wavelength, shell
+# 20-500 m, 20 drones, pseudo-random array orientations (seed 3), unless edited
+ERGODIC_BITS = {
+    "mrc-estimated": ({}, 409, 1, "mrc", "estimated",
+                      "0x1.16e45b0c19f5bp+1", "0x1.33456a2f50558p-7"),
+    "mrc-perfect": ({}, 409, 1, "mrc", "perfect",
+                    "0x1.3205843484e27p+1", "0x1.564a44d7cf350p-7"),
+    "zf-perfect": ({}, 409, 1, "zf", "perfect",
+                   "0x1.57432bd431e63p+2", "0x1.8d6c114250b00p-7"),
+    "k1-n257": ({"k": 1}, 257, 1, "mrc", "estimated",
+                "0x1.747ccba7ec0abp+2", "0x1.127c44aa3435fp-7"),
+    "fixed": ({"gs_orientation": "fixed"}, 409, 2, "mrc", "estimated",
+              "0x1.57d549807344cp+1", "0x1.172741da2306ep-6"),
+    "identical": ({"gs_orientation": "identical"}, 409, 2, "mrc", "estimated",
+                  "0x1.5798cc4a07fa1p+1", "0x1.173eb2d21dedfp-6"),
+    "m24-two-chunks": ({"m": 24}, 500, 4, "mrc", "estimated",
+                       "0x1.2316b9b6408c9p+0", "0x1.3de8fe419768ep-8"),
+    "m50-k3-zf": ({"m": 50, "k": 3}, 500, 5, "zf", "perfect",
+                  "0x1.65e713d1c2794p+2", "0x1.4c94459633dcbp-7"),
+}
+
+
+def _ergodic_bits(case):
+    edits, n, seed, receiver, csi, *_ = ERGODIC_BITS[case]
+    kw = {"m": 64, "k": 20, "gs_orientation": "pseudo-random", **edits}
+    spec = spec_for(spacing=LAM / 2, r_min=20.0, orientation_seed=3, **kw)
+    res = mc.estimate_ergodic_rate(spec, n, seed, receiver=receiver, csi=csi)
+    assert res.n == n
+    return res.mean.hex(), res.stderr.hex()
+
+
+@pytest.mark.parametrize("case", ERGODIC_BITS)
+def test_ergodic_rate_bits(case):
+    assert _ergodic_bits(case) == tuple(ERGODIC_BITS[case][-2:])
+
+
+@pytest.mark.parametrize("case", ["mrc-estimated", "zf-perfect", "identical"])  # 5-block groups
+def test_ergodic_rate_bits_inline_and_pooled(case, monkeypatch, inline_kernel):
+    with ThreadPoolExecutor(8) as pool:
+        monkeypatch.setattr(_kernels, "_pool", pool)
+        pooled = _ergodic_bits(case)
+    inline_kernel()
+    assert _ergodic_bits(case) == pooled == tuple(ERGODIC_BITS[case][-2:])
 
 
 class TestZfReceiverRate:

@@ -158,32 +158,18 @@ def test_merged_endpoints_match_separate_calls():
 OMEGA_16X16_PEAK_BYTES = 3_259_227
 
 
-def test_omega_16x16_peak_memory():
-    import tracemalloc
-
+def test_omega_16x16_peak_memory(traced_peak):
     g = geo.ArrayGeometry(16, 16, 0.3 * LAM, 0.4 * LAM)
     region = geo.ShellRegion(499.0, 500.0)
     rates.omega(g, LAM, region)  # warm up caches and imports
-    tracemalloc.start()
-    try:
-        rates.omega(g, LAM, region)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: rates.omega(g, LAM, region))
     assert peak <= OMEGA_16X16_PEAK_BYTES + 256 * 1024
 
 
-def test_omega_surface_40x40_counts_pairs():
+def test_omega_surface_40x40_counts_pairs(traced_peak):
     # the far-sphere limit weighs each offset's pair count, with no per-pair
     # array: a sum over per-pair terms needs about 120 MiB here
-    import tracemalloc
-
     g = geo.ArrayGeometry(40, 40, 0.3 * LAM, 0.4 * LAM)
-    tracemalloc.start()
-    try:
-        value = rates.omega_surface(g, LAM)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    value, peak = traced_peak(lambda: rates.omega_surface(g, LAM))
     assert float(value).hex() == "0x1.9f81a4e2074e3p+11"
     assert peak < 4 * 2**20
