@@ -36,14 +36,12 @@ bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
   callers therefore moves their last bits: ``mission.run_mission`` calls the
   kernel once per group of steps, so a one-drone mission moves, while stacks
   of two-drone or wider calls keep every bit.
-- numpy multiplies a one-element complex array in place without the fused
-  multiply-add of its vector loop (see ``_e1_lentz``).
 - numpy may compute ``a * f(x)`` in place into a temporary ``f(x)`` of 256 KiB
   or more, with the operands swapped, which changes how a complex product
-  rounds; ``_e1_lentz`` therefore calls ``np.multiply`` explicitly. It swaps
-  only when the left operand is not a temporary. ``channel.synthesize``'s
-  one complex product of two arrays, ``(sqrt(beta * gains) * h) * phase``,
-  has temporaries on both sides, and numpy keeps the left one. The real
+  rounds. It swaps only when the left operand is not a temporary.
+  ``channel.synthesize``'s one complex product of two arrays,
+  ``(sqrt(beta * gains) * h) * phase``, has temporaries on both sides, and
+  numpy keeps the left one. The real
   ``sqrt(beta * gains)`` times the complex ``h`` has no temporary of its
   result's type, and every other operation there is real or has a scalar
   operand. So whether a block is large enough to be computed in place, and
@@ -66,8 +64,6 @@ import numpy as np
 
 from .errors import SingularDirectionError
 
-EULER_GAMMA = 0.5772156649015329
-
 # a lane whose propagation direction lies this close to the z or y axis of its
 # rotated transmit frame, relative to its distance, makes the kernel raise
 _SING_EPS = 1e-14
@@ -89,23 +85,17 @@ def _cmul_unfused(p, q):
     return out
 
 
-def _e1_lentz(x, groups):
-    """``E1(i x)`` for x > 2 by the continued fraction, stopped per group.
+def _e1_lentz(x):
+    """``E1(i x)`` for x > 2 by the continued fraction, each lane stopped on its own.
 
-    A group's lanes leave the working arrays after the first step at which
-    all of them have converged, so each lane's value depends only on the
-    lanes of its own group. numpy multiplies a one-element complex array in
-    place without the fused multiply-add of its vector loop, so while other
-    lanes share the working arrays, the lane of a one-lane group is
-    multiplied that way by hand.
+    A lane leaves the working arrays at the first step at which its own
+    ``|delta - 1| < 1e-16``, and every complex product is formed unfused, so
+    a lane's value depends only on its own argument. (numpy's vector complex
+    multiply fuses and its in-place one-element multiply does not, so the
+    products numpy forms would depend on the other lanes of the call.)
     """
-    order = np.argsort(groups, kind="stable")
-    _, sizes = np.unique(groups[order], return_counts=True)
-    starts = np.cumsum(sizes) - sizes
-    solo = np.repeat(sizes == 1, sizes)
-    fix_solo = solo.size > 1 and solo.any()
-    lane = order
-    b = 1.0 + 1j * x[order]
+    lane = np.arange(x.size)
+    b = 1.0 + 1j * x
     c = np.full_like(b, 1e308)
     d = 1.0 / b
     h = d.copy()
@@ -115,45 +105,28 @@ def _e1_lentz(x, groups):
         b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
-        delta = c * d
-        if fix_solo:
-            h_solo = _cmul_unfused(h[solo], delta[solo])
-        h *= delta
-        if fix_solo:
-            h[solo] = h_solo
-        done = np.maximum.reduceat(np.abs(delta - 1.0), starts) < 1e-16
+        delta = _cmul_unfused(c, d)
+        h = _cmul_unfused(h, delta)
+        done = np.abs(delta - 1.0) < 1e-16
         if done.any():
-            fin = np.repeat(done, sizes)
-            out[lane[fin]] = h[fin]
-            keep = ~fin
+            out[lane[done]] = h[done]
+            keep = ~done
             lane, b, c, d, h = lane[keep], b[keep], c[keep], d[keep], h[keep]
-            solo, sizes = solo[keep], sizes[~done]
             if lane.size == 0:
                 break
-            starts = np.cumsum(sizes) - sizes
-            fix_solo = solo.size > 1 and solo.any()
     out[lane] = h
-    # an explicit call, which numpy never computes in place (see the module docstring)
-    return np.multiply(out, np.exp(-1j * x))
+    return _cmul_unfused(out, np.exp(-1j * x))
 
 
-def si_ci_arrays(x: np.ndarray, groups=None):
+def si_ci_arrays(x: np.ndarray):
     """Vectorized (Si(x), Ci(x)) for strictly positive ``x``.
 
-    ``groups`` holds one integer id per lane. Above x = 2 every group stops
-    its continued fraction on its own, so a group's values are bit-identical
-    to those of a separate call on just its lanes. ``None`` makes the whole
-    call one group.
+    Each lane's value depends only on its own argument: a call on any subset
+    or permutation of the lanes gives the same bits for them.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("si_ci_arrays requires finite x > 0")
-    if groups is None:
-        groups = np.zeros(x.shape, dtype=np.int64)
-    else:
-        groups = np.asarray(groups)
-        if groups.shape != x.shape:
-            raise ValueError("groups must have the shape of x")
     si = np.empty_like(x)
     ci = np.empty_like(x)
     small = x <= 2.0
@@ -166,7 +139,7 @@ def si_ci_arrays(x: np.ndarray, groups=None):
             term *= -x2 * (2 * k - 1) / ((2 * k) * (2 * k + 1) * (2 * k + 1))
             acc += term
         si[small] = acc
-        acc = EULER_GAMMA + np.log(xs)
+        acc = np.euler_gamma + np.log(xs)
         t = np.ones_like(xs)
         for k in range(1, 40):
             t *= -x2 / ((2 * k - 1) * (2 * k))
@@ -174,7 +147,7 @@ def si_ci_arrays(x: np.ndarray, groups=None):
         ci[small] = acc
     big = ~small
     if np.any(big):
-        e1 = _e1_lentz(x[big], groups[big])
+        e1 = _e1_lentz(x[big])
         si[big] = np.pi / 2 + e1.imag
         ci[big] = -e1.real
     return si, ci
@@ -288,10 +261,45 @@ def map_tasks(task, items, pooled=True):
     return list(pool.map(task, items))
 
 
-def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, wt0, wt1, wr0, wr1,
-                     ratio_t, ratio_r):
-    n = pos.shape[0]
-    m = elem.shape[0]
+def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.5):
+    """Cross-dipole coupling for every (sample, element) pair.
+
+    Parameters
+    ----------
+    pos : (n, 3) drone positions in the reference frame.
+    elem : (m, 3) element positions.
+    gs_r : ground-side rotations, ``(m, 3, 3)`` for one orientation per
+        element, or ``(n, 1, 3, 3)`` for one common orientation of the whole
+        array per sample (the broadcast shape against ``(n, m)``). The two
+        differ in rank, so the layout never depends on whether n == m.
+    uav_r : drone rotations, ``(n, 3, 3)``, one per sample.
+    w_tx, w_rx : complex feed coefficients of the (theta, psi) dipoles.
+    ratio_tx, ratio_rx : dipole length over wavelength for each side.
+
+    Returns
+    -------
+    h, dist : arrays of shape ``(n, m)``; ``h`` is the complex coupling
+    (antenna gains not applied) and ``dist`` the exact distance. Raises
+    ``SingularDirectionError`` if any lane's direction is singular in the
+    rotated transmit frame.
+    """
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    elem = np.ascontiguousarray(elem, dtype=np.float64)
+    n, m = pos.shape[0], elem.shape[0]
+    gs_r = np.ascontiguousarray(gs_r, dtype=np.float64)
+    uav_r = np.ascontiguousarray(uav_r, dtype=np.float64)
+    if gs_r.shape == (m, 3, 3):
+        gs_by_sample = False
+    elif gs_r.shape == (n, 1, 3, 3):
+        gs_r, gs_by_sample = gs_r[:, 0], True
+    else:
+        raise ValueError("gs_r must be (m, 3, 3) per element or (n, 1, 3, 3) per sample")
+    if uav_r.shape != (n, 3, 3):
+        raise ValueError("uav_r must be (n, 3, 3), one rotation per sample")
+    w_tx = np.asarray(w_tx, dtype=np.complex128)
+    w_rx = np.asarray(w_rx, dtype=np.complex128)
+    wt0, wt1, wr0, wr1 = complex(w_tx[0]), complex(w_tx[1]), complex(w_rx[0]), complex(w_rx[1])
+    ratio_tx, ratio_rx = float(ratio_tx), float(ratio_rx)
     h = np.empty((n, m), dtype=np.complex128)
     dist = np.empty((n, m))
 
@@ -338,10 +346,10 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, wt0, wt1, wr0, wr1,
         t21 = _dot3(ps_ref, ez)
         t22 = _dot3(ps_ref, ey)
         del th_ref, ps_ref
-        a = np.conj(wt0) * _fpat(ct_t, ratio_t)
-        b = np.conj(wt1) * _fpat(cp_t, ratio_t)
-        c = wr0 * _fpat(ct_r, ratio_r)
-        e = wr1 * _fpat(cp_r, ratio_r)
+        a = np.conj(wt0) * _fpat(ct_t, ratio_tx)
+        b = np.conj(wt1) * _fpat(cp_t, ratio_tx)
+        c = wr0 * _fpat(ct_r, ratio_rx)
+        e = wr1 * _fpat(cp_r, ratio_rx)
         del ct_t, cp_t, ct_r, cp_r
         hv = a * (t11 * c + t12 * e)
         hv += b * (t21 * c + t22 * e)
@@ -349,47 +357,3 @@ def _resp_core_numpy(pos, elem, gs_r, gs_by_sample, uav_r, wt0, wt1, wr0, wr1,
 
     map_tasks(block, _row_blocks(n, m))
     return h, dist
-
-
-def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.5):
-    """Cross-dipole coupling for every (sample, element) pair.
-
-    Parameters
-    ----------
-    pos : (n, 3) drone positions in the reference frame.
-    elem : (m, 3) element positions.
-    gs_r : ground-side rotations, ``(m, 3, 3)`` for one orientation per
-        element, or ``(n, 1, 3, 3)`` for one common orientation of the whole
-        array per sample (the broadcast shape against ``(n, m)``). The two
-        differ in rank, so the layout never depends on whether n == m.
-    uav_r : drone rotations, ``(n, 3, 3)``, one per sample.
-    w_tx, w_rx : complex feed coefficients of the (theta, psi) dipoles.
-    ratio_tx, ratio_rx : dipole length over wavelength for each side.
-
-    Returns
-    -------
-    h, dist : arrays of shape ``(n, m)``; ``h`` is the complex coupling
-    (antenna gains not applied) and ``dist`` the exact distance. Raises
-    ``SingularDirectionError`` if any lane's direction is singular in the
-    rotated transmit frame.
-    """
-    pos = np.ascontiguousarray(pos, dtype=np.float64)
-    elem = np.ascontiguousarray(elem, dtype=np.float64)
-    n, m = pos.shape[0], elem.shape[0]
-    gs_r = np.ascontiguousarray(gs_r, dtype=np.float64)
-    uav_r = np.ascontiguousarray(uav_r, dtype=np.float64)
-    if gs_r.shape == (m, 3, 3):
-        gs_by_sample = False
-    elif gs_r.shape == (n, 1, 3, 3):
-        gs_r, gs_by_sample = gs_r[:, 0], True
-    else:
-        raise ValueError("gs_r must be (m, 3, 3) per element or (n, 1, 3, 3) per sample")
-    if uav_r.shape != (n, 3, 3):
-        raise ValueError("uav_r must be (n, 3, 3), one rotation per sample")
-    w_tx = np.asarray(w_tx, dtype=np.complex128)
-    w_rx = np.asarray(w_rx, dtype=np.complex128)
-    return _resp_core_numpy(
-        pos, elem, gs_r, gs_by_sample, uav_r,
-        complex(w_tx[0]), complex(w_tx[1]), complex(w_rx[0]), complex(w_rx[1]),
-        float(ratio_tx), float(ratio_rx),
-    )

@@ -397,8 +397,8 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
             + (q * q - qp * qp) * geometry.delta_y**2
         )
         pairs.append((l, lp, p - pp, q - qp, bval))
-    # one group per pair: each value is that of a call of its own
-    cvals, dvals = cb_db([bval for *_, bval in pairs], spec.region, np.arange(len(pairs)))
+    # one call for all pairs: each value is that of a call of its own
+    cvals, dvals = cb_db([bval for *_, bval in pairs], spec.region)
 
     # n-sized buffers that live as long as the call, one set per thread: rows
     # that allocated their own temporaries faulted the freed pages back in

@@ -24,20 +24,17 @@ from .geometry import ArrayGeometry, ShellRegion
 # ---------------------------------------------------------------------------
 
 
-def cb_db(b, region: ShellRegion, groups=None):
+def cb_db(b, region: ShellRegion):
     """Moments E[cos(b/d)] and E[sin(b/d)] for a shell-distributed radius d.
 
     The radius density is ``3 r^2 / (r_max^3 - r_min^3)`` on the shell; both
     moments are available in closed form through Si and Ci. Even/odd parity
     in ``b`` is applied, and the surface limit returns
-    ``(cos(b/R), sin(b/R))`` exactly. ``groups`` (one integer id per value of
-    ``b``) is passed on to :func:`si_ci_arrays`.
+    ``(cos(b/R), sin(b/R))`` exactly.
     """
     arr = np.asarray(b, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if groups is not None:
-        groups = np.atleast_1d(np.asarray(groups))
     sign = np.sign(arr)
     mag = np.abs(arr)
     c = np.ones_like(mag)
@@ -49,24 +46,17 @@ def cb_db(b, region: ShellRegion, groups=None):
             c[pos] = np.cos(m / region.r_max)
             d[pos] = np.sin(m / region.r_max)
         else:
-            g = None if groups is None else groups[pos]
-            c[pos], d[pos] = _cd_shell(m, region.r_min, region.r_max, g)
+            c[pos], d[pos] = _cd_shell(m, region.r_min, region.r_max)
     d *= sign
     if scalar:
         return float(c[0]), float(d[0])
     return c, d
 
 
-def _cd_shell(b, r_min, r_max, groups=None):
-    """Closed-form shell moments for strictly positive b.
-
-    Both endpoints share one :func:`si_ci_arrays` call. The lanes of
-    ``b / r_max`` get group ``2 g`` and those of ``b / r_min`` group
-    ``2 g + 1``, so each endpoint's values are those of a call of its own.
-    """
-    g = np.zeros(b.shape, dtype=np.int64) if groups is None else np.asarray(groups)
+def _cd_shell(b, r_min, r_max):
+    "Closed-form shell moments for strictly positive b; both endpoints share one Si/Ci call."
     args = np.concatenate([b / r_max, b / r_min])
-    s, c_int = si_ci_arrays(args, np.concatenate([2 * g, 2 * g + 1]))
+    s, c_int = si_ci_arrays(args)
 
     def endpoint(r, half):
         arg, s_r, c_r = args[half], s[half], c_int[half]
@@ -108,21 +98,6 @@ def _offset_products(count: int, delta: int):
 # lanes per cb_db call in omega; bounds the working set of a large array
 _CHUNK_LANES = 4096
 
-# entries per block of padded offset rows in omega's pass 3
-_PAD_ENTRIES = 1 << 16
-
-
-def _group_chunks(group_of_lane, limit):
-    "(lo, hi) slices of whole runs of equal ids, each within ``limit`` unless one run exceeds it."
-    n = group_of_lane.size
-    lo = prev = 0
-    for end in [*(np.flatnonzero(np.diff(group_of_lane)) + 1).tolist(), n]:
-        if end - lo > limit and prev > lo:
-            yield lo, prev
-            lo = prev
-        prev = end
-    yield lo, n
-
 
 def _kept_offsets(geometry: ArrayGeometry, lam: float):
     """The (dp, dq) element offsets that enter the pair sum, in order, and their weights.
@@ -151,22 +126,13 @@ def omega(geometry: ArrayGeometry, lam: float, region: ShellRegion) -> float:
     exceed the array aperture.
 
     A pair's phase constant depends only on its integer index products
-    (p, q), and each distinct product is evaluated once, in three passes:
-
-    1. list each kept offset's products; the products first needed at an
-       offset form that offset's group;
-    2. evaluate all new products in a few :func:`cb_db` calls of whole
-       groups, where each group stops its Si/Ci continued fraction as if it
-       had a call of its own (see :func:`si_ci_arrays`);
-    3. lay each offset's terms out as a row padded with trailing zeros and
-       add along the rows with ``cumsum``, which adds in order; then add the
-       weighted row sums offset by offset, again with ``cumsum``. The rows go
-       in blocks of at most ``_PAD_ENTRIES`` entries (more only when a single
-       offset has more terms), so the padding costs a bounded amount of
-       memory.
-
-    The result is bit-identical to one :func:`cb_db` call per offset whose
-    terms are added with ``sum()``, accumulated over the offsets in order.
+    (p, q). Each distinct product is evaluated once, in :func:`cb_db` calls
+    of at most ``_CHUNK_LANES`` lanes; a lane's Si/Ci value does not depend
+    on the other lanes of its call (see :func:`si_ci_arrays`). Each offset's
+    terms are then added in order from 0.0 with ``np.bincount``, and the
+    weighted offset sums in order with ``cumsum``, so the result is
+    bit-identical to one :func:`cb_db` call per offset whose terms are added
+    with ``sum()``, accumulated over the offsets in order.
     """
     if region.r_min <= geometry.aperture():
         raise SwarmMimoError(
@@ -180,43 +146,23 @@ def omega(geometry: ArrayGeometry, lam: float, region: ShellRegion) -> float:
     dx2, dy2 = geometry.delta_x**2, geometry.delta_y**2
     scale = math.pi / lam
     qspan = 2 * (my - 1) ** 2 + 1  # code p * qspan + q orders keys as (p, q)
-    # pass 1
     px = {a: _offset_products(mx, a) * qspan for a in {a for a, _ in offsets}}
     qy = {b: _offset_products(my, b) for b in {b for _, b in offsets}}
     codes = [(px[a][:, None] + qy[b][None, :]).ravel() for a, b in offsets]
-    del offsets  # free the per-offset list before the sort
-    sizes = np.array([c.size for c in codes])
-    codes = np.concatenate(codes)
-    order = np.argsort(codes, kind="stable")  # stable: first occurrence first
-    sorted_codes = codes[order]
-    first = np.ones(codes.size, dtype=bool)
-    first[1:] = sorted_codes[1:] != sorted_codes[:-1]
-    inverse = np.empty(codes.size, dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    keys = sorted_codes[first]
-    group = np.repeat(np.arange(sizes.size), sizes)[order[first]]
-    del codes, order, sorted_codes, first  # free the sort's arrays before the chunks
-
-    # pass 2
+    sizes = [c.size for c in codes]
+    del offsets
+    codes = np.concatenate(codes)  # rebound first, so the list is freed before the sort
+    keys, inverse = np.unique(codes, return_inverse=True)
+    del codes
     vals = np.empty(keys.size)
-    ev = np.lexsort((keys, group))
-    for lo, hi in _group_chunks(group[ev], _CHUNK_LANES):
-        k = ev[lo:hi]
-        p = (keys[k] + (qspan - 1) // 2) // qspan
-        q = keys[k] - p * qspan
-        c, d = cb_db(scale * (p * dx2 + q * dy2), region, group[k])
-        vals[k] = c**2 + d**2
-
-    # pass 3
-    width = int(sizes.max())
-    step = max(1, _PAD_ENTRIES // width)
-    ends = np.cumsum(sizes).tolist()
-    sums = np.empty(sizes.size)
-    for r0 in range(0, sizes.size, step):
-        r1 = min(r0 + step, sizes.size)
-        rows = np.zeros((r1 - r0, width))
-        rows[np.arange(width) < sizes[r0:r1, None]] = vals[inverse[ends[r0] - sizes[r0]:ends[r1 - 1]]]
-        sums[r0:r1] = np.cumsum(rows, axis=1)[:, -1]
+    for lo in range(0, keys.size, _CHUNK_LANES):
+        k = keys[lo:lo + _CHUNK_LANES]
+        p = (k + (qspan - 1) // 2) // qspan
+        q = k - p * qspan
+        c, d = cb_db(scale * (p * dx2 + q * dy2), region)
+        vals[lo:lo + _CHUNK_LANES] = c**2 + d**2
+    # each offset's terms, added in order from 0.0
+    sums = np.bincount(np.repeat(np.arange(len(sizes)), sizes), weights=vals[inverse])
     return np.cumsum(weights * sums)[-1]
 
 

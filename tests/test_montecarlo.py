@@ -269,9 +269,9 @@ class TestValidateExpectations:
         )
         calls = []
 
-        def counting(b, region, groups=None):
+        def counting(b, region):
             calls.append(np.size(b))
-            return rates.cb_db(b, region, groups)
+            return rates.cb_db(b, region)
 
         monkeypatch.setattr(mc, "cb_db", counting)
         rows, _ = mc.validate_expectations(spec, 4, seed=3, max_pairs=240)

@@ -1,12 +1,12 @@
 """``omega`` pinned to the last bit.
 
 Two checks: fixed values for shapes the experiments use, and equality with a
-reference loop that makes one ``cd_of_b`` call per (dp, dq) offset. The fixed
-values are ``float.hex`` of ``omega`` as computed with one Si/Ci call per
-offset, before the offsets were grouped into a few calls; a change to the pair
-sum, the shell moments or the sine and cosine integrals that moves any of
-their bits fails here. The line-array ratios 1.1, 2.05 and 2.6 each have an
-offset whose Si/Ci call holds a single argument above 2.
+reference loop that makes one ``cd_of_b`` call per (dp, dq) offset. A change
+to the pair sum, the shell moments or the sine and cosine integrals that
+moves any of their bits fails here. The fixed values are ``float.hex`` of
+``omega``; five of the line-array values (ratios 1.1, 1.37, 2.05, 2.2 and
+2.6) were re-recorded when each Si/Ci lane came to stop its continued
+fraction on its own, which moved them by at most 1.2e-13 relative.
 """
 
 import math
@@ -29,12 +29,12 @@ GOLDEN = [
             (0.5, "0x0.0p+0"),
             (0.77, "0x1.3e48a4148a5cap+2"),
             (1.0, "0x0.0p+0"),
-            (1.1, "0x1.88db7f8d6871bp+0"),
-            (1.37, "0x1.33c365d8045ecp+0"),
+            (1.1, "0x1.88db7f8d68719p+0"),
+            (1.37, "0x1.33c365d8045e5p+0"),
             (1.5, "0x0.0p+0"),
-            (2.05, "0x1.e66fece79aa1ap-3"),
-            (2.2, "0x1.2cec82e324c9ep-1"),
-            (2.6, "0x1.1946c7e16e4e3p-2"),
+            (2.05, "0x1.e66fece79aa2ap-3"),
+            (2.2, "0x1.2cec82e324d00p-1"),
+            (2.6, "0x1.1946c7e16e2a7p-2"),
             (3.0, "0x0.0p+0"),
         )
     ),
@@ -110,32 +110,37 @@ def test_omega_matches_per_offset_reference(m_x, m_y, rx, ry, shell):
     _check_against_reference(m_x, m_y, rx, ry, shell)
 
 
-def _padded_entries(m_x, m_y):
-    "Entries of omega's padded rows when every offset is kept."
-    width = max((m_x - 1) * m_y, m_x * (m_y - 1))
-    return ((2 * m_x - 1) * (2 * m_y - 1) - 1) * width
+def _distinct_products(m_x, m_y, rx, ry):
+    "Distinct index products (p, q) of the element pairs that omega keeps."
+    g = geo.ArrayGeometry(m_x, m_y, rx * LAM, ry * LAM)
+    offsets, _ = rates._kept_offsets(g, LAM)
+    return len({
+        (p, q)
+        for a, b in offsets
+        for p in rates._offset_products(m_x, a).tolist()
+        for q in rates._offset_products(m_y, b).tolist()
+    })
 
 
 @pytest.mark.parametrize("m_x, m_y, rx, ry, shell", [
-    (16, 16, 0.3, 0.4, (499.0, 500.0)),  # four blocks
+    (16, 16, 0.3, 0.4, (499.0, 500.0)),  # nine cb_db calls
     (12, 12, 0.37, 0.61, (500.0 - 1e-5, 500.0)),  # thin enough for the surface-limit moments
 ])
-def test_omega_over_several_row_blocks(m_x, m_y, rx, ry, shell):
-    assert _padded_entries(m_x, m_y) > rates._PAD_ENTRIES
+def test_omega_over_several_cb_db_chunks(m_x, m_y, rx, ry, shell):
+    assert _distinct_products(m_x, m_y, rx, ry) > rates._CHUNK_LANES
     _check_against_reference(m_x, m_y, rx, ry, shell)
 
 
 def test_merged_endpoints_match_separate_calls():
-    "_cd_shell's one Si/Ci call gives each endpoint the bits of its own call."
+    "_cd_shell's one Si/Ci call gives each endpoint, and each lane, the bits of its own call."
     from swarm_mimo_sim._kernels import si_ci_arrays
 
     rng = np.random.default_rng(11)
     r_min, r_max = 30.0, 400.0
     b = np.concatenate([rng.uniform(1.0, 5e3, 40), [0.5, 900.0, 7321.25]])
-    groups = np.concatenate([rng.integers(0, 4, 40), [7, 8, 9]])  # three one-lane groups
 
     def endpoint(r):
-        s, c_int = si_ci_arrays(b / r, groups)
+        s, c_int = si_ci_arrays(b / r)
         cosv, sinv = np.cos(b / r), np.sin(b / r)
         f = (2.0 * r * r - b * b) * r * cosv - b * r * r * sinv - b**3 * s
         g = (2.0 * r * r - b * b) * r * sinv + b * r * r * cosv + b**3 * c_int
@@ -144,10 +149,12 @@ def test_merged_endpoints_match_separate_calls():
     (f_hi, g_hi), (f_lo, g_lo) = endpoint(r_max), endpoint(r_min)
     norm = 2.0 * (r_max**3 - r_min**3)
     want = ((f_hi - f_lo) / norm, (g_hi - g_lo) / norm)
-    got = rates._cd_shell(b, r_min, r_max, groups)
+    got = rates._cd_shell(b, r_min, r_max)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    for g in np.unique(groups):
-        lanes = groups == g
+    # random lane sets, and the last three lanes each on its own
+    ids = np.concatenate([rng.integers(0, 4, 40), [7, 8, 9]])
+    for g in np.unique(ids):
+        lanes = ids == g
         alone = rates._cd_shell(b[lanes], r_min, r_max)
         assert [a.tobytes() for a in alone] == [a[lanes].tobytes() for a in got]
 
