@@ -252,7 +252,11 @@ def map_tasks(task, items, pooled=True):
     so replacing it keeps every caller inline. Otherwise they run inline, in
     order. Results come back in item order, and the first exception a task
     raised reaches the caller. A task must not submit work to the pool: a
-    worker that waits on its own pool can wait for ever.
+    worker that waits on its own pool can wait for ever. Nor may it call a
+    package function that perfbench traces (``chi_batch``,
+    ``response_batch``, ...): the tracer keeps one span stack for all threads,
+    so tasks are numpy closures and every traced call stays on the calling
+    thread.
     """
     items = list(items)
     pool = _block_pool() if pooled and len(items) > 1 else None

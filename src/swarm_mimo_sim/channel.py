@@ -145,9 +145,12 @@ def pilot_draws(rng: np.random.Generator, shape, p_p: float):
 
     Each matrix draws all its real parts, then all its imaginary parts, so the
     result is ``(..., 2, M, K)`` and a stack consumes the stream its matrices
-    would in turn; a ``(rows, M)`` block of channel rows is one matrix. At an
-    infinite pilot SNR the estimate is exact and nothing is drawn: the result
-    is None.
+    would in turn; a ``(rows, M)`` block of channel rows is one matrix. A
+    caller that draws nothing else in between may draw one matrix's real
+    parts whole and its imaginary parts later in slices of rows, in row
+    order, from the same stream (``montecarlo.estimate_ergodic_rate`` does).
+    At an infinite pilot SNR the estimate is exact and nothing is drawn: the
+    result is None.
     """
     if math.isinf(p_p):
         return None

@@ -5,10 +5,14 @@ fixed-size chunks and gives chunk ``i`` its own counter-based random
 substream, ``substream(seed, i)``; :func:`_estimate` combines the chunks'
 partial sums in chunk order. Results are therefore bit-identical for a fixed
 seed no matter how the chunks are scheduled, and independent of the
-parallelism inside the numeric kernels. Within a chunk every random draw comes
-before any channel is built, and synthesis draws nothing: an estimator draws
-its positions and rotations and, for the ergodic rate with estimated CSI,
-then the pilot noise of all the chunk's channel rows.
+parallelism inside the numeric kernels. Synthesis draws nothing, and within a
+chunk an estimator draws its positions and rotations before it builds any
+channel. The ergodic rate with estimated CSI then draws the real parts of the
+pilot noise of all the chunk's channel rows, and each group of whole draws
+(:func:`_draw_groups`) draws its imaginary parts when it is estimated. The
+groups go in row order and every real part precedes every imaginary part in
+``channel.pilot_draws``' layout, so the stream is the one that drawing all the
+noise first would consume.
 """
 
 from __future__ import annotations
@@ -177,20 +181,29 @@ def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, ua
     return synthesize(h, dist, spec.lam, 1.0)
 
 
-def _draw_groups(take: int, k: int, m: int):
+def _draw_groups(take: int, k: int, m: int, blocks: int = 1):
     """Slices of whole draws that cut a chunk's ``take * k`` channel rows on block bounds.
 
     The groups join the kernel's row blocks of the whole chunk
     (``_row_blocks``, where a one-row remainder joins the block before it)
-    until one ends on a draw, every lcm(block rows, k) rows. A group's kernel
-    and synthesis calls therefore cut their rows into the chunk's own blocks,
-    and keep the bits of one call on the whole chunk.
+    until they hold ``blocks`` blocks or more and end on a draw, which happens
+    every lcm(block rows, k) rows; the last group takes what is left. A
+    group's kernel and synthesis calls therefore cut their rows into the
+    chunk's own blocks, and keep the bits of one call on the whole chunk.
     """
-    start = 0
+    start, joined = 0, 0
     for block in _row_blocks(take * k, m):
-        if block.stop % k == 0:
+        joined += 1
+        if joined >= blocks and block.stop % k == 0 or block.stop == take * k:
             yield slice(start, block.stop // k)
-            start = block.stop // k
+            start, joined = block.stop // k, 0
+
+
+#: Kernel row blocks per group of a gain-CDF chunk, about 2**18 lanes. A
+#: group's call still spreads over the pool, but waits for its slowest block:
+#: on 2 cores at 50 elements that wait cost about 3 % of the kernel's time
+#: here, and 10 % with groups of 4 blocks.
+_GAIN_GROUP_BLOCKS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +278,11 @@ def estimate_ergodic_rate(
     control, optionally perturbs the channel with pilot noise sized by the
     scenario's worst-case gain, and evaluates the instantaneous SINR of the
     selected receiver. The estimate averages drones and draws; ``stderr``
-    reflects draw-to-draw variation. A chunk makes all its draws first, then
-    synthesizes, estimates and combines one group of whole draws at a time
-    (:func:`_draw_groups`), so it holds one group's channels, not the chunk's.
+    reflects draw-to-draw variation. A chunk draws its placements, attitudes
+    and the real parts of its pilot noise first, then synthesizes, estimates
+    and combines one group of whole draws at a time (:func:`_draw_groups`),
+    drawing the group's imaginary pilot parts as it goes. So it holds half
+    the chunk's pilot noise and one group's channels, not the chunk's.
     """
     if receiver not in ("mrc", "zf"):
         raise SwarmMimoError(f"unknown receiver {receiver!r}")
@@ -278,14 +293,20 @@ def estimate_ergodic_rate(
     k, m = spec.k, spec.geometry.m
     ground = spec.ground()
     p_p = pilot_snr(spec.rho_p, spec.region.r_max, spec.chi_wc, spec.lam)
+    noisy = csi == "estimated" and not math.isinf(p_p)  # else no pilot noise is drawn
 
     def sample(rng, take):
         pos = geo.sample_shell_positions(spec.region, rng, take * k)
         rots = geo.sample_rotations(rng, take * k, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, take)
-        noise = channel.pilot_draws(rng, (take * k, m), p_p) if csi == "estimated" else None
-        rates = np.empty(take)
-        for draws in _draw_groups(take, k, m):
+        # the pilot noise of the chunk's rows, one (rows, M) matrix in
+        # channel.pilot_draws' order: all real parts precede all imaginary ones,
+        # so the real parts are drawn whole now, and each group draws its own
+        # imaginary parts, in row order, when it is estimated
+        re = rng.standard_normal((take * k, m)) if noisy else None
+
+        def group_rates(draws):
+            # returning frees the group's arrays before the next group builds its own
             rows = slice(draws.start * k, draws.stop * k)
             # one common array orientation per draw, shared by its k drones
             gs_rows = np.repeat(gs[draws], k, axis=0) if gs.ndim == 4 else gs
@@ -293,15 +314,20 @@ def estimate_ergodic_rate(
             g = g_rows.reshape(-1, k, m)  # (draws, K, M)
             powers = spec.rho_u / np.mean(np.abs(g) ** 2, axis=2)
             g_hat = g
-            if noise is not None:  # the group's (draws * K, M) rows as one matrix
-                g_hat = channel.ml_estimate(g_rows, p_p, noise[:, rows]).reshape(g.shape)
+            if noisy:  # the group's (draws * K, M) rows as one matrix
+                z = np.empty((2,) + g_rows.shape)
+                z[0] = re[rows]
+                rng.standard_normal(out=z[1])
+                g_hat = channel.ml_estimate(g_rows, p_p, z).reshape(g.shape)
+                del z  # before the SINR's temporaries
             g = g.transpose(0, 2, 1)  # (draws, M, K), one matrix per draw
             if receiver == "mrc":
                 sinr = instantaneous_sinr_mrc(g, g_hat.transpose(0, 2, 1), powers)
             else:
                 sinr = sinr_zf(g, powers)
-            rates[draws] = prelog * np.mean(np.log2(1.0 + sinr), axis=-1)
-        return rates
+            return prelog * np.mean(np.log2(1.0 + sinr), axis=-1)
+
+        return np.concatenate([group_rates(draws) for draws in _draw_groups(take, k, m)])
 
     return _estimate(n, seed, max(1, CHUNK // max(k, 1)), sample)
 
@@ -331,24 +357,35 @@ def kappa_estimate(gs_configs, f0: float, seed: int, n: int = 100_000):
     return res.mean, res.stderr, n - res.n
 
 
+def _summed_gains(spec: ScenarioSpec, ground: GroundArray, rng, take: int) -> np.ndarray:
+    """A chunk's ``take`` summed gains over the array, in groups of whole kernel blocks.
+
+    Each group joins ``_GAIN_GROUP_BLOCKS`` of the chunk's row blocks
+    (:func:`_draw_groups`), so the chunk holds one group's ``(rows, M)``
+    arrays, not its own, and keeps the bits of one call on the whole chunk.
+    """
+    pos = geo.sample_shell_positions(spec.region, rng, take)
+    rots = geo.sample_rotations(rng, take, spec.orientation_ranges)
+    gs = _gs_rotations(spec, ground, rng, take)
+    sums = np.empty(take)
+    for rows in _draw_groups(take, 1, spec.geometry.m, _GAIN_GROUP_BLOCKS):
+        gs_rows = gs[rows] if gs.ndim == 4 else gs
+        sums[rows] = _chi_for(spec, ground, pos[rows], gs_rows, rots[rows]).sum(axis=1)
+    return sums
+
+
 def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
     """Empirical CDF of the summed effective gain over the array.
 
     Returns ``(thresholds_db, cdf, stats)`` where ``stats`` carries the
-    median in dB and the probability of falling below 10 dB.
+    median in dB and the probability of falling below 10 dB. Each chunk's
+    gains are summed in groups of whole kernel blocks (:func:`_summed_gains`).
     """
     thresholds_db = np.asarray(thresholds_db, dtype=float)
     ground = spec.ground()
-
-    def summed_gain(rng, take):
-        pos = geo.sample_shell_positions(spec.region, rng, take)
-        rots = geo.sample_rotations(rng, take, spec.orientation_ranges)
-        gs = _gs_rotations(spec, ground, rng, take)
-        return _chi_for(spec, ground, pos, gs, rots).sum(axis=1)
-
     sums = np.empty(n)  # the only n-sized buffer: the median needs every sample
     for index, (rng, take) in enumerate(_chunks(n, seed)):
-        sums[index * CHUNK:index * CHUNK + take] = summed_gain(rng, take)
+        sums[index * CHUNK:index * CHUNK + take] = _summed_gains(spec, ground, rng, take)
     sums.sort()
     # counts of samples strictly below each threshold
     counts = np.searchsorted(sums, 10.0 ** (thresholds_db / 10.0), side="left")
@@ -386,6 +423,7 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
     d, theta, phi = geo._shell_draws(spec.region, rng, n)
     k_sin_theta = (2.0 * math.pi / lam) * np.sin(theta)
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    del theta, phi  # only their trig is read
     pairs = []
     for k in picks:
         row, col = divmod(int(k), m - 1)
@@ -409,7 +447,9 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
         sincval = expected_phase_sinc(dp, dq, geometry, lam)
         closed = complex(cval, dval) * sincval
         if not hasattr(local, "bufs"):
-            local.bufs = np.empty(n), np.empty(n), np.empty(n, dtype=np.complex128)
+            z = np.empty(n, dtype=np.complex128)
+            # b is last read before z is written, so it lives in z's first half
+            local.bufs = np.empty(n), z.view(np.float64)[:n], z
         a, b, z = local.bufs
         # phase = bval / d - (2 pi / lam) sin(theta) (dp dx cos(phi) + dq dy sin(phi)),
         # one operation at a time in the order of that expression

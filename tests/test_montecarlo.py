@@ -1,10 +1,14 @@
+import importlib
 import math
+import pkgutil
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import swarm_mimo_sim
 from swarm_mimo_sim import _kernels
 from swarm_mimo_sim import channel as ch
 from swarm_mimo_sim import geometry as geo
@@ -424,10 +428,13 @@ def test_ergodic_chunk_peak_memory(inline_kernel, traced_peak):
 
 # one ergodic chunk of the benchmark's case, cut into groups of whole draws:
 # (csi, bound on the tracemalloc peak over the chunk's complex (rows, M) array).
-# The pilot draws alone are 1.0 times it; the rest is one group's working set
-# and the chunk's positions and rotations. This measured 1.95 and 0.79; the
+# The real parts of the pilot draws are 0.5 times it, drawn whole; each group
+# draws its own imaginary parts, and its arrays are freed before the next
+# group's channels are built. The rest is one group's working set and the
+# chunk's positions and rotations. This measured 1.13 and 0.63; with the pilot
+# draws made whole and the previous group still held, 1.95 and 0.79; the
 # whole-chunk pipeline peaked at 3.42 and 2.69.
-GROUPED_CHUNK_PEAKS = [("estimated", 2.1), ("perfect", 0.85)]
+GROUPED_CHUNK_PEAKS = [("estimated", 1.24), ("perfect", 0.69)]
 
 
 @pytest.mark.parametrize("csi, bound", GROUPED_CHUNK_PEAKS)
@@ -440,6 +447,103 @@ def test_grouped_chunk_peak_memory(csi, bound, inline_kernel, traced_peak):
     _, peak = traced_peak(lambda: mc.estimate_ergodic_rate(spec, draws, 1, csi=csi))
     channel_bytes = draws * spec.k * spec.geometry.m * np.dtype(np.complex128).itemsize
     assert peak <= bound * channel_bytes, peak / channel_bytes
+
+
+def test_gain_cdf_chunk_peak_memory(inline_kernel, traced_peak):
+    # one chunk of the benchmark's gain-cdf case, 50 elements: its gains are
+    # formed and summed in groups of whole kernel blocks, so the peak is at most
+    # 1.75 times the chunk's complex (CHUNK, M) array. This measured 1.59; one
+    # call on the whole chunk peaked at 2.12 times.
+    inline_kernel()
+    spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, excitation="circular",
+                    gs_orientation="identical")
+    thresholds = np.arange(-40.0, 25.0, 0.5)
+    mc.gain_cdf(spec, 2, 1, thresholds)  # first-call allocations outside the trace
+    _, peak = traced_peak(lambda: mc.gain_cdf(spec, mc.CHUNK, 1, thresholds))
+    channel_bytes = mc.CHUNK * spec.geometry.m * np.dtype(np.complex128).itemsize
+    assert peak <= 1.75 * channel_bytes, peak / channel_bytes
+
+
+def _blocks_of_groups(groups, take, k, m):
+    """Each group's kernel blocks, after asserting that they are the chunk's own.
+
+    ``groups`` must cover the chunk's ``take`` draws of ``k`` rows in order.
+    """
+    assert groups[0].start == 0 and groups[-1].stop == take
+    assert all(a.stop == b.start and a.start < a.stop for a, b in zip(groups, groups[1:]))
+    blocks = [(b.start, b.stop) for b in _kernels._row_blocks(take * k, m)]
+    owns = []
+    for g in groups:
+        first, last = g.start * k, g.stop * k
+        # the group's own kernel blocks are the chunk's blocks over its rows
+        own = [(first + b.start, first + b.stop) for b in _kernels._row_blocks(last - first, m)]
+        assert own == [b for b in blocks if first <= b[0] < last], g
+        owns.append(own)
+    return owns
+
+
+class TestGainGroups:
+    """A gain-CDF chunk is summed one group of whole kernel blocks at a time, with the bits of the whole chunk."""
+
+    def test_benchmark_chunk_groups(self):
+        # 50 elements: 25 blocks of 327 rows and one of 17
+        groups = list(mc._draw_groups(mc.CHUNK, 1, 50, mc._GAIN_GROUP_BLOCKS))
+        assert [(g.start, g.stop) for g in groups] == [(0, 5232), (5232, mc.CHUNK)]
+
+    @pytest.mark.parametrize("blocks", [1, 4, 16])
+    @pytest.mark.parametrize("take, m", [(mc.CHUNK, 50), (655, 50), (257, 64), (3, 10_000)])
+    def test_groups_cut_on_block_bounds(self, take, m, blocks):
+        owns = _blocks_of_groups(list(mc._draw_groups(take, 1, m, blocks)), take, 1, m)
+        assert all(len(own) >= blocks for own in owns[:-1]), owns  # the last takes the rest
+
+    @pytest.mark.parametrize("blocks", [1, "default"])
+    @pytest.mark.parametrize("take", [mc.CHUNK, 655])  # 655 on 50 elements: a merged one-row remainder
+    @pytest.mark.parametrize("orientation", ["identical", "pseudo-random", "fixed"])
+    def test_summed_gains_match_whole_chunk(self, orientation, take, blocks, monkeypatch):
+        if blocks != "default":
+            monkeypatch.setattr(mc, "_GAIN_GROUP_BLOCKS", blocks)
+        spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, excitation="circular",
+                        gs_orientation=orientation, orientation_seed=3)
+        ground = spec.ground()
+        got = mc._summed_gains(spec, ground, mc.substream(1, 0), take)
+        rng = mc.substream(1, 0)  # the same draws, in the same order
+        pos = geo.sample_shell_positions(spec.region, rng, take)
+        rots = geo.sample_rotations(rng, take, spec.orientation_ranges)
+        gs = mc._gs_rotations(spec, ground, rng, take)
+        want = chi_batch(ground, pos, gs, rots).sum(axis=1)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_traced_layers_run_on_the_calling_thread(monkeypatch):
+    # perfbench's tracer keeps one span stack for all threads, so the kernel's
+    # pool runs numpy closures only: every call to chi_batch or response_batch,
+    # in whichever module binds it, comes from the estimator's own thread
+    callers = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            callers.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [swarm_mimo_sim] + [importlib.import_module(info.name) for info in
+                                  pkgutil.walk_packages(swarm_mimo_sim.__path__, "swarm_mimo_sim.")]
+    for fn in (chi_batch, _kernels.response_batch):
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, recording(fn))
+    # more workers than a chunk has groups, so a group sent to the pool
+    # would find a free worker for its blocks rather than wait for ever
+    with _CountingPool(4) as pool:
+        monkeypatch.setattr(_kernels, "_pool", pool)
+        spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, k=4, gs_orientation="identical")
+        mc.gain_cdf(spec, 6000, 1, np.arange(-10.0, 20.0, 1.0))  # two groups
+        mc.estimate_ergodic_rate(spec, 600, 1)  # two groups
+        mc.estimate_interference_moment(spec, 3000, 1)
+    assert pool.maps > 0  # the blocks did run on the pool
+    assert {name for name, _ in callers} == {"chi_batch", "response_batch"}
+    assert {ident for _, ident in callers} == {threading.get_ident()}
 
 
 class TestErgodicGroups:
@@ -455,15 +559,7 @@ class TestErgodicGroups:
         (3, 7, 10_000),  # two-row blocks
     ])
     def test_groups_cut_on_block_bounds(self, take, k, m):
-        groups = list(mc._draw_groups(take, k, m))
-        assert groups[0].start == 0 and groups[-1].stop == take
-        assert all(a.stop == b.start and a.start < a.stop for a, b in zip(groups, groups[1:]))
-        blocks = [(b.start, b.stop) for b in _kernels._row_blocks(take * k, m)]
-        for g in groups:
-            first, last = g.start * k, g.stop * k
-            # the group's own kernel blocks are the chunk's blocks over its rows
-            own = [(first + b.start, first + b.stop) for b in _kernels._row_blocks(last - first, m)]
-            assert own == [b for b in blocks if first <= b[0] < last], g
+        _blocks_of_groups(list(mc._draw_groups(take, k, m)), take, k, m)
 
     @pytest.mark.parametrize("take, k", [(257, 1), (409, 20)])
     def test_group_channels_match_whole_chunk(self, take, k):

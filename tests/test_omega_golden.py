@@ -159,9 +159,9 @@ def test_merged_endpoints_match_separate_calls():
         assert [a.tobytes() for a in alone] == [a[lanes].tobytes() for a in got]
 
 
-# tracemalloc peak of one 16x16 omega (shell 499-500 m) before the offset passes
-# were built from arrays, with numpy 2.4: the padded rows of pass 3 must not
-# raise it by more than 256 KiB
+# tracemalloc peak of one 16x16 omega (shell 499-500 m), recorded with numpy 2.4
+# before the offset passes were built from arrays: omega's pair codes, their
+# distinct products and the per-offset sums must not raise it by more than 256 KiB
 OMEGA_16X16_PEAK_BYTES = 3_259_227
 
 
