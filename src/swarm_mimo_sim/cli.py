@@ -259,9 +259,16 @@ def _check_cost(cfg: dict, kind: str):
     if cfg["shell.r_min_m"] > cfg["shell.r_max_m"]:
         raise ConfigError(f"shell.r_min_m: {cfg['shell.r_min_m']} m exceeds "
                           f"shell.r_max_m, {cfg['shell.r_max_m']} m")
-    if kind == "spacing-sweep":
-        # omega holds one integer code per ordered element pair
+    if kind == "gain-cdf":  # the median needs every sample's summed gain
+        _check_buffer("mc.n", f"{cfg['mc.n']} samples", 8 * cfg["mc.n"])
+        if cfg["array.m_y"] > 1:  # the scenario has no y spacing: rows would stack
+            raise ConfigError("array.m_y: gain-cdf takes a line array, m_y = 1")
+        if cfg["mc.threshold_db_min"] >= cfg["mc.threshold_db_max"]:
+            raise ConfigError("mc.threshold_db_min: must lie below mc.threshold_db_max, "
+                              "or the CDF has no thresholds")
+    else:  # omega, which validate runs too, holds one integer code per ordered element pair
         _check_buffer("array.m_x * array.m_y", f"omega over {m} elements", 8 * m * m)
+    if kind == "spacing-sweep":
         points = cfg["sweep.ratio_points"] ** (2 if cfg["sweep.two_dimensional"] else 1)
         terms = points * m * m
         if terms > _MAX_PAIR_TERMS:
@@ -284,16 +291,6 @@ def _check_cost(cfg: dict, kind: str):
         delta = ratio * geo.wavelength(cfg["rf.f_c_hz"])
         geometry = geo.ArrayGeometry(cfg["array.m_x"], cfg["array.m_y"], delta, delta)
     else:
-        # the estimators hold one complex channel entry per element and sample of a chunk
-        _check_buffer("array.m_x * array.m_y", f"a {mc.CHUNK}-sample chunk of {m} elements",
-                      16 * mc.CHUNK * m)
-        if kind == "gain-cdf":  # the median needs every sample's summed gain
-            _check_buffer("mc.n", f"{cfg['mc.n']} samples", 8 * cfg["mc.n"])
-            if cfg["array.m_y"] > 1:  # the scenario has no y spacing: rows would stack
-                raise ConfigError("array.m_y: gain-cdf takes a line array, m_y = 1")
-            if cfg["mc.threshold_db_min"] >= cfg["mc.threshold_db_max"]:
-                raise ConfigError("mc.threshold_db_min: must lie below mc.threshold_db_max, "
-                                  "or the CDF has no thresholds")
         geometry = _array_geometry(cfg)
     # omega and the channel refuse drones inside the array, but only after starting
     aperture = geometry.aperture()

@@ -5,14 +5,14 @@ fixed-size chunks and gives chunk ``i`` its own counter-based random
 substream, ``substream(seed, i)``; :func:`_estimate` combines the chunks'
 partial sums in chunk order. Results are therefore bit-identical for a fixed
 seed no matter how the chunks are scheduled, and independent of the
-parallelism inside the numeric kernels. Synthesis draws nothing, and within a
-chunk an estimator draws its positions and rotations before it builds any
-channel. The ergodic rate with estimated CSI then draws the real parts of the
-pilot noise of all the chunk's channel rows, and each group of whole draws
-(:func:`_draw_groups`) draws its imaginary parts when it is estimated. The
-groups go in row order and every real part precedes every imaginary part in
-``channel.pilot_draws``' layout, so the stream is the one that drawing all the
-noise first would consume.
+parallelism inside the numeric kernels. Synthesis draws nothing. Within a
+chunk an estimator draws its positions and rotations first; the interference
+moment, the gain CDF and the ergodic rate then build channels one group of
+whole kernel blocks (:func:`_draw_groups`) at a time. With estimated CSI the
+ergodic rate draws the real parts of its chunk's pilot noise whole, and each
+group its imaginary parts when it is estimated: every real part precedes every
+imaginary part in ``channel.pilot_draws``' layout, so the stream is the one
+that drawing all the noise first would consume.
 """
 
 from __future__ import annotations
@@ -199,10 +199,10 @@ def _draw_groups(take: int, k: int, m: int, blocks: int = 1):
             start, joined = block.stop // k, 0
 
 
-#: Kernel row blocks per group of a gain-CDF chunk, about 2**18 lanes. A
-#: group's call still spreads over the pool, but waits for its slowest block:
-#: on 2 cores at 50 elements that wait cost about 3 % of the kernel's time
-#: here, and 10 % with groups of 4 blocks.
+#: Kernel row blocks per group of a gain-CDF or interference-moment chunk,
+#: about 2**18 lanes. A group's call still spreads over the pool, but waits for
+#: its slowest block: on 2 cores at 50 elements that wait cost about 3 % of the
+#: gain CDF's kernel time here, and 10 % with groups of 4 blocks.
 _GAIN_GROUP_BLOCKS = 16
 
 
@@ -214,8 +214,9 @@ _GAIN_GROUP_BLOCKS = 16
 def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> EstimatorResult:
     """Mean of ``p_uj p_uk |g_k^H g_j|^2`` for two independent shell drones.
 
-    Uses full channel synthesis (exact distances) and uncapped
-    channel-inversion powers.
+    Uses full channel synthesis (exact distances) and uncapped channel-inversion
+    powers. A chunk's draws come first; then both drones' channels are built and
+    reduced in groups of whole kernel blocks, as in :func:`_summed_gains`.
     """
     ground = spec.ground()
 
@@ -225,12 +226,16 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
         rot_k = geo.sample_rotations(rng, take, spec.orientation_ranges)
         rot_j = geo.sample_rotations(rng, take, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, take)
-        g_k = _channel_for(spec, ground, pos_k, gs, rot_k)
-        g_j = _channel_for(spec, ground, pos_j, gs, rot_j)
-        gain_k = np.mean(np.abs(g_k) ** 2, axis=1)
-        gain_j = np.mean(np.abs(g_j) ** 2, axis=1)
-        cross = np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
-        return (spec.rho_u / gain_k) * (spec.rho_u / gain_j) * cross
+        values = np.empty(take)
+        for rows in _draw_groups(take, 1, spec.geometry.m, _GAIN_GROUP_BLOCKS):
+            gs_rows = gs[rows] if gs.ndim == 4 else gs
+            g_k = _channel_for(spec, ground, pos_k[rows], gs_rows, rot_k[rows])
+            g_j = _channel_for(spec, ground, pos_j[rows], gs_rows, rot_j[rows])
+            gain_k = np.mean(np.abs(g_k) ** 2, axis=1)
+            gain_j = np.mean(np.abs(g_j) ** 2, axis=1)
+            cross = np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
+            values[rows] = (spec.rho_u / gain_k) * (spec.rho_u / gain_j) * cross
+        return values
 
     return _estimate(n, seed, CHUNK, sample)
 

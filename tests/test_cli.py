@@ -77,7 +77,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("kind, text, key", [
         ("spacing-sweep", "[sweep]\nratio_points = 100000\ntwo_dimensional = true\n",
          "sweep.ratio_points"),
-        ("gain-cdf", "[array]\nm_x = 10000\nm_y = 10000\n", r"array.m_x \* array.m_y"),
+        # validate runs omega on its array: 5,888 elements need a 264 MiB code array
+        ("validate", "[array]\nm_x = 256\nm_y = 23\n", r"array.m_x \* array.m_y"),
         ("spacing-sweep", "[array]\nm_x = 10000\nm_y = 10000\n", r"array.m_x \* array.m_y"),
         ("gain-cdf", "[mc]\nn = 100000000\n", "mc.n"),
         ("mission-sim", "[sim]\nstep_s = 0.001\nduration_s = 1e6\n[fleet]\nk = 1000\n",
@@ -124,6 +125,15 @@ class TestParseConfig:
         path = tmp_path / "big.ini"
         path.write_text(text)
         assert cli.main([kind, "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("kind, text", [
+        # gain_cdf holds one group of kernel blocks, whatever the array's size
+        ("gain-cdf", "[array]\nm_x = 3000\n[shell]\nr_min_m = 600\nr_max_m = 900\n"),
+        # 5,632 validate elements: omega's codes take 242 MiB
+        ("validate", "[array]\nm_x = 256\nm_y = 22\n"),
+    ])
+    def test_wide_arrays_accepted(self, kind, text):
+        cli.parse_config(text, kind)
 
     def test_spacing_sweep_aperture_at_ratio_start_alone(self):
         # one grid point sweeps ratio_start only, whatever ratio_stop says

@@ -30,6 +30,20 @@ def spec_for(m=8, spacing=0.3 * LAM, r_min=100.0, r_max=500.0, **kw):
     )
 
 
+def whole_chunk_moment(spec, ground, rng, take):
+    "A chunk's interference-moment samples, both drones' channels built for the whole chunk."
+    pos_k = geo.sample_shell_positions(spec.region, rng, take)
+    pos_j = geo.sample_shell_positions(spec.region, rng, take)
+    rot_k = geo.sample_rotations(rng, take, spec.orientation_ranges)
+    rot_j = geo.sample_rotations(rng, take, spec.orientation_ranges)
+    gs = mc._gs_rotations(spec, ground, rng, take)
+    g_k = mc._channel_for(spec, ground, pos_k, gs, rot_k)
+    g_j = mc._channel_for(spec, ground, pos_j, gs, rot_j)
+    return (spec.rho_u / np.mean(np.abs(g_k) ** 2, axis=1)) * (
+        spec.rho_u / np.mean(np.abs(g_j) ** 2, axis=1)
+    ) * np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
+
+
 class TestDeterminism:
     def test_bit_identical_for_seed(self):
         spec = spec_for()
@@ -54,16 +68,7 @@ class TestDeterminism:
         parts = {}
         for index in (2, 0, 1):
             rng, take = chunks[index]
-            pos_k = geo.sample_shell_positions(spec.region, rng, take)
-            pos_j = geo.sample_shell_positions(spec.region, rng, take)
-            rot_k = geo.sample_rotations(rng, take, spec.orientation_ranges)
-            rot_j = geo.sample_rotations(rng, take, spec.orientation_ranges)
-            gs = mc._gs_rotations(spec, ground, rng, take)
-            g_k = mc._channel_for(spec, ground, pos_k, gs, rot_k)
-            g_j = mc._channel_for(spec, ground, pos_j, gs, rot_j)
-            parts[index] = (spec.rho_u / np.mean(np.abs(g_k) ** 2, axis=1)) * (
-                spec.rho_u / np.mean(np.abs(g_j) ** 2, axis=1)
-            ) * np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
+            parts[index] = whole_chunk_moment(spec, ground, rng, take)
         in_order = iter([parts[0], parts[1], parts[2]])
         got = mc._estimate(n, 9, mc.CHUNK, lambda rng, take: next(in_order))
         assert got == ref
@@ -403,7 +408,12 @@ class TestChunkMemory:
         spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, gs_orientation="identical")
         mc.gain_cdf(spec, chunks * mc.CHUNK, 1, np.arange(-10.0, 20.0, 1.0))
 
-    @pytest.mark.parametrize("run", ["_ergodic", "_gain_cdf"])
+    @staticmethod
+    def _interference(chunks):
+        spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, gs_orientation="identical")
+        mc.estimate_interference_moment(spec, chunks * mc.CHUNK, 1)
+
+    @pytest.mark.parametrize("run", ["_ergodic", "_gain_cdf", "_interference"])
     def test_peak_does_not_grow_with_chunks(self, run, inline_kernel, traced_peak):
         # kernel blocks run inline, so the peak does not depend on thread timing
         inline_kernel()
@@ -464,6 +474,20 @@ def test_gain_cdf_chunk_peak_memory(inline_kernel, traced_peak):
     assert peak <= 1.75 * channel_bytes, peak / channel_bytes
 
 
+@pytest.mark.parametrize("m", [256, 512])
+def test_interference_chunk_peak_memory(m, inline_kernel, traced_peak):
+    # one interference-moment chunk, shell 600-900 m: both drones' channels are
+    # built and reduced one group of 16 kernel blocks at a time, so the peak is
+    # at most the m = 256 chunk's complex (CHUNK, M) array, at either size.
+    # This measured 0.64 at both; whole-chunk channels peaked at 3.57 and 7.07.
+    inline_kernel()
+    spec = spec_for(m=m, spacing=LAM / 2, r_min=600.0, r_max=900.0)
+    mc.estimate_interference_moment(spec, 2, 1)  # first-call allocations outside the trace
+    _, peak = traced_peak(lambda: mc.estimate_interference_moment(spec, mc.CHUNK, 1))
+    channel_bytes = mc.CHUNK * 256 * np.dtype(np.complex128).itemsize
+    assert peak <= 1.0 * channel_bytes, peak / channel_bytes
+
+
 def _blocks_of_groups(groups, take, k, m):
     """Each group's kernel blocks, after asserting that they are the chunk's own.
 
@@ -512,6 +536,24 @@ class TestGainGroups:
         gs = mc._gs_rotations(spec, ground, rng, take)
         want = chi_batch(ground, pos, gs, rots).sum(axis=1)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+@pytest.mark.parametrize("blocks", [1, "default"])
+@pytest.mark.parametrize("take", [mc.CHUNK, 655])  # 655 on 50 elements: a merged one-row remainder
+@pytest.mark.parametrize("orientation", ["identical", "pseudo-random", "fixed"])
+def test_grouped_moment_matches_whole_chunk(orientation, take, blocks, monkeypatch):
+    # the moment's chunk is synthesized and reduced one group of whole kernel
+    # blocks at a time, with the bits of each sample of the whole-chunk pipeline
+    if blocks != "default":
+        monkeypatch.setattr(mc, "_GAIN_GROUP_BLOCKS", blocks)
+    spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, gs_orientation=orientation,
+                    orientation_seed=3)
+    # the estimator's first chunk, as the samples it hands to _estimate
+    monkeypatch.setattr(mc, "_estimate", lambda n, seed, size, sample: sample(
+        mc.substream(seed, 0), n))
+    got = mc.estimate_interference_moment(spec, take, 1)
+    want = whole_chunk_moment(spec, spec.ground(), mc.substream(1, 0), take)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 def test_traced_layers_run_on_the_calling_thread(monkeypatch):
@@ -606,12 +648,18 @@ ERGODIC_BITS = {
 }
 
 
-def _ergodic_bits(case):
+def ergodic_case(case):
+    "The estimate of ``ERGODIC_BITS[case]``, on all its draws."
     edits, n, seed, receiver, csi, *_ = ERGODIC_BITS[case]
     kw = {"m": 64, "k": 20, "gs_orientation": "pseudo-random", **edits}
     spec = spec_for(spacing=LAM / 2, r_min=20.0, orientation_seed=3, **kw)
     res = mc.estimate_ergodic_rate(spec, n, seed, receiver=receiver, csi=csi)
     assert res.n == n
+    return res
+
+
+def _ergodic_bits(case):
+    res = ergodic_case(case)
     return res.mean.hex(), res.stderr.hex()
 
 

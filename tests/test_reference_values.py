@@ -4,8 +4,9 @@
 with the numpy build, the BLAS and any change in summation order. These checks
 pin values instead: a change that may move last bits must still land within
 1e-12 of each recorded value. The response kernel's lanes are those of
-``tests/test_kernels.py``'s layouts. The benchmark's scalar operations are
-rebuilt here at seed 1 from the package alone.
+``tests/test_kernels.py``'s layouts, and the ergodic cases those of
+``tests/test_montecarlo.py``'s ``ERGODIC_BITS``. The benchmark's scalar
+operations are rebuilt here at seed 1 from the package alone.
 """
 
 import json
@@ -20,6 +21,7 @@ from swarm_mimo_sim import polarization as pol
 from swarm_mimo_sim import rates
 from swarm_mimo_sim._kernels import response_batch
 from test_kernels import kernel_layout
+from test_montecarlo import ergodic_case
 
 REF = json.loads(Path(__file__).with_name("reference_values.json").read_text())
 BENCH = REF["benchmark_seed_1"]
@@ -66,6 +68,14 @@ def test_response_kernel(name):
         assert_close(dist, recorded_dist)
 
 
+@pytest.mark.parametrize("case", sorted(REF["ergodic"]))
+def test_ergodic_rate(case):
+    res = ergodic_case(case)
+    mean, stderr = REF["ergodic"][case]
+    assert_close(res.mean, mean)
+    assert_close(res.stderr, stderr)
+
+
 def test_benchmark_omega_ura():
     geom = geo.ArrayGeometry(16, 16, 0.3 * LAM, 0.4 * LAM)
     assert_close(rates.omega(geom, LAM, geo.ShellRegion(499.0, 500.0)), BENCH["omega_ura"])
@@ -86,3 +96,12 @@ def test_benchmark_worst_case_gain():
             for _ in range(50)]
     value = pol.worst_case_gain(cfgs, F_C, budget=300, seed=1, refine_top=0)
     assert_close(value, BENCH["worst_case_gain"])
+
+
+def test_benchmark_interference_moment():
+    # the moment of the benchmark's validate run
+    spec = mc.ScenarioSpec(geometry=geo.ArrayGeometry(8, 1, 0.3 * LAM, 0.0),
+                           region=geo.ShellRegion(100.0, 500.0), k=2, f_c=F_C)
+    res = mc.estimate_interference_moment(spec, 100_000, 1)
+    assert_close(res.mean, BENCH["interference_moment_mean"])
+    assert_close(res.stderr, BENCH["interference_moment_stderr"])
