@@ -14,15 +14,18 @@ basis: the call raises ``SingularDirectionError``, and no caller checks, skips
 or redraws such a lane.
 It works element-major on blocks of about ``_BLOCK_LANES`` (element, sample)
 lanes, so a call costs a few dozen numpy operations per block whatever its
-shape. The blocks of a wide call run on a pool of ``nproc`` threads (numpy
-releases the interpreter lock inside its loops). Each block writes only its
-own output rows, and the block boundaries do not depend on the thread count,
-so neither do the outputs. A forked child builds its own pool.
+shape. The blocks of a wide call are worked by the calling thread and a pool
+of ``nproc - 1`` threads (numpy releases the interpreter lock inside its
+loops). Each block writes only its own output rows, and the block boundaries
+do not depend on the thread count, so neither do the outputs. A forked child
+builds its own pool. Each block may finish its own lanes (``finish``):
+``polarization.chi_batch`` squares them into gains, and ``channel`` and
+``montecarlo`` synthesize them into channel entries, so their calls build no
+``(n, m)`` coupling or distance array.
 
-``map_tasks`` is the one way onto the pool, and it has three callers: this
-kernel's row blocks, ``channel.synthesize``'s row blocks (the same
-``_row_blocks``), and ``montecarlo.validate_expectations``' pair rows once its
-draws fill a block. None of their tasks submits work to the pool.
+``map_tasks`` is the one way onto the pool, and it has two callers: this
+kernel's row blocks, and ``montecarlo.validate_expectations``' pair rows once
+its draws fill a block.
 
 Last bits depend on which numpy and OpenBLAS code paths run, so outputs are
 bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
@@ -38,15 +41,16 @@ bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
   of two-drone or wider calls keep every bit.
 - numpy may compute ``a * f(x)`` in place into a temporary ``f(x)`` of 256 KiB
   or more, with the operands swapped, which changes how a complex product
-  rounds. It swaps only when the left operand is not a temporary.
-  ``channel.synthesize``'s one complex product of two arrays,
-  ``(sqrt(beta * gains) * h) * phase``, has temporaries on both sides, and
-  numpy keeps the left one. The real
+  rounds. It swaps only when the left operand is not a temporary. A block's
+  finishing step in ``channel.synthesize`` forms one complex product of two
+  arrays, ``(sqrt(beta * gains) * h) * phase``, into its view of the output,
+  and numpy keeps the order of an explicit ``out``. The real
   ``sqrt(beta * gains)`` times the complex ``h`` has no temporary of its
-  result's type, and every other operation there is real or has a scalar
-  operand. So whether a block is large enough to be computed in place, and
-  whether the product is written into a preallocated output, changes no
-  operand order and no bit.
+  result's type, as long as ``h`` is the block's named array, and every
+  other operation there is real or has a scalar operand. So whether a block
+  is large enough to be computed in place (16,384 complex lanes reach
+  256 KiB), and whether it is finished in the block or over the whole array,
+  changes no operand order and no bit.
 - The per-sample ground rotation of the basis is written out as three-term
   sums in the order in which numpy's einsum ``"nij,lnj->lni"`` adds, j = 0,
   2, 1, unfused, from +0.0, so it keeps the bits of the einsum it replaced; in
@@ -57,6 +61,7 @@ bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 
@@ -213,11 +218,12 @@ def _row_blocks(n, m):
 
 
 def _block_pool():
-    """The executor for the kernel's row blocks, or None where one core is usable.
+    """The executor that helps the calling thread with its tasks, or None on one usable core.
 
-    Built on first use with one worker per core this process may run on. A
-    forked child drops its parent's pool (see ``_drop_pool``), whose threads
-    did not survive the fork, and builds its own.
+    Built on first use with one worker fewer than the cores this process may
+    run on: the calling thread works too. A forked child drops its parent's
+    pool (see ``_drop_pool``), whose threads did not survive the fork, and
+    builds its own.
     """
     global _pool
     with _pool_lock:
@@ -229,7 +235,7 @@ def _block_pool():
             affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
             workers = len(affinity(0)) if affinity else os.cpu_count() or 1
             if workers > 1:
-                _pool = ThreadPoolExecutor(workers, thread_name_prefix="response-block")
+                _pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="response-block")
         return _pool
 
 
@@ -245,27 +251,46 @@ if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
 
 
 def map_tasks(task, items, pooled=True):
-    """``[task(item) for item in items]``, on the block pool if there is one.
+    """``[task(item) for item in items]``, with the block pool's help if there is one.
 
-    The tasks go to the pool only if ``pooled`` is true, there are two or more
-    of them, and ``_block_pool`` gives a pool; it is looked up at each call,
-    so replacing it keeps every caller inline. Otherwise they run inline, in
-    order. Results come back in item order, and the first exception a task
-    raised reaches the caller. A task must not submit work to the pool: a
-    worker that waits on its own pool can wait for ever. Nor may it call a
-    package function that perfbench traces (``chi_batch``,
-    ``response_batch``, ...): the tracer keeps one span stack for all threads,
-    so tasks are numpy closures and every traced call stays on the calling
-    thread.
+    The pool helps only if ``pooled`` is true, there are two or more tasks,
+    and ``_block_pool`` gives a pool; it is looked up at each call, so
+    replacing it keeps every caller inline. Otherwise the tasks run inline,
+    in order. With help, the calling thread and up to min(workers, tasks - 1)
+    loops handed to the pool each claim the next unclaimed task until none is
+    left; the caller then cancels the loops that have not started, so it
+    never waits behind another caller's work. Results come back in item
+    order, and the first exception in item order reaches the caller. A task
+    must not wait on the pool, nor call a package function that perfbench
+    traces (``chi_batch``, ``response_batch``, ...): the tracer keeps one span
+    stack for all threads, so tasks are numpy closures and every traced call
+    stays on the calling thread.
     """
     items = list(items)
     pool = _block_pool() if pooled and len(items) > 1 else None
     if pool is None:
         return [task(item) for item in items]
-    return list(pool.map(task, items))
+    results, errors = [None] * len(items), {}
+    claims = itertools.count()  # next() on it is atomic under the interpreter lock
+
+    def claim_loop():
+        while (i := next(claims)) < len(items):
+            try:
+                results[i] = task(items[i])
+            except Exception as exc:  # raised below, in item order
+                errors[i] = exc
+
+    loops = [pool.submit(claim_loop) for _ in range(min(pool._max_workers, len(items) - 1))]
+    claim_loop()
+    for loop in loops:
+        if not loop.cancel():
+            loop.result()  # a started loop ends with the task it claimed last
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
-def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.5):
+def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.5, finish=None):
     """Cross-dipole coupling for every (sample, element) pair.
 
     Parameters
@@ -279,11 +304,16 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
     uav_r : drone rotations, ``(n, 3, 3)``, one per sample.
     w_tx, w_rx : complex feed coefficients of the (theta, psi) dipoles.
     ratio_tx, ratio_rx : dipole length over wavelength for each side.
+    finish : ``(dtype, fn)`` to have each block finish its lanes: ``fn(h, dist,
+        out)`` with the block's element-major ``(m, rows)`` coupling and
+        distances and its view ``out`` of one ``(n, m)`` output of ``dtype``;
+        ``fn`` is one of ``map_tasks``' tasks.
 
     Returns
     -------
     h, dist : arrays of shape ``(n, m)``; ``h`` is the complex coupling
-    (antenna gains not applied) and ``dist`` the exact distance. Raises
+    (antenna gains not applied) and ``dist`` the exact distance. With
+    ``finish``, the finished ``(n, m)`` output instead. Raises
     ``SingularDirectionError`` if any lane's direction is singular in the
     rotated transmit frame.
     """
@@ -304,8 +334,10 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
     w_rx = np.asarray(w_rx, dtype=np.complex128)
     wt0, wt1, wr0, wr1 = complex(w_tx[0]), complex(w_tx[1]), complex(w_rx[0]), complex(w_rx[1])
     ratio_tx, ratio_rx = float(ratio_tx), float(ratio_rx)
-    h = np.empty((n, m), dtype=np.complex128)
-    dist = np.empty((n, m))
+    if finish is None:
+        h, dist = np.empty((n, m), dtype=np.complex128), np.empty((n, m))
+    else:
+        out = np.empty((n, m), dtype=finish[0])
 
     # element-major blocks: every array below is (m, rows); a block writes only
     # its own rows of the outputs, so blocks may run in any order or at once
@@ -316,7 +348,6 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
         ry = pos[rows, 1] - elem[:, 1, None]
         rz = pos[rows, 2] - elem[:, 2, None]
         d = np.sqrt(rx * rx + ry * ry + rz * rz)
-        dist[rows].T[...] = d
         # each temporary is freed after its last read, which lowers the peak
         # memory of a block and leaves every operation's inputs as they were
         x, y, z = (_rt(gs, rx, ry, rz, i) for i in range(3))
@@ -332,7 +363,7 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
         # the basis vectors in the reference frame, by component
         dt = d * rho_t
         dp = d * rho_p
-        del d, rho_t, rho_p
+        del rho_t, rho_p
         if gs_by_sample:
             th_ref = _rot(gs, (-x * z / dt, -y * z / dt, (x * x + y * y) / dt))
             ps_ref = _rot(gs, (-x * y / dp, (x * x + z * z) / dp, -y * z / dp))
@@ -357,7 +388,11 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
         del ct_t, cp_t, ct_r, cp_r
         hv = a * (t11 * c + t12 * e)
         hv += b * (t21 * c + t22 * e)
-        h[rows].T[...] = hv
+        if finish is None:
+            h[rows].T[...] = hv
+            dist[rows].T[...] = d
+        else:
+            finish[1](hv, d, out[rows].T)
 
     map_tasks(block, _row_blocks(n, m))
-    return h, dist
+    return (h, dist) if finish is None else out

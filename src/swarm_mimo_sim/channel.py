@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from ._kernels import _row_blocks, map_tasks, response_batch
+from ._kernels import response_batch
 from .errors import InfeasibleFrameError, SingularChannelError, SwarmMimoError
 from .polarization import GroundArray
 
@@ -54,25 +54,17 @@ def pathloss(d, lam: float):
     return (lam / (4.0 * math.pi * d)) ** 2
 
 
-def synthesize(h: np.ndarray, dist: np.ndarray, lam: float, gains: float) -> np.ndarray:
-    """Channel entries from ``(n, M)`` couplings ``h`` at distances ``dist``.
+def synthesize(h: np.ndarray, dist: np.ndarray, lam: float, gains: float, out=None) -> np.ndarray:
+    """Channel entries from couplings ``h`` at distances ``dist``, into ``out`` if given.
 
     Each entry is sqrt(pathloss * gains) times the coupling times the exact
-    propagation phase. The kernel's row blocks are written into one ``(n, M)``
-    output, on its pool when there are several, so a call holds the output
-    and a few block-sized temporaries. Every operation is elementwise, so the
-    entries keep the bits of the one expression over the whole array (see
-    ``_kernels``).
+    propagation phase, one elementwise expression. The response kernel's
+    blocks call it on their own lanes (``response_batch``'s ``finish``). ``h``
+    must be a named array, or numpy may swap the complex product's operands
+    (see ``_kernels``).
     """
-    g = np.empty(h.shape, dtype=np.complex128)
-
-    def block(rows):
-        d = dist[rows]
-        np.multiply(np.sqrt(pathloss(d, lam) * gains) * h[rows],
-                    np.exp(-2j * math.pi * d / lam), out=g[rows])
-
-    map_tasks(block, _row_blocks(*h.shape))
-    return g
+    return np.multiply(np.sqrt(pathloss(dist, lam) * gains) * h,
+                       np.exp(-2j * math.pi * dist / lam), out=out)
 
 
 def coherence_interval(params: CoherenceParams) -> float:
@@ -126,7 +118,8 @@ def channel_matrix(
     norms = np.linalg.norm(pos, axis=-1)
     if np.any(norms <= ground.aperture):
         raise SwarmMimoError("drone inside the array aperture")
-    h, dist = response_batch(
+    lam, gains = geo.wavelength(ground.f0), ground.gain * ground.gain
+    g = response_batch(
         pos.reshape(-1, 3),
         ground.elem,
         ground.rotations,
@@ -135,8 +128,8 @@ def channel_matrix(
         ground.w,
         ground.ratio,
         ground.ratio,
+        finish=(np.complex128, lambda h, d, out: synthesize(h, d, lam, gains, out)),
     )
-    g = synthesize(h, dist, geo.wavelength(ground.f0), ground.gain * ground.gain)
     return g.reshape(pos.shape[:-1] + (-1,)).swapaxes(-1, -2).copy()
 
 
@@ -146,9 +139,10 @@ def pilot_draws(rng: np.random.Generator, shape, p_p: float):
     Each matrix draws all its real parts, then all its imaginary parts, so the
     result is ``(..., 2, M, K)`` and a stack consumes the stream its matrices
     would in turn; a ``(rows, M)`` block of channel rows is one matrix. A
-    caller that draws nothing else in between may draw one matrix's real
-    parts whole and its imaginary parts later in slices of rows, in row
-    order, from the same stream (``montecarlo.estimate_ergodic_rate`` does).
+    caller that draws nothing else in between may walk one matrix's real parts
+    in slices of rows, copying the generator at each, then draw each slice's
+    real parts from its copy and its imaginary parts, in row order, from the
+    stream (``montecarlo.estimate_ergodic_rate`` does).
     At an infinite pilot SNR the estimate is exact and nothing is drawn: the
     result is None.
     """

@@ -9,14 +9,16 @@ parallelism inside the numeric kernels. Synthesis draws nothing. Within a
 chunk an estimator draws its positions and rotations first; the interference
 moment, the gain CDF and the ergodic rate then build channels one group of
 whole kernel blocks (:func:`_draw_groups`) at a time. With estimated CSI the
-ergodic rate draws the real parts of its chunk's pilot noise whole, and each
-group its imaginary parts when it is estimated: every real part precedes every
+ergodic rate walks its chunk's real pilot parts first, copying the generator
+at each group's; each group then draws its real parts from its copy and its
+imaginary parts from the chunk's generator. Every real part precedes every
 imaginary part in ``channel.pilot_draws``' layout, so the stream is the one
 that drawing all the noise first would consume.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from dataclasses import dataclass
@@ -170,15 +172,17 @@ def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, ua
     if spec.pattern == "unit":
         rel = positions[:, None, :] - ground.elem[None, :, :]
         dist = np.sqrt(np.sum(rel * rel, axis=-1))
-        h = np.ones_like(dist, dtype=np.complex128)
-    else:
-        h, dist = response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
-                                 ground.ratio, ground.ratio)
+        return synthesize(np.ones_like(dist, dtype=np.complex128), dist, spec.lam, 1.0)
+
+    def finish(h, d, out):
         # the gain scales h, not synthesize's gains: moving it there changes last bits,
         # so it waits for a deliberate re-record of the seeded outputs; in place, it
-        # keeps the operand order of h * ground.gain and needs no second (n, M) array
+        # keeps the operand order of h * ground.gain
         h *= ground.gain
-    return synthesize(h, dist, spec.lam, 1.0)
+        synthesize(h, d, spec.lam, 1.0, out)
+
+    return response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
+                          ground.ratio, ground.ratio, finish=(np.complex128, finish))
 
 
 def _draw_groups(take: int, k: int, m: int, blocks: int = 1):
@@ -201,8 +205,8 @@ def _draw_groups(take: int, k: int, m: int, blocks: int = 1):
 
 #: Kernel row blocks per group of a gain-CDF or interference-moment chunk,
 #: about 2**18 lanes. A group's call still spreads over the pool, but waits for
-#: its slowest block: on 2 cores at 50 elements that wait cost about 3 % of the
-#: gain CDF's kernel time here, and 10 % with groups of 4 blocks.
+#: its slowest block: on 2 cores at 50 elements the gain CDF took about 4 %
+#: longer than with one call per chunk, and about 20 % with groups of 4 blocks.
 _GAIN_GROUP_BLOCKS = 16
 
 
@@ -283,11 +287,11 @@ def estimate_ergodic_rate(
     control, optionally perturbs the channel with pilot noise sized by the
     scenario's worst-case gain, and evaluates the instantaneous SINR of the
     selected receiver. The estimate averages drones and draws; ``stderr``
-    reflects draw-to-draw variation. A chunk draws its placements, attitudes
-    and the real parts of its pilot noise first, then synthesizes, estimates
-    and combines one group of whole draws at a time (:func:`_draw_groups`),
-    drawing the group's imaginary pilot parts as it goes. So it holds half
-    the chunk's pilot noise and one group's channels, not the chunk's.
+    reflects draw-to-draw variation. A chunk draws its placements and
+    attitudes first, then synthesizes, estimates and combines one group of
+    whole draws at a time (:func:`_draw_groups`), drawing the group's pilot
+    noise as it goes. So it holds one group's noise and channels, not the
+    chunk's; the real pilot parts are drawn twice, once to skip them.
     """
     if receiver not in ("mrc", "zf"):
         raise SwarmMimoError(f"unknown receiver {receiver!r}")
@@ -304,13 +308,18 @@ def estimate_ergodic_rate(
         pos = geo.sample_shell_positions(spec.region, rng, take * k)
         rots = geo.sample_rotations(rng, take * k, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, take)
-        # the pilot noise of the chunk's rows, one (rows, M) matrix in
-        # channel.pilot_draws' order: all real parts precede all imaginary ones,
-        # so the real parts are drawn whole now, and each group draws its own
-        # imaginary parts, in row order, when it is estimated
-        re = rng.standard_normal((take * k, m)) if noisy else None
+        # the chunk's pilot noise is one (rows, M) matrix in pilot_draws' order,
+        # all real parts first: walk them now, copying rng at each group's, so
+        # that rng stands at the imaginary parts, which each group draws in turn
+        def real_parts_at(draws):
+            start = copy.deepcopy(rng)
+            rng.standard_normal(((draws.stop - draws.start) * k, m))
+            return start
 
-        def group_rates(draws):
+        groups = list(_draw_groups(take, k, m))
+        starts = [real_parts_at(draws) if noisy else None for draws in groups]
+
+        def group_rates(draws, start):
             # returning frees the group's arrays before the next group builds its own
             rows = slice(draws.start * k, draws.stop * k)
             # one common array orientation per draw, shared by its k drones
@@ -321,7 +330,7 @@ def estimate_ergodic_rate(
             g_hat = g
             if noisy:  # the group's (draws * K, M) rows as one matrix
                 z = np.empty((2,) + g_rows.shape)
-                z[0] = re[rows]
+                start.standard_normal(out=z[0])
                 rng.standard_normal(out=z[1])
                 g_hat = channel.ml_estimate(g_rows, p_p, z).reshape(g.shape)
                 del z  # before the SINR's temporaries
@@ -332,7 +341,7 @@ def estimate_ergodic_rate(
                 sinr = sinr_zf(g, powers)
             return prelog * np.mean(np.log2(1.0 + sinr), axis=-1)
 
-        return np.concatenate([group_rates(draws) for draws in _draw_groups(take, k, m)])
+        return np.concatenate([group_rates(*group) for group in zip(groups, starts)])
 
     return _estimate(n, seed, max(1, CHUNK // max(k, 1)), sample)
 

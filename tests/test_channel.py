@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,6 +9,7 @@ import pytest
 from swarm_mimo_sim import _kernels
 from swarm_mimo_sim import channel as ch
 from swarm_mimo_sim import geometry as geo
+from swarm_mimo_sim import montecarlo as mc
 from swarm_mimo_sim import polarization as pol
 from swarm_mimo_sim.errors import (
     InfeasibleFrameError,
@@ -117,45 +119,80 @@ class TestChannelVector:
 
 
 def _synthesize_reference(h, dist, lam, gains):
-    "The one expression over the whole array that ``synthesize`` computes by row blocks."
+    "The one expression over the whole array that ``synthesize`` computes."
     beta = ch.pathloss(dist, lam)
     return np.sqrt(beta * gains) * h * np.exp(-2j * math.pi * dist / lam)
 
 
-class TestSynthesize:
-    """Row-blocked synthesis keeps every bit of the whole-array expression."""
+def _pool_modes(monkeypatch):
+    """Yield once per way of running the kernel's blocks: pooled with 1 and 8 workers, then inline.
 
-    # one block, several blocks (8180 x 64 is the ergodic chunk), a one-row
-    # remainder merged into the block before it, and a few very wide rows
+    The pooled runs switch threads every microsecond, with more workers than cores.
+    """
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 8):
+            with ThreadPoolExecutor(workers) as pool, monkeypatch.context() as patch:
+                patch.setattr(_kernels, "_pool", pool)
+                yield workers
+    finally:
+        sys.setswitchinterval(switch)
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "_block_pool", lambda: None)  # one usable core
+        yield "inline"
+
+
+class TestSynthesize:
+    """Kernel blocks that finish their own lanes keep every bit of the two-pass expressions.
+
+    ``chi_batch``, ``channel_matrix`` and ``montecarlo._channel_for`` have each
+    block square or synthesize its lanes into the caller's array; each must
+    equal that step taken over the raw ``response_batch`` coupling and
+    distances of the whole call.
+    """
+
+    # one block, several blocks (8180 x 64 is the ergodic chunk, 16,384-lane
+    # blocks), a one-row remainder merged into the block before it, and a few
+    # very wide rows
     SHAPES = [(1, 1), (2, 3), (8180, 64), (8192, 50), (16385, 1), (3, 20000)]
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-    def test_bits_match_whole_array_expression(self, shape, monkeypatch, inline_kernel):
-        rng = np.random.default_rng(shape[0] * 7919 + shape[1])
-        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        dist = rng.uniform(20.0, 500.0, size=shape)
-        gain = pol.HALF_WAVE_DIPOLE_GAIN
-        # the gain on the coupling (as montecarlo applies it) or in the pathloss
-        cases = [(h * gain, 1.0), (h, gain * gain)]
-        wants = [_synthesize_reference(hh, dist, LAM, gains) for hh, gains in cases]
-
-        def check(how):
-            for (hh, gains), want in zip(cases, wants):
-                got = ch.synthesize(hh, dist, LAM, gains)
-                assert got.shape == shape and got.tobytes() == want.tobytes(), (how, gains)
-
-        # one worker, and more workers than cores switching threads every microsecond
-        switch = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            for workers in (1, 8):
-                with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(_kernels, "_pool", pool)
-                    check(workers)
-        finally:
-            sys.setswitchinterval(switch)
-        inline_kernel()  # one usable core: inline
-        check("inline")
+    def test_bits_match_whole_array_expression(self, shape, monkeypatch):
+        n, m = shape
+        rng = np.random.default_rng(n * 7919 + m)
+        pos = geo.sample_shell_positions(geo.ShellRegion(20.0, 500.0), rng, n)
+        elem = rng.normal(size=(m, 3))
+        uav = geo.sample_rotations(rng, n)
+        spec = mc.ScenarioSpec(geometry=line_array(m), region=geo.ShellRegion(20.0, 500.0),
+                               f_c=F0)
+        for layout in ("per_sample", "per_element", "identity"):
+            rots = geo.sample_rotations(rng, m) if layout == "per_element" else np.eye(3)[None]
+            ground = pol.GroundArray(F0, elem, np.broadcast_to(rots, (m, 3, 3)),
+                                     pol.DipoleExcitation.circular().weights(), 0.0)
+            gs = geo.sample_rotations(rng, n)[:, None] if layout == "per_sample" else ground.rotations
+            h, dist = _kernels.response_batch(pos, elem, gs, uav, ground.w, ground.w,
+                                              ground.ratio, ground.ratio)
+            gain = ground.gain
+            chi = np.abs(h)
+            np.square(chi, out=chi)
+            chi *= gain * gain
+            finished = {
+                "chi_batch": (lambda: pol.chi_batch(ground, pos, gs, uav), chi),
+                "_channel_for": (lambda: mc._channel_for(spec, ground, pos, gs, uav),
+                                 _synthesize_reference(h * gain, dist, LAM, 1.0)),
+            }
+            if layout != "per_sample":  # the matrix of n drones, (m, n)
+                finished["channel_matrix"] = (lambda: ch.channel_matrix(ground, pos, uav),
+                                              _synthesize_reference(h, dist, LAM, gain * gain).T)
+            del h, dist
+            # closed on a failure too, which restores the switch interval at once
+            with contextlib.closing(_pool_modes(monkeypatch)) as modes:
+                for how in modes:
+                    for name, (call, want) in finished.items():
+                        got = call()
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
+                            layout, how, name)
 
     def test_rejects_nonpositive_distance_in_any_block(self):
         dist = np.full((8192, 50), 100.0)

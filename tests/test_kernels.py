@@ -2,6 +2,8 @@
 
 import multiprocessing
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -334,6 +336,126 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
                 child.join(10)
     assert child.exitcode == 0
     assert _bits(*got) == _bits(*want)
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    "A thread pool that keeps the futures of the claim loops ``map_tasks`` hands it."
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.loops = []
+
+    def submit(self, fn, *args, **kw):
+        future = super().submit(fn, *args, **kw)
+        self.loops.append(future)
+        return future
+
+
+class TestMapTasks:
+    """The calling thread works its tasks with the pool's help, and never waits behind other work."""
+
+    @pytest.mark.parametrize("cores, workers", [(1, None), (2, 1), (4, 3)])
+    def test_pool_leaves_a_core_to_the_caller(self, cores, workers, monkeypatch):
+        monkeypatch.setattr(_kernels, "_pool", None)
+        monkeypatch.setattr(_kernels.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        pool = _kernels._block_pool()  # no thread starts before a task is submitted
+        try:
+            assert (pool and pool._max_workers) == workers
+        finally:
+            if pool is not None:
+                pool.shutdown()
+
+    def test_results_in_item_order_and_caller_works(self, monkeypatch):
+        threads = set()
+
+        def task(i):
+            threads.add(threading.get_ident())
+            time.sleep(0.002)
+            return i * i
+
+        with _RecordingPool(2) as pool:
+            monkeypatch.setattr(_kernels, "_pool", pool)
+            assert _kernels.map_tasks(task, range(20)) == [i * i for i in range(20)]
+            assert len(pool.loops) == 2  # min(workers, tasks - 1)
+        assert threading.get_ident() in threads
+
+    def test_each_task_runs_once_under_thread_switching(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: a claim
+        # that two loops shared, or one that no loop made, shows in ``ran``
+        ran = []
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            with ThreadPoolExecutor(8) as pool:
+                monkeypatch.setattr(_kernels, "_pool", pool)
+                got = _kernels.map_tasks(lambda i: ran.append(i) or 3 * i, range(2000))
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == [3 * i for i in range(2000)]
+        assert sorted(ran) == list(range(2000))
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_first_exception_in_item_order(self, pooled, monkeypatch):
+        def task(i):
+            if i == 2:
+                time.sleep(0.05)  # item 5 raises first in time
+            if i in (2, 5):
+                raise ValueError(f"item {i}")
+            return i
+
+        with ThreadPoolExecutor(8) as pool:
+            monkeypatch.setattr(_kernels, "_pool", pool)
+            with pytest.raises(ValueError, match="item 2"):
+                _kernels.map_tasks(task, range(8), pooled=pooled)
+
+    def test_loops_not_started_are_cancelled(self, monkeypatch):
+        # the one worker is busy with other work, so the caller runs every
+        # task itself and cancels the loop it handed the pool
+        release = threading.Event()
+        with _RecordingPool(1) as pool:
+            busy = pool.submit(release.wait, 10)
+            monkeypatch.setattr(_kernels, "_pool", pool)
+            try:
+                got = _kernels.map_tasks(lambda i: (i, threading.get_ident()), range(3))
+                assert len(pool.loops) == 2 and pool.loops[1].cancelled()
+            finally:
+                release.set()
+            assert busy.result(10)
+        assert got == [(i, threading.get_ident()) for i in range(3)]
+
+    def test_concurrent_callers_on_one_worker_both_finish(self, monkeypatch):
+        # caller A's loop holds the one worker until released; caller B's loop
+        # queues behind it, so B must finish its tasks itself, while A waits
+        release, on_worker = threading.Event(), threading.Event()
+        results = {}
+
+        def held(i):
+            if threading.current_thread() is caller_a:
+                on_worker.wait(10)  # until A's loop holds the worker
+            else:
+                on_worker.set()
+                release.wait(10)
+            return i
+
+        def call(name, task, items):
+            results[name] = _kernels.map_tasks(task, items)
+
+        caller_a = threading.Thread(target=call, args=("a", held, range(2)))
+        caller_b = threading.Thread(target=call, args=("b", lambda i: i + 1, range(5)))
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(_kernels, "_pool", pool)
+            caller_a.start()
+            try:
+                assert on_worker.wait(10)
+                caller_b.start()
+                caller_b.join(10)
+                assert not caller_b.is_alive() and results["b"] == [1, 2, 3, 4, 5]
+                assert "a" not in results  # B did not wait for A's work to end
+            finally:
+                release.set()
+                caller_a.join(10)
+        assert results["a"] == [0, 1]
 
 
 def test_response_layout_shapes():

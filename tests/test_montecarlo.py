@@ -313,13 +313,13 @@ class TestValidateExpectations:
 
 
 class _CountingPool(ThreadPoolExecutor):
-    "A thread pool that counts the task batches handed to it."
+    "A thread pool that counts the claim loops ``map_tasks`` hands it."
 
-    maps = 0
+    loops = 0
 
-    def map(self, fn, *iterables, **kw):
-        self.maps += 1
-        return super().map(fn, *iterables, **kw)
+    def submit(self, fn, *args, **kw):
+        self.loops += 1
+        return super().submit(fn, *args, **kw)
 
 
 def _row_bits(rows):
@@ -341,7 +341,8 @@ class TestValidatePool:
                 with _CountingPool(workers) as pool:
                     monkeypatch.setattr(_kernels, "_pool", pool)
                     pooled[workers] = _row_bits(mc.validate_expectations(spec, n, seed=4)[0])
-                    assert pool.maps == 1, workers
+                    # one call's rows: the caller's loop and one per worker
+                    assert pool.loops == min(workers, len(pooled[workers]) - 1), workers
         finally:
             sys.setswitchinterval(switch)
         inline_kernel()  # one usable core: inline
@@ -353,7 +354,7 @@ class TestValidatePool:
         with _CountingPool(2) as pool:
             monkeypatch.setattr(_kernels, "_pool", pool)
             mc.validate_expectations(spec_for(m=8), _kernels._BLOCK_LANES - 1, seed=4)
-            assert pool.maps == 0
+            assert pool.loops == 0
 
 
 class TestChunkLoop:
@@ -438,12 +439,12 @@ def test_ergodic_chunk_peak_memory(inline_kernel, traced_peak):
 
 # one ergodic chunk of the benchmark's case, cut into groups of whole draws:
 # (csi, bound on the tracemalloc peak over the chunk's complex (rows, M) array).
-# The real parts of the pilot draws are 0.5 times it, drawn whole; each group
-# draws its own imaginary parts, and its arrays are freed before the next
-# group's channels are built. The rest is one group's working set and the
-# chunk's positions and rotations. This measured 1.13 and 0.63; with the pilot
-# draws made whole and the previous group still held, 1.95 and 0.79; the
-# whole-chunk pipeline peaked at 3.42 and 2.69.
+# Each group draws its own real and imaginary pilot parts, and its arrays are
+# freed before the next group's channels are built, so the peak is one group's
+# working set and the chunk's positions and rotations. This measured 0.62 and 0.58;
+# with the real parts drawn whole, 1.13 and 0.63; with the pilot draws made
+# whole and the previous group still held, 1.95 and 0.79; the whole-chunk
+# pipeline peaked at 3.42 and 2.69.
 GROUPED_CHUNK_PEAKS = [("estimated", 1.24), ("perfect", 0.69)]
 
 
@@ -459,11 +460,32 @@ def test_grouped_chunk_peak_memory(csi, bound, inline_kernel, traced_peak):
     assert peak <= bound * channel_bytes, peak / channel_bytes
 
 
+def test_ergodic_chunk_peak_does_not_grow_with_the_array(inline_kernel, traced_peak):
+    # one ergodic chunk, 409 draws of 20 drones: a group holds about five kernel
+    # blocks at either size, and the chunk holds no (rows, M) array of its own.
+    # So the peak stays below the chunk's real pilot parts at 128 elements, a
+    # float64 (rows, M) array; drawn whole, they made it 1.63 times that array.
+    # This measured 0.59 times it, 0.19 MiB below the peak at 64 elements.
+    inline_kernel()
+    peaks = {}
+    for m in (64, 128):
+        spec = spec_for(m=m, spacing=LAM / 2, r_min=20.0, k=20,
+                        gs_orientation="pseudo-random", orientation_seed=3)
+        draws = mc.CHUNK // spec.k
+        mc.estimate_ergodic_rate(spec, 2, 1)  # first-call allocations outside the trace
+        peaks[m] = traced_peak(lambda: mc.estimate_ergodic_rate(spec, draws, 1))[1]
+    assert peaks[128] <= peaks[64] + 0.5 * 2**20, peaks
+    real_parts = draws * spec.k * 128 * np.dtype(np.float64).itemsize
+    assert peaks[128] < real_parts, peaks[128] / real_parts
+
+
 def test_gain_cdf_chunk_peak_memory(inline_kernel, traced_peak):
     # one chunk of the benchmark's gain-cdf case, 50 elements: its gains are
     # formed and summed in groups of whole kernel blocks, so the peak is at most
-    # 1.75 times the chunk's complex (CHUNK, M) array. This measured 1.59; one
-    # call on the whole chunk peaked at 2.12 times.
+    # 1.75 times the chunk's complex (CHUNK, M) array. This measured 0.97 with
+    # each block writing its gains into the group's array, and 1.59 with each
+    # call building its complex h first; one call on the whole chunk peaked at
+    # 2.12 times.
     inline_kernel()
     spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, excitation="circular",
                     gs_orientation="identical")
@@ -479,7 +501,8 @@ def test_interference_chunk_peak_memory(m, inline_kernel, traced_peak):
     # one interference-moment chunk, shell 600-900 m: both drones' channels are
     # built and reduced one group of 16 kernel blocks at a time, so the peak is
     # at most the m = 256 chunk's complex (CHUNK, M) array, at either size.
-    # This measured 0.64 at both; whole-chunk channels peaked at 3.57 and 7.07.
+    # This measured 0.51 at both, 0.64 with each call building its coupling
+    # first; whole-chunk channels peaked at 3.57 and 7.07.
     inline_kernel()
     spec = spec_for(m=m, spacing=LAM / 2, r_min=600.0, r_max=900.0)
     mc.estimate_interference_moment(spec, 2, 1)  # first-call allocations outside the trace
@@ -575,17 +598,69 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
             for name, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, name, recording(fn))
-    # more workers than a chunk has groups, so a group sent to the pool
-    # would find a free worker for its blocks rather than wait for ever
+    # more workers than a chunk has groups, so each call's blocks can reach
+    # a worker thread as well as the calling one
     with _CountingPool(4) as pool:
         monkeypatch.setattr(_kernels, "_pool", pool)
         spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, k=4, gs_orientation="identical")
         mc.gain_cdf(spec, 6000, 1, np.arange(-10.0, 20.0, 1.0))  # two groups
         mc.estimate_ergodic_rate(spec, 600, 1)  # two groups
         mc.estimate_interference_moment(spec, 3000, 1)
-    assert pool.maps > 0  # the blocks did run on the pool
+    assert pool.loops > 0  # the blocks did run on the pool
     assert {name for name, _ in callers} == {"chi_batch", "response_batch"}
     assert {ident for _, ident in callers} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "inline"])
+@pytest.mark.parametrize("take, k", [(409, 20), (257, 1)])
+def test_ergodic_draws_match_whole_chunk(take, k, pooled, monkeypatch, inline_kernel):
+    # every draw, not only the chunk's sums: each group replays its real pilot
+    # parts from its own copy of the generator, and each draw must get the
+    # channel, estimate and rate of one whole-chunk pipeline (one pilot_draws
+    # matrix, one _channel_for call). A rate can absorb a last-bit move of its
+    # channel, so the channels and estimates are compared too.
+    spec = spec_for(m=64, spacing=LAM / 2, r_min=20.0, k=k,
+                    gs_orientation="pseudo-random", orientation_seed=3)
+    ground, m = spec.ground(), spec.geometry.m
+    p_p = ch.pilot_snr(spec.rho_p, spec.region.r_max, spec.chi_wc, spec.lam)
+    rng = mc.substream(1, 0)  # the estimator's first chunk's draws, in the same order
+    pos = geo.sample_shell_positions(spec.region, rng, take * k)
+    rots = geo.sample_rotations(rng, take * k, spec.orientation_ranges)
+    gs = mc._gs_rotations(spec, ground, rng, take)
+    z = ch.pilot_draws(rng, (take * k, m), p_p)
+    g_rows = mc._channel_for(spec, ground, pos, gs, rots)
+    g_hat_rows = ch.ml_estimate(g_rows, p_p, z)
+    g = g_rows.reshape(take, k, m)
+    powers = spec.rho_u / np.mean(np.abs(g) ** 2, axis=2)
+    g_hat = g_hat_rows.reshape(g.shape)
+    sinr = ch.instantaneous_sinr_mrc(g.transpose(0, 2, 1), g_hat.transpose(0, 2, 1), powers)
+    want = 1.0 * np.mean(np.log2(1.0 + sinr), axis=-1)
+
+    seen = {"_channel_for": [], "ml_estimate": []}
+
+    def recording(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            seen[name].append(fn(*args))
+            return seen[name][-1]
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(mc, "_channel_for")
+    recording(ch, "ml_estimate")
+    # the estimator's first chunk, as the samples it hands to _estimate
+    monkeypatch.setattr(mc, "_estimate", lambda n, seed, size, sample: sample(
+        mc.substream(seed, 0), n))
+    if pooled:
+        with ThreadPoolExecutor(8) as pool:
+            monkeypatch.setattr(_kernels, "_pool", pool)
+            got = mc.estimate_ergodic_rate(spec, take, 1)
+    else:
+        inline_kernel()
+        got = mc.estimate_ergodic_rate(spec, take, 1)
+    assert np.concatenate(seen["_channel_for"]).tobytes() == g_rows.tobytes()
+    assert np.concatenate(seen["ml_estimate"]).tobytes() == g_hat_rows.tobytes()
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 class TestErgodicGroups:
