@@ -217,6 +217,12 @@ def _row_blocks(n, m):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _cores():
+    "The cores this process may run on: the calling thread and the block pool's workers."
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _block_pool():
     """The executor that helps the calling thread with its tasks, or None on one usable core.
 
@@ -232,9 +238,7 @@ def _block_pool():
             # processes making only one-block calls need not pay
             from concurrent.futures import ThreadPoolExecutor
 
-            affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
-            workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-            if workers > 1:
+            if (workers := _cores()) > 1:
                 _pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="response-block")
         return _pool
 

@@ -138,11 +138,10 @@ def pilot_draws(rng: np.random.Generator, shape, p_p: float):
 
     Each matrix draws all its real parts, then all its imaginary parts, so the
     result is ``(..., 2, M, K)`` and a stack consumes the stream its matrices
-    would in turn; a ``(rows, M)`` block of channel rows is one matrix. A
-    caller that draws nothing else in between may walk one matrix's real parts
-    in slices of rows, copying the generator at each, then draw each slice's
-    real parts from its copy and its imaginary parts, in row order, from the
-    stream (``montecarlo.estimate_ergodic_rate`` does).
+    would in turn; a ``(rows, M)`` block of channel rows is one matrix. To cut
+    one matrix into slices of rows, copy the generator, walk it past the real
+    parts, then draw the slices in row order, real parts from the copy and
+    imaginary parts from the generator (``montecarlo.estimate_ergodic_rate``).
     At an infinite pilot SNR the estimate is exact and nothing is drawn: the
     result is None.
     """

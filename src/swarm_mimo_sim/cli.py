@@ -215,7 +215,7 @@ def _check(value, key: Key, name: str):
 
 # Cost guards, checked after the per-key ranges: keys that are each in range
 # can still ask together for more work or memory than a run can have.
-_MAX_BUFFER_BYTES = 256 * 2**20  # the largest single array an experiment may allocate
+_MAX_BUFFER_BYTES = 256 * 2**20  # an experiment's largest array, or validate's draw buffers
 # omega evaluations times ordered element pairs in one spacing sweep; a pair
 # term costs about 1-10 us (16x16 and line arrays of 50-1000 elements)
 _MAX_PAIR_TERMS = 10**9
@@ -226,7 +226,7 @@ _MAX_RATE_ROWS = 10**6
 def _check_buffer(name: str, what: str, nbytes: int):
     if nbytes > _MAX_BUFFER_BYTES:
         raise ConfigError(
-            f"{name}: {what} needs a {nbytes / 2**20:.0f} MiB array; "
+            f"{name}: {what} take {nbytes / 2**20:.0f} MiB; "
             f"the limit is {_MAX_BUFFER_BYTES / 2**20:.0f} MiB"
         )
 
@@ -267,7 +267,10 @@ def _check_cost(cfg: dict, kind: str):
             raise ConfigError("mc.threshold_db_min: must lie below mc.threshold_db_max, "
                               "or the CDF has no thresholds")
     else:  # omega, which validate runs too, holds one integer code per ordered element pair
-        _check_buffer("array.m_x * array.m_y", f"omega over {m} elements", 8 * m * m)
+        _check_buffer("array.m_x * array.m_y", f"omega's codes over {m} elements", 8 * m * m)
+    if kind == "validate":
+        n = cfg["mc.n_pairs"]
+        _check_buffer("mc.n_pairs", f"the buffers of {n} draws", mc.validate_bytes(n))
     if kind == "spacing-sweep":
         points = cfg["sweep.ratio_points"] ** (2 if cfg["sweep.two_dimensional"] else 1)
         terms = points * m * m

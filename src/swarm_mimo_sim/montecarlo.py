@@ -8,12 +8,12 @@ seed no matter how the chunks are scheduled, and independent of the
 parallelism inside the numeric kernels. Synthesis draws nothing. Within a
 chunk an estimator draws its positions and rotations first; the interference
 moment, the gain CDF and the ergodic rate then build channels one group of
-whole kernel blocks (:func:`_draw_groups`) at a time. With estimated CSI the
-ergodic rate walks its chunk's real pilot parts first, copying the generator
-at each group's; each group then draws its real parts from its copy and its
-imaginary parts from the chunk's generator. Every real part precedes every
-imaginary part in ``channel.pilot_draws``' layout, so the stream is the one
-that drawing all the noise first would consume.
+whole kernel blocks at a time (:func:`_in_groups`). With estimated CSI the
+ergodic rate copies the chunk's generator once and walks the original past
+the chunk's real pilot parts; each group then draws its real parts from the
+copy and its imaginary parts from the original. Every real part precedes
+every imaginary part in ``channel.pilot_draws``' layout, so the stream is the
+one that drawing all the noise first would consume.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import channel
 from . import geometry as geo
-from ._kernels import _BLOCK_LANES, _row_blocks, map_tasks
+from ._kernels import _BLOCK_LANES, _cores, _row_blocks, map_tasks
 from .channel import instantaneous_sinr_mrc, pilot_snr, sinr_zf, synthesize
 from .errors import SwarmMimoError
 from .polarization import _FAR_M, DipoleExcitation, GroundArray, chi_batch
@@ -158,13 +158,6 @@ def _gs_rotations(spec: ScenarioSpec, ground: GroundArray, rng, n: int) -> np.nd
     return geo.sample_rotations(rng, n, spec.orientation_ranges)[:, None]
 
 
-def _chi_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, uav_rots):
-    "(n, M) effective gains under the scenario's pattern mode."
-    if spec.pattern == "unit":
-        return np.ones((positions.shape[0], ground.elem.shape[0]))
-    return chi_batch(ground, positions, gs_rots, uav_rots)
-
-
 def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, uav_rots):
     """(n, M) complex channel rows, from exact distances."""
     from ._kernels import response_batch
@@ -185,22 +178,26 @@ def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, ua
                           ground.ratio, ground.ratio, finish=(np.complex128, finish))
 
 
-def _draw_groups(take: int, k: int, m: int, blocks: int = 1):
-    """Slices of whole draws that cut a chunk's ``take * k`` channel rows on block bounds.
+def _in_groups(take: int, k: int, m: int, blocks: int, gs, group) -> np.ndarray:
+    """One ``(take,)`` array of ``group(rows, gs_rows)`` over a chunk's groups of whole draws.
 
-    The groups join the kernel's row blocks of the whole chunk
-    (``_row_blocks``, where a one-row remainder joins the block before it)
-    until they hold ``blocks`` blocks or more and end on a draw, which happens
-    every lcm(block rows, k) rows; the last group takes what is left. A
-    group's kernel and synthesis calls therefore cut their rows into the
-    chunk's own blocks, and keep the bits of one call on the whole chunk.
+    Groups join the kernel's row blocks of the chunk's ``take * k`` channel
+    rows (``_row_blocks``) until they hold ``blocks`` or more and end on a
+    draw; the last takes the rest. So their calls keep the bits of one call on
+    the whole chunk, and a group's arrays are freed before the next's are built.
     """
+    values = np.empty(take)
     start, joined = 0, 0
     for block in _row_blocks(take * k, m):
         joined += 1
         if joined >= blocks and block.stop % k == 0 or block.stop == take * k:
-            yield slice(start, block.stop // k)
+            draws = slice(start, block.stop // k)
+            gs_rows = gs  # the array's own (m, 3, 3) rotations
+            if gs.ndim == 4:  # one common orientation per draw, shared by its k drones
+                gs_rows = gs[draws] if k == 1 else np.repeat(gs[draws], k, axis=0)
+            values[draws] = group(draws, gs_rows)
             start, joined = block.stop // k, 0
+    return values
 
 
 #: Kernel row blocks per group of a gain-CDF or interference-moment chunk,
@@ -220,7 +217,7 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
 
     Uses full channel synthesis (exact distances) and uncapped channel-inversion
     powers. A chunk's draws come first; then both drones' channels are built and
-    reduced in groups of whole kernel blocks, as in :func:`_summed_gains`.
+    reduced in groups of whole kernel blocks (:func:`_in_groups`).
     """
     ground = spec.ground()
 
@@ -230,16 +227,16 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
         rot_k = geo.sample_rotations(rng, take, spec.orientation_ranges)
         rot_j = geo.sample_rotations(rng, take, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, take)
-        values = np.empty(take)
-        for rows in _draw_groups(take, 1, spec.geometry.m, _GAIN_GROUP_BLOCKS):
-            gs_rows = gs[rows] if gs.ndim == 4 else gs
+
+        def moment(rows, gs_rows):
             g_k = _channel_for(spec, ground, pos_k[rows], gs_rows, rot_k[rows])
             g_j = _channel_for(spec, ground, pos_j[rows], gs_rows, rot_j[rows])
             gain_k = np.mean(np.abs(g_k) ** 2, axis=1)
             gain_j = np.mean(np.abs(g_j) ** 2, axis=1)
             cross = np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
-            values[rows] = (spec.rho_u / gain_k) * (spec.rho_u / gain_j) * cross
-        return values
+            return (spec.rho_u / gain_k) * (spec.rho_u / gain_j) * cross
+
+        return _in_groups(take, 1, spec.geometry.m, _GAIN_GROUP_BLOCKS, gs, moment)
 
     return _estimate(n, seed, CHUNK, sample)
 
@@ -289,9 +286,10 @@ def estimate_ergodic_rate(
     selected receiver. The estimate averages drones and draws; ``stderr``
     reflects draw-to-draw variation. A chunk draws its placements and
     attitudes first, then synthesizes, estimates and combines one group of
-    whole draws at a time (:func:`_draw_groups`), drawing the group's pilot
-    noise as it goes. So it holds one group's noise and channels, not the
-    chunk's; the real pilot parts are drawn twice, once to skip them.
+    whole draws at a time (:func:`_in_groups`), drawing the group's pilot
+    noise as it goes, so it holds one group's noise and channels, not the
+    chunk's. The real parts come from one copy of the chunk's generator,
+    taken before the generator skips them all, so they are drawn twice.
     """
     if receiver not in ("mrc", "zf"):
         raise SwarmMimoError(f"unknown receiver {receiver!r}")
@@ -308,29 +306,22 @@ def estimate_ergodic_rate(
         pos = geo.sample_shell_positions(spec.region, rng, take * k)
         rots = geo.sample_rotations(rng, take * k, spec.orientation_ranges)
         gs = _gs_rotations(spec, ground, rng, take)
-        # the chunk's pilot noise is one (rows, M) matrix in pilot_draws' order,
-        # all real parts first: walk them now, copying rng at each group's, so
-        # that rng stands at the imaginary parts, which each group draws in turn
-        def real_parts_at(draws):
-            start = copy.deepcopy(rng)
-            rng.standard_normal(((draws.stop - draws.start) * k, m))
-            return start
+        # pilot_draws' order puts the chunk's real parts first: the groups draw theirs
+        # from a copy of rng, and rng skips them to the imaginary parts, drawn in turn
+        if noisy:
+            real = copy.deepcopy(rng)
+            for block in _row_blocks(take * k, m):
+                rng.standard_normal((block.stop - block.start, m))
 
-        groups = list(_draw_groups(take, k, m))
-        starts = [real_parts_at(draws) if noisy else None for draws in groups]
-
-        def group_rates(draws, start):
-            # returning frees the group's arrays before the next group builds its own
+        def group_rates(draws, gs_rows):
             rows = slice(draws.start * k, draws.stop * k)
-            # one common array orientation per draw, shared by its k drones
-            gs_rows = np.repeat(gs[draws], k, axis=0) if gs.ndim == 4 else gs
             g_rows = _channel_for(spec, ground, pos[rows], gs_rows, rots[rows])
             g = g_rows.reshape(-1, k, m)  # (draws, K, M)
             powers = spec.rho_u / np.mean(np.abs(g) ** 2, axis=2)
             g_hat = g
             if noisy:  # the group's (draws * K, M) rows as one matrix
                 z = np.empty((2,) + g_rows.shape)
-                start.standard_normal(out=z[0])
+                real.standard_normal(out=z[0])
                 rng.standard_normal(out=z[1])
                 g_hat = channel.ml_estimate(g_rows, p_p, z).reshape(g.shape)
                 del z  # before the SINR's temporaries
@@ -341,7 +332,7 @@ def estimate_ergodic_rate(
                 sinr = sinr_zf(g, powers)
             return prelog * np.mean(np.log2(1.0 + sinr), axis=-1)
 
-        return np.concatenate([group_rates(*group) for group in zip(groups, starts)])
+        return _in_groups(take, k, m, 1, gs, group_rates)
 
     return _estimate(n, seed, max(1, CHUNK // max(k, 1)), sample)
 
@@ -375,17 +366,17 @@ def _summed_gains(spec: ScenarioSpec, ground: GroundArray, rng, take: int) -> np
     """A chunk's ``take`` summed gains over the array, in groups of whole kernel blocks.
 
     Each group joins ``_GAIN_GROUP_BLOCKS`` of the chunk's row blocks
-    (:func:`_draw_groups`), so the chunk holds one group's ``(rows, M)``
+    (:func:`_in_groups`), so the chunk holds one group's ``(rows, M)``
     arrays, not its own, and keeps the bits of one call on the whole chunk.
+    With ``unit`` gains each sum is exactly M, and the chunk's own substream goes unread.
     """
+    if spec.pattern == "unit":
+        return np.full(take, float(spec.geometry.m))
     pos = geo.sample_shell_positions(spec.region, rng, take)
     rots = geo.sample_rotations(rng, take, spec.orientation_ranges)
     gs = _gs_rotations(spec, ground, rng, take)
-    sums = np.empty(take)
-    for rows in _draw_groups(take, 1, spec.geometry.m, _GAIN_GROUP_BLOCKS):
-        gs_rows = gs[rows] if gs.ndim == 4 else gs
-        sums[rows] = _chi_for(spec, ground, pos[rows], gs_rows, rots[rows]).sum(axis=1)
-    return sums
+    return _in_groups(take, 1, spec.geometry.m, _GAIN_GROUP_BLOCKS, gs, lambda rows, gs_rows:
+                      chi_batch(ground, pos[rows], gs_rows, rots[rows]).sum(axis=1))
 
 
 def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
@@ -413,7 +404,16 @@ def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
     return thresholds_db, counts / n, stats
 
 
-def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int = 64):
+_MAX_PAIRS = 64  # element pairs validate_expectations compares, at most
+
+
+def validate_bytes(n: int) -> int:
+    "Bytes :func:`validate_expectations` holds: 32 per draw shared, 24 per draw and thread."
+    threads = min(_cores(), _MAX_PAIRS) if n >= _BLOCK_LANES else 1  # as map_tasks runs rows
+    return (32 + 24 * threads) * n
+
+
+def validate_expectations(spec: ScenarioSpec, n: int, seed: int):
     """Check the closed-form pair-phase moments against direct sampling.
 
     For element pairs (l, l') the phase of the distance difference splits
@@ -431,8 +431,8 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
     if count == 0:
         raise SwarmMimoError("a one-element array has no element pairs to validate")
     picks = range(count)
-    if count > max_pairs:
-        picks = sorted(substream(seed, 0xFA1).choice(count, size=max_pairs, replace=False))
+    if count > _MAX_PAIRS:
+        picks = sorted(substream(seed, 0xFA1).choice(count, size=_MAX_PAIRS, replace=False))
     rng = substream(seed, 1)
     d, theta, phi = geo._shell_draws(spec.region, rng, n)
     k_sin_theta = (2.0 * math.pi / lam) * np.sin(theta)
@@ -444,16 +444,14 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
         l, lp = row + 1, col + 1 + (col >= row)  # a row skips its own index
         q, p = divmod(l - 1, geometry.m_x)
         qp, pp = divmod(lp - 1, geometry.m_x)
-        bval = (math.pi / lam) * (
-            (p * p - pp * pp) * geometry.delta_x**2
-            + (q * q - qp * qp) * geometry.delta_y**2
-        )
+        bval = (math.pi / lam) * ((p * p - pp * pp) * geometry.delta_x**2
+                                  + (q * q - qp * qp) * geometry.delta_y**2)
         pairs.append((l, lp, p - pp, q - qp, bval))
     # one call for all pairs: each value is that of a call of its own
     cvals, dvals = cb_db([bval for *_, bval in pairs], spec.region)
 
-    # n-sized buffers that live as long as the call, one set per thread: rows
-    # that allocated their own temporaries faulted the freed pages back in
+    # n-sized buffers that live as long as the call, one set per thread (validate_bytes):
+    # rows that allocated their own temporaries faulted the freed pages back in
     local = threading.local()
 
     def row(pair):
@@ -481,16 +479,8 @@ def validate_expectations(spec: ScenarioSpec, n: int, seed: int, max_pairs: int 
         np.square(a, out=a)
         se = float(np.sqrt(a.mean() / n))
         dev = abs(mc - closed) / se if se > 0 else 0.0
-        return {
-            "l": l,
-            "lp": lp,
-            "closed_re": closed.real,
-            "closed_im": closed.imag,
-            "mc_re": mc.real,
-            "mc_im": mc.imag,
-            "stderr": se,
-            "dev_se": dev,
-        }
+        return dict(l=l, lp=lp, closed_re=closed.real, closed_im=closed.imag,
+                    mc_re=mc.real, mc_im=mc.imag, stderr=se, dev_se=dev)
 
     # the rows only read the shared draws: on the kernel's pool once the draws
     # are as wide as one of its blocks, in pick order either way

@@ -81,6 +81,8 @@ class TestParseConfig:
         ("validate", "[array]\nm_x = 256\nm_y = 23\n", r"array.m_x \* array.m_y"),
         ("spacing-sweep", "[array]\nm_x = 10000\nm_y = 10000\n", r"array.m_x \* array.m_y"),
         ("gain-cdf", "[mc]\nn = 100000000\n", "mc.n"),
+        # validate's draws hold 32 bytes each, and 24 more in each thread that runs rows
+        ("validate", "[mc]\nn_pairs = 10000000\n", "mc.n_pairs"),
         ("mission-sim", "[sim]\nstep_s = 0.001\nduration_s = 1e6\n[fleet]\nk = 1000\n",
          r"sim.duration_s / sim.step_s \* fleet.k"),
         # duration_s = 0 runs the whole mission: 375 s of 20 drones at 1 ms steps

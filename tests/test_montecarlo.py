@@ -246,6 +246,8 @@ class TestGainCdf:
         _, cdf, stats = mc.gain_cdf(spec, 1_000, 3, thr)
         assert np.array_equal(cdf, [0.0, 0.0, 1.0])
         assert stats["median_db"] == pytest.approx(10.0)
+        sums = mc._summed_gains(spec, spec.ground(), mc.substream(3, 0), 1_000)
+        assert sums.tolist() == [float(spec.geometry.m)] * 1_000
 
 
 class TestValidateExpectations:
@@ -283,7 +285,8 @@ class TestValidateExpectations:
             return rates.cb_db(b, region)
 
         monkeypatch.setattr(mc, "cb_db", counting)
-        rows, _ = mc.validate_expectations(spec, 4, seed=3, max_pairs=240)
+        monkeypatch.setattr(mc, "_MAX_PAIRS", 240)
+        rows, _ = mc.validate_expectations(spec, 4, seed=3)
         assert calls == [240]
         g = spec.geometry
         for r in rows:
@@ -300,7 +303,7 @@ class TestValidateExpectations:
             mc.validate_expectations(spec_for(m=1), 100, seed=3)
 
     @pytest.mark.parametrize("m", range(2, 13))
-    def test_pairs_follow_listed_order(self, m):
+    def test_pairs_follow_listed_order(self, m, monkeypatch):
         # the sampled pair indices map to (l, l') as they would index the list
         listed = [(l, lp) for l in range(1, m + 1) for lp in range(1, m + 1) if l != lp]
         for max_pairs in (1, 5, len(listed) + 1):  # below and above the pair count
@@ -308,7 +311,8 @@ class TestValidateExpectations:
             if len(listed) > max_pairs:
                 keep = mc.substream(3, 0xFA1).choice(len(listed), size=max_pairs, replace=False)
                 want = [listed[i] for i in sorted(keep)]
-            rows, _ = mc.validate_expectations(spec_for(m=m), 4, seed=3, max_pairs=max_pairs)
+            monkeypatch.setattr(mc, "_MAX_PAIRS", max_pairs)
+            rows, _ = mc.validate_expectations(spec_for(m=m), 4, seed=3)
             assert [(r["l"], r["lp"]) for r in rows] == want, max_pairs
 
 
@@ -355,6 +359,20 @@ class TestValidatePool:
             monkeypatch.setattr(_kernels, "_pool", pool)
             mc.validate_expectations(spec_for(m=8), _kernels._BLOCK_LANES - 1, seed=4)
             assert pool.loops == 0
+
+    def test_stated_bytes_match_the_traced_peak(self, monkeypatch, inline_kernel, traced_peak):
+        # one usable core: the shared draws and one thread's buffers, 56 bytes a
+        # draw; this measured 56.65 at 250k draws, the rest being the pair rows
+        inline_kernel()
+        monkeypatch.setattr(mc, "_cores", lambda: 1)
+        spec, n = spec_for(m=8, spacing=0.3 * LAM), 250_000
+        mc.validate_expectations(spec, 4, seed=4)  # first-call allocations outside the trace
+        _, peak = traced_peak(lambda: mc.validate_expectations(spec, n, seed=4))
+        assert mc.validate_bytes(n) == 56 * n
+        assert 0.98 <= peak / mc.validate_bytes(n) <= 1.02, peak / n
+        monkeypatch.setattr(mc, "_cores", lambda: 4)
+        assert mc.validate_bytes(n) == (32 + 24 * 4) * n
+        assert mc.validate_bytes(1000) == 56 * 1000  # too narrow for the pool
 
 
 class TestChunkLoop:
@@ -511,6 +529,32 @@ def test_interference_chunk_peak_memory(m, inline_kernel, traced_peak):
     assert peak <= 1.0 * channel_bytes, peak / channel_bytes
 
 
+def test_interference_groups_do_not_overlap(inline_kernel, traced_peak):
+    # one interference-moment chunk on 256 elements, shell 600-900 m: a group's
+    # channels are freed before the next group builds its own, so the peak is
+    # one group's working set, at most 0.47 times the chunk's complex (CHUNK, M)
+    # array. This measured 0.43; with the previous group's two channels still
+    # held while the next was built, 0.51.
+    inline_kernel()
+    spec = spec_for(m=256, spacing=LAM / 2, r_min=600.0, r_max=900.0)
+    mc.estimate_interference_moment(spec, 2, 1)  # first-call allocations outside the trace
+    _, peak = traced_peak(lambda: mc.estimate_interference_moment(spec, mc.CHUNK, 1))
+    channel_bytes = mc.CHUNK * spec.geometry.m * np.dtype(np.complex128).itemsize
+    assert peak <= 0.47 * channel_bytes, peak / channel_bytes
+
+
+def _groups_of(take, k, m, blocks=1):
+    "The draws of each group that ``_in_groups`` cuts, recorded by a ``group`` that returns zeros."
+    groups = []
+
+    def record(rows, gs_rows):
+        groups.append(rows)
+        return np.zeros(rows.stop - rows.start)
+
+    mc._in_groups(take, k, m, blocks, np.broadcast_to(np.eye(3), (m, 3, 3)), record)
+    return groups
+
+
 def _blocks_of_groups(groups, take, k, m):
     """Each group's kernel blocks, after asserting that they are the chunk's own.
 
@@ -534,13 +578,13 @@ class TestGainGroups:
 
     def test_benchmark_chunk_groups(self):
         # 50 elements: 25 blocks of 327 rows and one of 17
-        groups = list(mc._draw_groups(mc.CHUNK, 1, 50, mc._GAIN_GROUP_BLOCKS))
+        groups = _groups_of(mc.CHUNK, 1, 50, mc._GAIN_GROUP_BLOCKS)
         assert [(g.start, g.stop) for g in groups] == [(0, 5232), (5232, mc.CHUNK)]
 
     @pytest.mark.parametrize("blocks", [1, 4, 16])
     @pytest.mark.parametrize("take, m", [(mc.CHUNK, 50), (655, 50), (257, 64), (3, 10_000)])
     def test_groups_cut_on_block_bounds(self, take, m, blocks):
-        owns = _blocks_of_groups(list(mc._draw_groups(take, 1, m, blocks)), take, 1, m)
+        owns = _blocks_of_groups(_groups_of(take, 1, m, blocks), take, 1, m)
         assert all(len(own) >= blocks for own in owns[:-1]), owns  # the last takes the rest
 
     @pytest.mark.parametrize("blocks", [1, "default"])
@@ -676,7 +720,7 @@ class TestErgodicGroups:
         (3, 7, 10_000),  # two-row blocks
     ])
     def test_groups_cut_on_block_bounds(self, take, k, m):
-        _blocks_of_groups(list(mc._draw_groups(take, k, m)), take, k, m)
+        _blocks_of_groups(_groups_of(take, k, m), take, k, m)
 
     @pytest.mark.parametrize("take, k", [(257, 1), (409, 20)])
     def test_group_channels_match_whole_chunk(self, take, k):
@@ -689,15 +733,15 @@ class TestErgodicGroups:
         pos = geo.sample_shell_positions(spec.region, rng, take * k)
         rots = geo.sample_rotations(rng, take * k)
         whole = mc._channel_for(spec, ground, pos, ground.rotations, rots)
-        for g in mc._draw_groups(take, k, spec.geometry.m):
+        for g in _groups_of(take, k, spec.geometry.m):
             rows = slice(g.start * k, g.stop * k)
             part = mc._channel_for(spec, ground, pos[rows], ground.rotations, rots[rows])
             assert part.tobytes() == whole[rows].tobytes(), g
 
     def test_benchmark_chunk_groups(self):
-        sizes = [g.stop - g.start for g in mc._draw_groups(409, 20, 64)]
+        sizes = [g.stop - g.start for g in _groups_of(409, 20, 64)]
         assert sizes == [64] * 6 + [25]
-        assert [g.stop - g.start for g in mc._draw_groups(257, 1, 64)] == [257]
+        assert [g.stop - g.start for g in _groups_of(257, 1, 64)] == [257]
 
 
 # float.hex of estimate_ergodic_rate's (mean, stderr), recorded before the
