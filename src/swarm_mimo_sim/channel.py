@@ -4,10 +4,10 @@ Noise variance is normalized to 1 throughout, so transmit powers are
 normalized SNRs; the absolute-watt link budget lives in the mission module.
 
 The channel functions take stacks of ``(M, K)`` matrices, shaped ``(..., M,
-K)``. Each matrix of a stack keeps the bits of its own call: matmul and the
-``linalg`` routines work matrix by matrix, and the pilot noise is drawn
-matrix by matrix. ``channel_matrix`` is the exception for one-drone matrices,
-whose single call takes the kernel's gemv path (see ``_kernels``).
+K)``. matmul and the ``linalg`` routines work matrix by matrix, and the pilot
+noise is drawn matrix by matrix, so each matrix keeps the bits of its own
+call. ``channel_matrix`` is one kernel call on the whole stack: it has matched
+per-matrix calls on the shapes tested (see its docstring), not in general.
 """
 
 from __future__ import annotations
@@ -110,9 +110,10 @@ def channel_matrix(
 
     ``uav_positions`` is ``(..., K, 3)`` and ``uav_rotations`` ``(..., K, 3,
     3)``; the result is a C-contiguous ``(..., M, K)``. A stack of matrices is
-    one kernel call on all its drones, and each matrix keeps the bits of its
-    own call when every call has at least two drones (a one-drone call takes
-    the kernel's gemv path).
+    one kernel call on all its drones. Its matrices matched per-matrix calls at
+    M <= 100 with K = 2, 3 and 20 (the mission's shape is tested); at M = 256,
+    K = 20, 5 % of a 6-matrix stack's entries moved, all in its first 64-row
+    kernel block. A one-drone call takes the gemv path.
     """
     pos = np.asarray(uav_positions, float)
     norms = np.linalg.norm(pos, axis=-1)

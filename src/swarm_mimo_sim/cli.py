@@ -215,20 +215,25 @@ def _check(value, key: Key, name: str):
 
 # Cost guards, checked after the per-key ranges: keys that are each in range
 # can still ask together for more work or memory than a run can have.
-_MAX_BUFFER_BYTES = 256 * 2**20  # an experiment's largest array, or validate's draw buffers
-# omega evaluations times ordered element pairs in one spacing sweep; a pair
-# term costs about 1-10 us (16x16 and line arrays of 50-1000 elements)
+_MAX_BUFFER_BYTES = 256 * 2**20  # the working set of any one stage, as its owner states it
+# omega evaluations times ordered element pairs in one spacing sweep. Untraced on 2
+# x86 cores, a term costs about 0.45 us (16x16: about 30 ms a call), and a call at
+# least _MIN_CALL_TERMS terms' time (1x2: 0.44 ms; a 50-element line: 2.1-2.5 ms)
 _MAX_PAIR_TERMS = 10**9
+_MIN_CALL_TERMS = 1000
 # (k, m) rows of one rate curve; the shipped preset makes 768
 _MAX_RATE_ROWS = 10**6
 
 
+def _check_limit(name: str, what: str, amount: float, limit: float, unit: str = ""):
+    if amount > limit:
+        raise ConfigError(f"{name}: {what}: {amount:.4g}{unit}, over the limit of "
+                          f"{limit:.4g}{unit}")
+
+
 def _check_buffer(name: str, what: str, nbytes: int):
-    if nbytes > _MAX_BUFFER_BYTES:
-        raise ConfigError(
-            f"{name}: {what} take {nbytes / 2**20:.0f} MiB; "
-            f"the limit is {_MAX_BUFFER_BYTES / 2**20:.0f} MiB"
-        )
+    "Refuse a stage whose working set, as its owner states it, exceeds the limit."
+    _check_limit(name, what, nbytes / 2**20, _MAX_BUFFER_BYTES / 2**20, " MiB")
 
 
 def _check_cost(cfg: dict, kind: str):
@@ -236,20 +241,11 @@ def _check_cost(cfg: dict, kind: str):
     if kind == "rate-curve":
         rows = (len(_parse_int_list(str(cfg["array.m_values"]), "array.m_values"))
                 * len(_parse_int_list(str(cfg["rate.k_values"]), "rate.k_values")))
-        if rows > _MAX_RATE_ROWS:
-            raise ConfigError(
-                f"array.m_values * rate.k_values: {rows} rate-curve rows; "
-                f"the limit is {_MAX_RATE_ROWS:.0e}"
-            )
-        return
+        return _check_limit("array.m_values * rate.k_values", "(k, m) rows", rows, _MAX_RATE_ROWS)
     if kind == "mission-sim":
-        # run_mission fills one record per drone and time step up front
-        step = cfg["sim.step_s"]
         duration = cfg["sim.duration_s"] or msn.mission_time(_mission_spec(cfg))
-        rows = math.ceil((duration + 0.5 * step) / step) * cfg["fleet.k"]
-        _check_buffer("sim.duration_s / sim.step_s * fleet.k", f"{rows} mission records",
-                      rows * msn.RECORD_DTYPE.itemsize)
-        return
+        return _check_buffer("sim.duration_s / sim.step_s * fleet.k", "the mission's records",
+                             msn.record_bytes(duration, cfg["sim.step_s"], cfg["fleet.k"]))
     if kind not in ("spacing-sweep", "gain-cdf", "validate"):
         return
     m = cfg["array.m_x"] * cfg["array.m_y"]
@@ -259,26 +255,24 @@ def _check_cost(cfg: dict, kind: str):
     if cfg["shell.r_min_m"] > cfg["shell.r_max_m"]:
         raise ConfigError(f"shell.r_min_m: {cfg['shell.r_min_m']} m exceeds "
                           f"shell.r_max_m, {cfg['shell.r_max_m']} m")
-    if kind == "gain-cdf":  # the median needs every sample's summed gain
-        _check_buffer("mc.n", f"{cfg['mc.n']} samples", 8 * cfg["mc.n"])
+    if kind == "gain-cdf":
+        _check_buffer("mc.n", f"{cfg['mc.n']} samples", mc.gain_cdf_bytes(cfg["mc.n"]))
         if cfg["array.m_y"] > 1:  # the scenario has no y spacing: rows would stack
             raise ConfigError("array.m_y: gain-cdf takes a line array, m_y = 1")
         if cfg["mc.threshold_db_min"] >= cfg["mc.threshold_db_max"]:
             raise ConfigError("mc.threshold_db_min: must lie below mc.threshold_db_max, "
                               "or the CDF has no thresholds")
-    else:  # omega, which validate runs too, holds one integer code per ordered element pair
-        _check_buffer("array.m_x * array.m_y", f"omega's codes over {m} elements", 8 * m * m)
-    if kind == "validate":
+    else:  # validate runs omega too, after its draws and its interference moment
+        _check_buffer("array.m_x * array.m_y", f"omega over {m} elements", rates.omega_bytes(m))
+    if kind == "validate":  # its stages run one after another, so each is checked alone
         n = cfg["mc.n_pairs"]
         _check_buffer("mc.n_pairs", f"the buffers of {n} draws", mc.validate_bytes(n))
+        _check_buffer("array.m_x * array.m_y", "the interference moment's chunk",
+                      mc.interference_moment_bytes(m))
     if kind == "spacing-sweep":
         points = cfg["sweep.ratio_points"] ** (2 if cfg["sweep.two_dimensional"] else 1)
-        terms = points * m * m
-        if terms > _MAX_PAIR_TERMS:
-            raise ConfigError(
-                f"sweep.ratio_points: {points} omega evaluations over {m} elements "
-                f"make {terms:.3g} pair terms; the limit is {_MAX_PAIR_TERMS:.0e}"
-            )
+        _check_limit("sweep.ratio_points", f"the pair terms of {points} omegas over {m} elements",
+                     points * max(m * m, _MIN_CALL_TERMS), _MAX_PAIR_TERMS)
         if cfg["array.m_y"] > 1 and not cfg["sweep.two_dimensional"]:
             # a sweep over delta_x alone has no y spacing: rows would stack
             raise ConfigError("array.m_y: a sweep over delta_x alone takes a line array, "
@@ -370,7 +364,8 @@ def _linear(db: float) -> float:
 #
 # Each runner takes the parsed config and the seed and returns its CSV tables,
 # ``{file name: (header, rows)}`` in file order, and the summary entries beyond
-# the parameters; run_experiment writes them all.
+# the parameters; run_experiment writes them all. ``rows`` may be any iterable
+# of finished values, read once while its table is written.
 # ---------------------------------------------------------------------------
 
 
@@ -420,12 +415,12 @@ def _run_spacing_sweep(cfg, seed):
                          cfg["sweep.ratio_points"])
     if cfg["sweep.two_dimensional"]:
         vals = spacing.omega_sweep(m_x, m_y, lam, region, ratios, ratios)
-        rows = [(rx, ry, vals[i, j]) for i, rx in enumerate(ratios) for j, ry in enumerate(ratios)]
+        rows = ((rx, ry, vals[i, j]) for i, rx in enumerate(ratios) for j, ry in enumerate(ratios))
         header = ["delta_x_over_lambda", "delta_y_over_lambda", "omega"]
         optimal = spacing.optimal_spacing_ura(m_x, m_y, lam, region.r_min).tolist()
     else:
         vals = spacing.omega_sweep(m_x, m_y, lam, region, ratios)
-        rows = list(zip(ratios, vals))
+        rows = zip(ratios, vals)
         header = ["delta_x_over_lambda", "omega"]
         optimal = spacing.optimal_spacing_ula(m_x, lam, region.r_min)
     return {"spacing_sweep.csv": (header, rows)}, {"optimal_spacings_m": optimal}
@@ -453,8 +448,7 @@ def _run_gain_cdf(cfg, seed):
     thresholds = np.arange(cfg["mc.threshold_db_min"], cfg["mc.threshold_db_max"],
                            cfg["mc.threshold_db_step"])
     thr, cdf, stats = mc.gain_cdf(spec, cfg["mc.n"], seed, thresholds)
-    rows = [(thr[i], cdf[i]) for i in range(thr.size)]
-    return {"gain_cdf.csv": (["threshold_db", "cdf"], rows)}, {"stats": stats}
+    return {"gain_cdf.csv": (["threshold_db", "cdf"], zip(thr, cdf))}, {"stats": stats}
 
 
 def _mission_spec(cfg, seed: int = 0) -> msn.MissionSpec:
@@ -486,7 +480,9 @@ def _run_mission(cfg, seed):
     records = msn.run_mission(spec, cfg["sim.step_s"], seed, duration=duration,
                               csi=cfg["sim.csi"])
     c_data, c_pilot = msn.link_budget_coefficients(spec, 400.0)
-    return {"mission.csv": (list(msn.RECORD_DTYPE.names), records.tolist())}, {
+    # a few thousand rows at a time as Python values; tolist beats row-by-row reads
+    rows = (row for lo in range(0, records.size, 2048) for row in records[lo:lo + 2048].tolist())
+    return {"mission.csv": (list(msn.RECORD_DTYPE.names), rows)}, {
         "mission_time_s": msn.mission_time(spec),
         "altitude_m": spec.flight_altitude,
         "d_wc_m": spec.d_wc,
@@ -496,7 +492,6 @@ def _run_mission(cfg, seed):
 
 
 def _run_validate(cfg, seed):
-    lam = geo.wavelength(cfg["rf.f_c_hz"])
     geom = _array_geometry(cfg)
     region = geo.ShellRegion(cfg["shell.r_min_m"], cfg["shell.r_max_m"])
     spec = mc.ScenarioSpec(geometry=geom, region=region, k=2,
@@ -505,7 +500,7 @@ def _run_validate(cfg, seed):
     header = ["l", "lp", "closed_re", "closed_im", "mc_re", "mc_im", "stderr", "dev_se"]
     rows = [tuple(r[name] for name in header) for r in rows_raw]
     moment = mc.estimate_interference_moment(spec, cfg["mc.n_moment"], seed)
-    omega_value = rates.omega(geom, lam, region)
+    omega_value = rates.omega(geom, spec.lam, region)
     target = spec.rho_u**2 * (geom.m + omega_value)
     return {"validate.csv": (header, rows)}, {
         "phase_moment_max_dev_se": max_dev,
@@ -519,32 +514,18 @@ def _run_tables(cfg, seed):
     band = cfg["tables.bandwidth_hz"]
     k = cfg["tables.k"]
 
-    def params_for(v):
+    def row(a, b, q, v):  # a drone's rate q at speed v, the fleet's, the elements for q and q / 2
         coh = CoherenceParams(f_c=cfg["tables.f_c_hz"], bandwidth=band,
                               b_c=cfg["tables.b_c_hz"], v_max=v)
-        return _far_sphere(cfg, "tables", coh, k)
+        p = _far_sphere(cfg, "tables", coh, k)
+        return a, b, q, k * q, rates.m_required(q, band, p), rates.m_required(q / 2.0, band, p)
 
     camera = msn.CameraModel(r_px=1496, r_py=2664)
-    image_rows = []
-    for gsd, v in ((0.02, 20.0), (0.05, 30.0), (0.20, 30.0)):
-        q = msn.image_rate(camera, gsd, v)
-        p = params_for(v)
-        image_rows.append((
-            gsd, v, q, k * q,
-            rates.m_required(q, band, p),
-            rates.m_required(q / 2.0, band, p),
-        ))
-    video_rows = []
-    for r_py, r_px in ((4096, 2160), (2664, 1496)):
-        cam = msn.CameraModel(r_px=r_px, r_py=r_py, compression=200.0, fps=60.0)
-        p = params_for(30.0)
-        q60 = msn.video_rate(cam)
-        q30 = q60 / 2.0
-        video_rows.append((
-            r_py, r_px, q60, k * q60,
-            rates.m_required(q60, band, p),
-            rates.m_required(q30, band, p),
-        ))
+    image_rows = [row(gsd, v, msn.image_rate(camera, gsd, v), v)
+                  for gsd, v in ((0.02, 20.0), (0.05, 30.0), (0.20, 30.0))]
+    video_rows = [row(r_py, r_px, msn.video_rate(msn.CameraModel(
+        r_px=r_px, r_py=r_py, compression=200.0, fps=60.0)), 30.0)
+        for r_py, r_px in ((4096, 2160), (2664, 1496))]
     return {
         "table_image.csv": (["gsd_m", "speed_mps", "q_image_bps", "q_image_sum_bps",
                              "m_required", "m_required_cr2"], image_rows),
@@ -583,10 +564,10 @@ def run_experiment(kind: str, config_text: str, seed: int, out_dir: Path) -> lis
         json.dumps({k: str(v) for k, v in sorted(cfg.items())}).encode()
     ).hexdigest()[:16]
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        lines = [f"# schema=v1 seed={seed} config_sha256={cfg_hash}", ",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        (out_dir / name).write_text("\n".join(lines) + "\n")
+    for name, (header, rows) in tables.items():  # each row written as it is formatted
+        with open(out_dir / name, "w") as f:
+            f.write(f"# schema=v1 seed={seed} config_sha256={cfg_hash}\n{','.join(header)}\n")
+            f.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     summary = f"{stem}_summary.json"
     payload = {
         "experiment": kind,

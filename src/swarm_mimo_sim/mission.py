@@ -284,6 +284,16 @@ RECORD_DTYPE = np.dtype(
 )
 
 
+def step_count(duration: float, step: float) -> int:
+    "Time steps of :func:`run_mission`: ``t = i * step`` up to ``duration + step / 2``."
+    return math.ceil((duration + 0.5 * step) / step)
+
+
+def record_bytes(duration: float, step: float, k: int) -> int:
+    "Bytes of :func:`run_mission`'s records, the one array it holds per step and drone."
+    return step_count(duration, step) * k * RECORD_DTYPE.itemsize
+
+
 def run_mission(
     spec: MissionSpec,
     step: float,
@@ -299,6 +309,8 @@ def run_mission(
     """
     if step <= 0:
         raise SwarmMimoError("time step must be positive")
+    if csi not in ("perfect", "estimated"):
+        raise SwarmMimoError(f"unknown csi mode {csi!r}")
     if duration is None:
         duration = mission_time(spec)
     lam = geo.wavelength(spec.f_c)
@@ -307,23 +319,21 @@ def run_mission(
     rotations = geo.sample_rotations(substream(spec.orientation_seed, 0x6E0), spec.geometry.m)
     ground = GroundArray(spec.f_c, geo.element_positions(spec.geometry), rotations,
                          DipoleExcitation.circular().weights(), spec.geometry.aperture())
-    times = np.arange(0.0, duration + 0.5 * step, step)
-    arc = spec.speed * times
-    pos = np.empty((times.size, spec.k, 3))
-    for k in range(spec.k):
-        pos[:, k] = _positions_on_path(_path_table(spec, k + 1), arc)[0]
+    times = np.arange(step_count(duration, step)) * step  # as arange(0.0, ..., step) fills
+    rows = np.zeros((times.size, spec.k), dtype=RECORD_DTYPE)
+    rows["t_s"] = times[:, None]
+    rows["drone_id"] = np.arange(1, spec.k + 1)
+    for k in range(spec.k):  # the positions live in the records alone
+        pos = _positions_on_path(_path_table(spec, k + 1), spec.speed * times)[0]
+        rows["x_m"][:, k], rows["y_m"][:, k], rows["z_m"][:, k] = pos.T
     # dipoles along the x and z axes: yaw the antenna frame by a quarter turn
     uav_rot = geo.rotation_matrix(geo.RotationAngles(yaw=math.pi / 2))
     p_p = pilot_snr(spec.rho_p, spec.d_wc, spec.chi_wc, lam)
     rng = substream(seed, 0x51)
-    rows = np.zeros((times.size, spec.k), dtype=RECORD_DTYPE)
-    rows["t_s"] = times[:, None]
-    rows["drone_id"] = np.arange(1, spec.k + 1)
-    rows["x_m"], rows["y_m"], rows["z_m"] = np.moveaxis(pos, -1, 0)
     group = max(1, _GROUP_LANES // (spec.k * spec.geometry.m))
     for start in range(0, times.size, group):
         steps = slice(start, start + group)
-        p = pos[steps]
+        p = np.stack([rows[name][steps] for name in ("x_m", "y_m", "z_m")], axis=-1)
         g = channel_matrix(ground, p, np.broadcast_to(uav_rot, p.shape + (3,)))
         mean_gain = np.mean(np.abs(g) ** 2, axis=-2)
         powers = spec.rho_u / mean_gain

@@ -241,6 +241,11 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
     return _estimate(n, seed, CHUNK, sample)
 
 
+def interference_moment_bytes(m: int) -> int:
+    "Bytes a chunk of :func:`estimate_interference_moment` holds: 264 a draw, 50 a group lane."
+    return 264 * CHUNK + 50 * _GAIN_GROUP_BLOCKS * max(2, _BLOCK_LANES // m) * m
+
+
 def estimate_zf_inverse_moment(spec: ScenarioSpec, n: int, seed: int) -> EstimatorResult:
     """Mean of ``1 / (M - |s|^2 / M)`` for two shell drones.
 
@@ -379,6 +384,11 @@ def _summed_gains(spec: ScenarioSpec, ground: GroundArray, rng, take: int) -> np
                       chi_batch(ground, pos[rows], gs_rows, rots[rows]).sum(axis=1))
 
 
+def gain_cdf_bytes(n: int) -> int:
+    "Bytes of :func:`gain_cdf`'s one n-sized buffer, 8 a sample; its chunks hold one group."
+    return 8 * n
+
+
 def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
     """Empirical CDF of the summed effective gain over the array.
 
@@ -388,7 +398,7 @@ def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
     """
     thresholds_db = np.asarray(thresholds_db, dtype=float)
     ground = spec.ground()
-    sums = np.empty(n)  # the only n-sized buffer: the median needs every sample
+    sums = np.empty(n)  # gain_cdf_bytes: the median needs every sample
     for index, (rng, take) in enumerate(_chunks(n, seed)):
         sums[index * CHUNK:index * CHUNK + take] = _summed_gains(spec, ground, rng, take)
     sums.sort()

@@ -308,8 +308,8 @@ def worst_case_gain(
     ``scipy.optimize`` on first use; ``refine_top=0`` returns the best
     candidate and needs no scipy.
     """
-    if budget < 1:
-        raise SwarmMimoError("search budget must be positive")
+    if budget < 1 or refine_top < 0:
+        raise SwarmMimoError("search budget must be positive and refine_top nonnegative")
     ground = GroundArray.build(gs_configs, f0)
 
     def mean_gain(x):

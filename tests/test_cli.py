@@ -77,8 +77,14 @@ class TestParseConfig:
     @pytest.mark.parametrize("kind, text, key", [
         ("spacing-sweep", "[sweep]\nratio_points = 100000\ntwo_dimensional = true\n",
          "sweep.ratio_points"),
-        # validate runs omega on its array: 5,888 elements need a 264 MiB code array
+        # 2.5e8 omega calls on a 1 x 2 array: each costs at least 0.44 ms, about 31 h in all
+        ("spacing-sweep", "[array]\nm_x = 1\nm_y = 2\n[sweep]\nratio_points = 15811\n"
+         "two_dimensional = true\n", "sweep.ratio_points"),
+        # validate runs omega on its array, 50 bytes an ordered pair: 5,888 elements need
+        # about 1.6 GiB, and 4,096 about 800 MiB
         ("validate", "[array]\nm_x = 256\nm_y = 23\n", r"array.m_x \* array.m_y"),
+        ("validate", "[array]\nm_x = 64\nm_y = 64\nspacing_y_wavelengths = 0.4\n"
+         "[shell]\nr_min_m = 100\n", r"array.m_x \* array.m_y"),
         ("spacing-sweep", "[array]\nm_x = 10000\nm_y = 10000\n", r"array.m_x \* array.m_y"),
         ("gain-cdf", "[mc]\nn = 100000000\n", "mc.n"),
         # validate's draws hold 32 bytes each, and 24 more in each thread that runs rows
@@ -131,8 +137,13 @@ class TestParseConfig:
     @pytest.mark.parametrize("kind, text", [
         # gain_cdf holds one group of kernel blocks, whatever the array's size
         ("gain-cdf", "[array]\nm_x = 3000\n[shell]\nr_min_m = 600\nr_max_m = 900\n"),
-        # 5,632 validate elements: omega's codes take 242 MiB
-        ("validate", "[array]\nm_x = 256\nm_y = 22\n"),
+        # 2,316 validate elements, the most that m_x <= 256 allows: omega takes 256 MiB
+        ("validate", "[array]\nm_x = 193\nm_y = 12\n"),
+        # the benchmark's sweep, 20 omegas over 50 elements, and 961 omegas on a
+        # 1 x 2 array, each priced at the 1,000-term floor of a call
+        ("spacing-sweep", "[sweep]\nratio_points = 20\n"),
+        ("spacing-sweep", "[array]\nm_x = 1\nm_y = 2\n[sweep]\nratio_points = 31\n"
+         "two_dimensional = true\n"),
     ])
     def test_wide_arrays_accepted(self, kind, text):
         cli.parse_config(text, kind)
@@ -304,6 +315,20 @@ two_dimensional = true
         files = cli.run_experiment(kind, small_config(name, edits), 2, out)
         assert sorted(p.name for p in out.iterdir()) == sorted(files)
         assert files[-1].endswith("_summary.json") and len(set(files)) == len(files)
+
+    def test_mission_rows_stream(self, tmp_path, inline_kernel, traced_peak):
+        # the benchmark's 20 drones on 100 elements, 6,020 and 12,020 records: the
+        # peak grows by the records alone (56 bytes each), not by their Python rows
+        # and text, with which it grew by 431 bytes a record
+        inline_kernel()
+        text = small_config("mission.ini", {"duration_s = 100.0": "duration_s = 2.0"})
+        cli.run_experiment("mission-sim", text, 1, tmp_path / "warm")
+        peaks = {}
+        for duration in (300, 600):
+            text = small_config("mission.ini", {"duration_s = 100.0": f"duration_s = {duration}"})
+            peaks[duration] = traced_peak(
+                lambda: cli.run_experiment("mission-sim", text, 1, tmp_path / str(duration)))[1]
+        assert (peaks[600] - peaks[300]) / (12_020 - 6_020) <= 70, peaks
 
     def test_csv_metadata_line(self, tmp_path):
         cli.run_experiment("tables", preset("tables.ini"), 4, tmp_path)

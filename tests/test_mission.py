@@ -301,6 +301,18 @@ class TestExtremaCounter:
 
 
 class TestValidation:
+    def test_unknown_csi(self):
+        # any csi but "estimated" once ran perfect CSI silently
+        with pytest.raises(SwarmMimoError, match="csi"):
+            msn.run_mission(make_spec(), step=1.0, seed=1, duration=1.0, csi="perfekt")
+
+    def test_time_grid(self):
+        # t = i * step up to duration + step / 2, the values arange(0.0, ..., step) fills
+        for duration, step in ((100.0, 1.0), (7.7, 0.3), (3.3, 0.1), (0.0, 5.0)):
+            times = np.arange(0.0, duration + 0.5 * step, step)
+            assert msn.step_count(duration, step) == times.size
+            assert msn.record_bytes(duration, step, 3) == 3 * times.size * 56
+
     def test_bad_area(self):
         with pytest.raises(SwarmMimoError):
             make_spec(x2=-2000.0)

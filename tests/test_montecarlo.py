@@ -514,6 +514,28 @@ def test_gain_cdf_chunk_peak_memory(inline_kernel, traced_peak):
     assert peak <= 1.75 * channel_bytes, peak / channel_bytes
 
 
+@pytest.mark.parametrize("n", [250_000, 1_000_000])
+def test_gain_cdf_bytes_match_the_traced_peak(n, traced_peak):
+    # unit gains draw nothing, so the n-sized buffer that the config guard prices
+    # is all that grows; this read 1.036 and 1.009 times gain_cdf_bytes
+    spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, pattern="unit")
+    thresholds = np.arange(-40.0, 25.0, 0.5)
+    mc.gain_cdf(spec, 2, 1, thresholds)  # first-call allocations outside the trace
+    _, peak = traced_peak(lambda: mc.gain_cdf(spec, n, 1, thresholds))
+    assert 0.9 <= peak / mc.gain_cdf_bytes(n) <= 1.1, peak / mc.gain_cdf_bytes(n)
+
+
+@pytest.mark.parametrize("m", [64, 128])
+def test_interference_moment_bytes_match_the_traced_peak(m, inline_kernel, traced_peak):
+    # validate's interference moment on one full chunk: its draws and one group of
+    # 16 kernel blocks, priced by interference_moment_bytes; this read 0.94 at both
+    inline_kernel()
+    spec = spec_for(m=m, spacing=LAM / 2, r_min=600.0, r_max=900.0)
+    mc.estimate_interference_moment(spec, 2, 1)  # first-call allocations outside the trace
+    _, peak = traced_peak(lambda: mc.estimate_interference_moment(spec, mc.CHUNK, 1))
+    assert 0.9 <= peak / mc.interference_moment_bytes(m) <= 1.1, peak
+
+
 @pytest.mark.parametrize("m", [256, 512])
 def test_interference_chunk_peak_memory(m, inline_kernel, traced_peak):
     # one interference-moment chunk, shell 600-900 m: both drones' channels are

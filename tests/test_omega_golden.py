@@ -180,3 +180,14 @@ def test_omega_surface_40x40_counts_pairs(traced_peak):
     value, peak = traced_peak(lambda: rates.omega_surface(g, LAM))
     assert float(value).hex() == "0x1.9f81a4e2074e3p+11"
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("m_x, m_y", [(500, 1), (24, 24)])
+def test_omega_bytes_match_the_traced_peak(m_x, m_y, traced_peak):
+    # the config guard prices omega with omega_bytes; this read 50.1 and 49.6 bytes
+    # an ordered pair
+    g = geo.ArrayGeometry(m_x, m_y, 0.3 * LAM, 0.4 * LAM)
+    region = geo.ShellRegion(600.0, 900.0)
+    rates.omega(geo.ArrayGeometry(4, 1, 0.3 * LAM, 0.0), LAM, region)  # warm up
+    _, peak = traced_peak(lambda: rates.omega(g, LAM, region))
+    assert 0.9 <= peak / rates.omega_bytes(g.m) <= 1.1, peak / (g.m * (g.m - 1))

@@ -9,7 +9,9 @@ from swarm_mimo_sim import geometry as geo
 from swarm_mimo_sim import montecarlo as mc
 from swarm_mimo_sim import polarization as pol
 from swarm_mimo_sim._kernels import response_batch
-from swarm_mimo_sim.errors import DegenerateExcitationError, SingularDirectionError
+from swarm_mimo_sim.errors import (
+    DegenerateExcitationError, SingularDirectionError, SwarmMimoError,
+)
 
 F0 = 2.4e9
 LAM = geo.wavelength(F0)
@@ -324,6 +326,11 @@ class TestEffectiveGainArray:
 
 
 class TestWorstCaseGain:
+    def test_rejects_negative_refine_top(self):
+        # order[:-1] would start budget - 1 Nelder-Mead refinements
+        with pytest.raises(SwarmMimoError, match="refine_top"):
+            pol.worst_case_gain([circular_cfg()], F0, budget=10, refine_top=-1)
+
     def test_deterministic_for_seed(self):
         cfgs = [circular_cfg(geo.RotationAngles(0.3, -0.4, 1.0)) for _ in range(4)]
         a = pol.worst_case_gain(cfgs, F0, budget=300, seed=9, refine_top=2)
