@@ -18,10 +18,10 @@ shape. The blocks of a wide call are worked by the calling thread and a pool
 of ``nproc - 1`` threads (numpy releases the interpreter lock inside its
 loops). Each block writes only its own output rows, and the block boundaries
 do not depend on the thread count, so neither do the outputs. A forked child
-builds its own pool. Each block may finish its own lanes (``finish``):
-``polarization.chi_batch`` squares them into gains, and ``channel`` and
-``montecarlo`` synthesize them into channel entries, so their calls build no
-``(n, m)`` coupling or distance array.
+builds its own pool. Each block may finish its own lanes (``finish``) into its
+caller's arrays: ``polarization.chi_batch`` sums each sample's gains, and
+``channel`` and ``montecarlo`` synthesize channel entries, so no such call
+builds an ``(n, m)`` coupling or distance array.
 
 ``map_tasks`` is the one way onto the pool, and it has two callers: this
 kernel's row blocks, and ``montecarlo.validate_expectations``' pair rows once
@@ -308,18 +308,17 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
     uav_r : drone rotations, ``(n, 3, 3)``, one per sample.
     w_tx, w_rx : complex feed coefficients of the (theta, psi) dipoles.
     ratio_tx, ratio_rx : dipole length over wavelength for each side.
-    finish : ``(dtype, fn)`` to have each block finish its lanes: ``fn(h, dist,
-        out)`` with the block's element-major ``(m, rows)`` coupling and
-        distances and its view ``out`` of one ``(n, m)`` output of ``dtype``;
-        ``fn`` is one of ``map_tasks``' tasks.
+    finish : ``fn(h, dist, rows)`` to have each block finish its lanes: it gets
+        the block's element-major ``(m, rows)`` coupling and distances and the
+        slice of samples they belong to, and writes them into arrays that its
+        caller allocated; ``fn`` is one of ``map_tasks``' tasks.
 
     Returns
     -------
     h, dist : arrays of shape ``(n, m)``; ``h`` is the complex coupling
     (antenna gains not applied) and ``dist`` the exact distance. With
-    ``finish``, the finished ``(n, m)`` output instead. Raises
-    ``SingularDirectionError`` if any lane's direction is singular in the
-    rotated transmit frame.
+    ``finish``, nothing. Raises ``SingularDirectionError`` if any lane's
+    direction is singular in the rotated transmit frame.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     elem = np.ascontiguousarray(elem, dtype=np.float64)
@@ -340,8 +339,6 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
     ratio_tx, ratio_rx = float(ratio_tx), float(ratio_rx)
     if finish is None:
         h, dist = np.empty((n, m), dtype=np.complex128), np.empty((n, m))
-    else:
-        out = np.empty((n, m), dtype=finish[0])
 
     # element-major blocks: every array below is (m, rows); a block writes only
     # its own rows of the outputs, so blocks may run in any order or at once
@@ -396,7 +393,8 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
             h[rows].T[...] = hv
             dist[rows].T[...] = d
         else:
-            finish[1](hv, d, out[rows].T)
+            finish(hv, d, rows)
 
     map_tasks(block, _row_blocks(n, m))
-    return (h, dist) if finish is None else out
+    if finish is None:
+        return h, dist

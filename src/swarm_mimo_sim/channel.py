@@ -120,7 +120,8 @@ def channel_matrix(
     if np.any(norms <= ground.aperture):
         raise SwarmMimoError("drone inside the array aperture")
     lam, gains = geo.wavelength(ground.f0), ground.gain * ground.gain
-    g = response_batch(
+    g = np.empty((pos.size // 3, len(ground.elem)), dtype=np.complex128)
+    response_batch(
         pos.reshape(-1, 3),
         ground.elem,
         ground.rotations,
@@ -129,7 +130,7 @@ def channel_matrix(
         ground.w,
         ground.ratio,
         ground.ratio,
-        finish=(np.complex128, lambda h, d, out: synthesize(h, d, lam, gains, out)),
+        finish=lambda h, d, rows: synthesize(h, d, lam, gains, g[rows].T),
     )
     return g.reshape(pos.shape[:-1] + (-1,)).swapaxes(-1, -2).copy()
 

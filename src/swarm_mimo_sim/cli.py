@@ -265,6 +265,8 @@ def _check_cost(cfg: dict, kind: str):
     else:  # validate runs omega too, after its draws and its interference moment
         _check_buffer("array.m_x * array.m_y", f"omega over {m} elements", rates.omega_bytes(m))
     if kind == "validate":  # its stages run one after another, so each is checked alone
+        if cfg["array.m_y"] > 1 and cfg["array.spacing_y_wavelengths"] == 0.0:
+            raise ConfigError("array.spacing_y_wavelengths: 0 with array.m_y > 1 stacks the rows")
         n = cfg["mc.n_pairs"]
         _check_buffer("mc.n_pairs", f"the buffers of {n} draws", mc.validate_bytes(n))
         _check_buffer("array.m_x * array.m_y", "the interference moment's chunk",

@@ -7,8 +7,8 @@ partial sums in chunk order. Results are therefore bit-identical for a fixed
 seed no matter how the chunks are scheduled, and independent of the
 parallelism inside the numeric kernels. Synthesis draws nothing. Within a
 chunk an estimator draws its positions and rotations first; the interference
-moment, the gain CDF and the ergodic rate then build channels one group of
-whole kernel blocks at a time (:func:`_in_groups`). With estimated CSI the
+moment and the ergodic rate then build channels one group of whole kernel
+blocks at a time (:func:`_in_groups`). With estimated CSI the
 ergodic rate copies the chunk's generator once and walks the original past
 the chunk's real pilot parts; each group then draws its real parts from the
 copy and its imaginary parts from the original. Every real part precedes
@@ -167,15 +167,18 @@ def _channel_for(spec: ScenarioSpec, ground: GroundArray, positions, gs_rots, ua
         dist = np.sqrt(np.sum(rel * rel, axis=-1))
         return synthesize(np.ones_like(dist, dtype=np.complex128), dist, spec.lam, 1.0)
 
-    def finish(h, d, out):
+    g = np.empty((len(positions), len(ground.elem)), dtype=np.complex128)
+
+    def finish(h, d, rows):
         # the gain scales h, not synthesize's gains: moving it there changes last bits,
         # so it waits for a deliberate re-record of the seeded outputs; in place, it
         # keeps the operand order of h * ground.gain
         h *= ground.gain
-        synthesize(h, d, spec.lam, 1.0, out)
+        synthesize(h, d, spec.lam, 1.0, g[rows].T)
 
-    return response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
-                          ground.ratio, ground.ratio, finish=(np.complex128, finish))
+    response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
+                   ground.ratio, ground.ratio, finish=finish)
+    return g
 
 
 def _in_groups(take: int, k: int, m: int, blocks: int, gs, group) -> np.ndarray:
@@ -200,10 +203,10 @@ def _in_groups(take: int, k: int, m: int, blocks: int, gs, group) -> np.ndarray:
     return values
 
 
-#: Kernel row blocks per group of a gain-CDF or interference-moment chunk,
-#: about 2**18 lanes. A group's call still spreads over the pool, but waits for
-#: its slowest block: on 2 cores at 50 elements the gain CDF took about 4 %
-#: longer than with one call per chunk, and about 20 % with groups of 4 blocks.
+#: Kernel row blocks per group of an interference-moment chunk, about 2**18 lanes.
+#: A group's calls still spread over the pool, but wait for their slowest block: on
+#: 2 cores at 50 elements, gain sums took about 4 % longer in groups of 16 blocks
+#: than with one call per chunk, and about 20 % in groups of 4.
 _GAIN_GROUP_BLOCKS = 16
 
 
@@ -360,32 +363,15 @@ def kappa_estimate(gs_configs, f0: float, seed: int, n: int = 100_000):
     def sample(rng, take):
         pos = geo.sample_shell_positions(region, rng, take)
         rots = geo.sample_rotations(rng, take)
-        mean = chi_batch(ground, pos, ground.rotations, rots).mean(axis=1)
+        mean = chi_batch(ground, pos, ground.rotations, rots) / len(gs_configs)
         return 1.0 / mean[mean >= 1e-12]
 
     res = _estimate(n, seed, CHUNK, sample)
     return res.mean, res.stderr, n - res.n
 
 
-def _summed_gains(spec: ScenarioSpec, ground: GroundArray, rng, take: int) -> np.ndarray:
-    """A chunk's ``take`` summed gains over the array, in groups of whole kernel blocks.
-
-    Each group joins ``_GAIN_GROUP_BLOCKS`` of the chunk's row blocks
-    (:func:`_in_groups`), so the chunk holds one group's ``(rows, M)``
-    arrays, not its own, and keeps the bits of one call on the whole chunk.
-    With ``unit`` gains each sum is exactly M, and the chunk's own substream goes unread.
-    """
-    if spec.pattern == "unit":
-        return np.full(take, float(spec.geometry.m))
-    pos = geo.sample_shell_positions(spec.region, rng, take)
-    rots = geo.sample_rotations(rng, take, spec.orientation_ranges)
-    gs = _gs_rotations(spec, ground, rng, take)
-    return _in_groups(take, 1, spec.geometry.m, _GAIN_GROUP_BLOCKS, gs, lambda rows, gs_rows:
-                      chi_batch(ground, pos[rows], gs_rows, rots[rows]).sum(axis=1))
-
-
 def gain_cdf_bytes(n: int) -> int:
-    "Bytes of :func:`gain_cdf`'s one n-sized buffer, 8 a sample; its chunks hold one group."
+    "Bytes of :func:`gain_cdf`'s one n-sized buffer, 8 a sample; a chunk holds no (rows, M) array."
     return 8 * n
 
 
@@ -394,13 +380,19 @@ def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
 
     Returns ``(thresholds_db, cdf, stats)`` where ``stats`` carries the
     median in dB and the probability of falling below 10 dB. Each chunk's
-    gains are summed in groups of whole kernel blocks (:func:`_summed_gains`).
+    sums come from one ``chi_batch`` call, which holds no ``(CHUNK, M)`` array.
     """
     thresholds_db = np.asarray(thresholds_db, dtype=float)
     ground = spec.ground()
-    sums = np.empty(n)  # gain_cdf_bytes: the median needs every sample
-    for index, (rng, take) in enumerate(_chunks(n, seed)):
-        sums[index * CHUNK:index * CHUNK + take] = _summed_gains(spec, ground, rng, take)
+    if spec.pattern == "unit":  # each sum is exactly M, and nothing is drawn
+        sums = np.full(n, float(spec.geometry.m))
+    else:
+        sums = np.empty(n)  # gain_cdf_bytes: the median needs every sample
+        for index, (rng, take) in enumerate(_chunks(n, seed)):
+            pos = geo.sample_shell_positions(spec.region, rng, take)
+            rots = geo.sample_rotations(rng, take, spec.orientation_ranges)
+            gs = _gs_rotations(spec, ground, rng, take)
+            sums[index * CHUNK:index * CHUNK + take] = chi_batch(ground, pos, gs, rots)
     sums.sort()
     # counts of samples strictly below each threshold
     counts = np.searchsorted(sums, 10.0 ** (thresholds_db / 10.0), side="left")

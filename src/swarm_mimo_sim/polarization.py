@@ -269,21 +269,25 @@ def channel_factor(
 
 def chi_batch(ground: GroundArray, positions: np.ndarray, gs_rots: np.ndarray,
               uav_rots: np.ndarray) -> np.ndarray:
-    """Effective gains of drones carrying the array's antenna, shape ``(n, M)``.
+    """Effective gains of drones carrying the array's antenna, summed over its elements, ``(n,)``.
 
-    ``gs_rots`` stands in for ``ground.rotations``, so that a caller can
-    rotate the whole array per sample. Used by :func:`worst_case_gain` and
-    the Monte Carlo estimators; a singular direction raises in the kernel.
+    ``gs_rots`` stands in for ``ground.rotations``, so that a caller can rotate
+    the whole array per sample. :func:`worst_case_gain` and the Monte Carlo
+    estimators divide by M for the mean gain; a singular direction raises in the kernel.
     """
-    def finish(h, _, out):
-        # each block forms its gains with the bits of gain * gain * |h| ** 2:
-        # one square, then one product with the scalar
+    sums = np.empty(len(positions))
+
+    def finish(h, _, rows):
+        # the bits of gain * gain * |h| ** 2 (one square, then one product with the scalar),
+        # summed as rows of a C-ordered (n, M) array: the block's axis 0 adds in another order
         a = np.abs(h)
         np.square(a, out=a)
-        np.multiply(a, ground.gain * ground.gain, out=out)
+        a *= ground.gain * ground.gain
+        sums[rows] = np.ascontiguousarray(a.T).sum(axis=1)
 
-    return response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
-                          ground.ratio, ground.ratio, finish=(np.float64, finish))
+    response_batch(positions, ground.elem, gs_rots, uav_rots, ground.w, ground.w,
+                   ground.ratio, ground.ratio, finish=finish)
+    return sums
 
 
 # drone range of worst_case_gain and montecarlo.kappa_estimate; their elements
@@ -320,7 +324,7 @@ def worst_case_gain(
         roll = min(max(x[2], -math.pi / 2), math.pi / 2)
         pitch = min(max(x[3], -math.pi / 2), math.pi / 2)
         rot = geo.rotation_matrices(roll, pitch, x[4])
-        return float(chi_batch(ground, pos[None, :], ground.rotations, rot[None]).mean())
+        return float(chi_batch(ground, pos[None], ground.rotations, rot[None])[0] / len(gs_configs))
 
     rng = np.random.default_rng(seed)
     cands = np.column_stack(

@@ -79,7 +79,9 @@ class TestChannelVector:
         ground = pol.GroundArray.build(cfgs, F0, geometry)
         rot = geo.rotation_matrix(geo.RotationAngles(0.1, 0.2, 0.3))[None]
         g = ch.channel_matrix(ground, pos[None], rot)[:, 0]
-        chi = pol.chi_batch(ground, pos[None], ground.rotations, rot)[0]
+        h, _ = _kernels.response_batch(pos[None], ground.elem, ground.rotations, rot,
+                                       ground.w, ground.w)
+        chi = np.abs(h[0]) ** 2 * ground.gain**2  # each element's effective gain
         dists = np.linalg.norm(pos - geo.element_positions(geometry), axis=1)
         beta = np.array([ch.pathloss(d, LAM) for d in dists])
         assert np.linalg.norm(g) ** 2 == pytest.approx(float(np.sum(beta * chi)), rel=1e-10)
@@ -147,9 +149,9 @@ class TestSynthesize:
     """Kernel blocks that finish their own lanes keep every bit of the two-pass expressions.
 
     ``chi_batch``, ``channel_matrix`` and ``montecarlo._channel_for`` have each
-    block square or synthesize its lanes into the caller's array; each must
-    equal that step taken over the raw ``response_batch`` coupling and
-    distances of the whole call.
+    block square and sum, or synthesize, its lanes into the caller's array;
+    each must equal that step taken over the raw ``response_batch`` coupling
+    and distances of the whole call.
     """
 
     # one block, several blocks (8180 x 64 is the ergodic chunk, 16,384-lane
@@ -178,7 +180,7 @@ class TestSynthesize:
             np.square(chi, out=chi)
             chi *= gain * gain
             finished = {
-                "chi_batch": (lambda: pol.chi_batch(ground, pos, gs, uav), chi),
+                "chi_batch": (lambda: pol.chi_batch(ground, pos, gs, uav), chi.sum(axis=1)),
                 "_channel_for": (lambda: mc._channel_for(spec, ground, pos, gs, uav),
                                  _synthesize_reference(h * gain, dist, LAM, 1.0)),
             }

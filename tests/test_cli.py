@@ -108,8 +108,9 @@ class TestParseConfig:
         ("rate-curve", "[rate]\nk_values = 0,5\n", "rate.k_values"),
         # gain-cdf spaces rows by 0, so a second row would sit on the first
         ("gain-cdf", "[array]\nm_y = 2\n", "array.m_y"),
-        # so does a spacing sweep over delta_x alone
+        # so does a spacing sweep over delta_x alone, and validate with no y spacing
         ("spacing-sweep", "[array]\nm_y = 3\n", "array.m_y"),
+        ("validate", "[array]\nm_x = 4\nm_y = 2\n", "array.spacing_y_wavelengths"),
         # a line array has no y spacing: each delta_y column would repeat the first
         ("spacing-sweep", "[sweep]\ntwo_dimensional = true\n", "sweep.two_dimensional"),
         # drones inside the array: 50 half-wave elements span 3.06 m, 100 at 0.3 span 3.71 m
@@ -135,10 +136,11 @@ class TestParseConfig:
         assert cli.main([kind, "--config", str(path), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("kind, text", [
-        # gain_cdf holds one group of kernel blocks, whatever the array's size
+        # a gain-cdf chunk holds no (rows, M) array, whatever the array's size
         ("gain-cdf", "[array]\nm_x = 3000\n[shell]\nr_min_m = 600\nr_max_m = 900\n"),
-        # 2,316 validate elements, the most that m_x <= 256 allows: omega takes 256 MiB
-        ("validate", "[array]\nm_x = 193\nm_y = 12\n"),
+        # 2,316 validate elements, the most that m_x <= 256 allows: omega takes 256 MiB;
+        # half-wave rows span about 7.2 m
+        ("validate", "[array]\nm_x = 193\nm_y = 12\nspacing_y_wavelengths = 0.5\n"),
         # the benchmark's sweep, 20 omegas over 50 elements, and 961 omegas on a
         # 1 x 2 array, each priced at the 1,000-term floor of a call
         ("spacing-sweep", "[sweep]\nratio_points = 20\n"),

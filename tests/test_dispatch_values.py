@@ -4,7 +4,8 @@ numpy picks its SIMD loops at run time, and ``NPY_DISABLE_CPU_FEATURES`` turns
 the dispatched ones off. The ``float.hex`` pins hold only on the target they
 were recorded on; ``tests/test_reference_values.py`` must hold on any. So it
 runs here in a child process with every dispatch target above the CPU's
-baseline turned off, in the child's environment only.
+baseline turned off, in the child's environment only. Targets that an inherited
+``NPY_DISABLE_CPU_FEATURES`` already turns off stay off in the child.
 """
 
 import os
@@ -35,7 +36,10 @@ def test_reference_values_on_baseline_target():
         pytest.skip("numpy dispatches no loop above this CPU's baseline")
     root = Path(__file__).resolve().parents[1]
     src = Path(swarm_mimo_sim.__file__).resolve().parents[1]
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(above),
+    # numpy reads the list split on commas or white space
+    inherited = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+    off = inherited + [t for t in above if t not in inherited]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off),
                PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH"))
                                           if p))
     args = [sys.executable, "-c", _CHILD, "-q", "-p", "no:cacheprovider",

@@ -216,7 +216,7 @@ class TestKappaEstimate:
             pos = geo.sample_shell_positions(geo.ShellRegion(1e4, 1e4), rng, take)
             ang = geo.sample_orientations(rng, take)
             rots = geo.rotation_matrices(ang[:, 0], ang[:, 1], ang[:, 2])
-            mean = chi_batch(ground, pos, ground.rotations, rots).mean(axis=1)
+            mean = chi_batch(ground, pos, ground.rotations, rots) / len(cfgs)
             inv = 1.0 / mean[mean >= 1e-12]
             sums.append(float(inv.sum()))
             squares.append(float((inv * inv).sum()))
@@ -240,14 +240,14 @@ class TestGainCdf:
         shift = stats50["median_db"] - stats1["median_db"]
         assert shift == pytest.approx(10 * math.log10(50.0), abs=1.0)
 
-    def test_unit_pattern_is_step(self):
+    def test_unit_pattern_is_step(self, monkeypatch):
+        # every sum is exactly M, and no gain is drawn
+        monkeypatch.setattr(mc, "chi_batch", None)
         thr = np.array([9.0, 10.0, 10.5])
         spec = spec_for(m=10, spacing=LAM / 2, pattern="unit")
         _, cdf, stats = mc.gain_cdf(spec, 1_000, 3, thr)
         assert np.array_equal(cdf, [0.0, 0.0, 1.0])
-        assert stats["median_db"] == pytest.approx(10.0)
-        sums = mc._summed_gains(spec, spec.ground(), mc.substream(3, 0), 1_000)
-        assert sums.tolist() == [float(spec.geometry.m)] * 1_000
+        assert stats["median_db"] == 10.0 and stats["p_below_10db"] == 0.0
 
 
 class TestValidateExpectations:
@@ -498,12 +498,12 @@ def test_ergodic_chunk_peak_does_not_grow_with_the_array(inline_kernel, traced_p
 
 
 def test_gain_cdf_chunk_peak_memory(inline_kernel, traced_peak):
-    # one chunk of the benchmark's gain-cdf case, 50 elements: its gains are
-    # formed and summed in groups of whole kernel blocks, so the peak is at most
-    # 1.75 times the chunk's complex (CHUNK, M) array. This measured 0.97 with
-    # each block writing its gains into the group's array, and 1.59 with each
-    # call building its complex h first; one call on the whole chunk peaked at
-    # 2.12 times.
+    # one chunk of the benchmark's gain-cdf case, 50 elements: each kernel block
+    # sums its own samples' gains, so the chunk holds no (CHUNK, M) array and
+    # the peak is at most 0.75 times its complex (CHUNK, M) array. This measured
+    # 0.65; 0.97 with the gains summed in groups of 16 blocks, each block writing
+    # its (rows, M) gains into the group's array, and 2.12 with one call on the
+    # whole chunk that built its complex h first.
     inline_kernel()
     spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, excitation="circular",
                     gs_orientation="identical")
@@ -511,7 +511,21 @@ def test_gain_cdf_chunk_peak_memory(inline_kernel, traced_peak):
     mc.gain_cdf(spec, 2, 1, thresholds)  # first-call allocations outside the trace
     _, peak = traced_peak(lambda: mc.gain_cdf(spec, mc.CHUNK, 1, thresholds))
     channel_bytes = mc.CHUNK * spec.geometry.m * np.dtype(np.complex128).itemsize
-    assert peak <= 1.75 * channel_bytes, peak / channel_bytes
+    assert peak <= 0.75 * channel_bytes, peak / channel_bytes
+
+
+def test_kappa_chunk_peak_memory(inline_kernel, traced_peak):
+    # one chunk of kappa_estimate: each kernel block sums its own samples' gains,
+    # so the chunk holds no (CHUNK, M) array and its peak stays at or below the
+    # M = 64 chunk's float64 (CHUNK, M) array, 4 MiB, at M = 64 and at M = 256.
+    # This measured 3.35 and 3.37 MiB; with the chunk's (CHUNK, M) gains held
+    # for a mean over the elements, 7.28 and 19.31 MiB.
+    inline_kernel()
+    for m in (64, 256):
+        cfgs = [AntennaConfig(DipoleExcitation.circular())] * m
+        mc.kappa_estimate(cfgs, 2.4e9, 1, n=2)  # first-call allocations outside the trace
+        _, peak = traced_peak(lambda: mc.kappa_estimate(cfgs, 2.4e9, 1, n=mc.CHUNK))
+        assert peak <= mc.CHUNK * 64 * np.dtype(np.float64).itemsize, (m, peak / 2**20)
 
 
 @pytest.mark.parametrize("n", [250_000, 1_000_000])
@@ -596,7 +610,7 @@ def _blocks_of_groups(groups, take, k, m):
 
 
 class TestGainGroups:
-    """A gain-CDF chunk is summed one group of whole kernel blocks at a time, with the bits of the whole chunk."""
+    """Groups of whole kernel blocks, and a gain-CDF chunk's sums with the bits of the whole chunk's gains."""
 
     def test_benchmark_chunk_groups(self):
         # 50 elements: 25 blocks of 327 rows and one of 17
@@ -609,21 +623,35 @@ class TestGainGroups:
         owns = _blocks_of_groups(_groups_of(take, 1, m, blocks), take, 1, m)
         assert all(len(own) >= blocks for own in owns[:-1]), owns  # the last takes the rest
 
-    @pytest.mark.parametrize("blocks", [1, "default"])
     @pytest.mark.parametrize("take", [mc.CHUNK, 655])  # 655 on 50 elements: a merged one-row remainder
     @pytest.mark.parametrize("orientation", ["identical", "pseudo-random", "fixed"])
-    def test_summed_gains_match_whole_chunk(self, orientation, take, blocks, monkeypatch):
-        if blocks != "default":
-            monkeypatch.setattr(mc, "_GAIN_GROUP_BLOCKS", blocks)
+    def test_summed_gains_match_whole_chunk(self, orientation, take, monkeypatch):
+        # the gain CDF's one chi_batch call on a chunk, whose kernel blocks sum
+        # their own samples' gains, must keep the bits of the chunk's whole
+        # (take, M) gains summed row by row
+        sums = []
+
+        def recording(*args):
+            sums.append(chi_batch(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(mc, "chi_batch", recording)
         spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, excitation="circular",
                         gs_orientation=orientation, orientation_seed=3)
+        mc.gain_cdf(spec, take, 1, np.array([10.0]))
+        assert len(sums) == 1
+        got = sums[0]
         ground = spec.ground()
-        got = mc._summed_gains(spec, ground, mc.substream(1, 0), take)
         rng = mc.substream(1, 0)  # the same draws, in the same order
         pos = geo.sample_shell_positions(spec.region, rng, take)
         rots = geo.sample_rotations(rng, take, spec.orientation_ranges)
         gs = mc._gs_rotations(spec, ground, rng, take)
-        want = chi_batch(ground, pos, gs, rots).sum(axis=1)
+        h, _ = _kernels.response_batch(pos, ground.elem, gs, rots, ground.w, ground.w,
+                                       ground.ratio, ground.ratio)
+        chi = np.abs(h)
+        np.square(chi, out=chi)
+        chi *= ground.gain * ground.gain
+        want = chi.sum(axis=1)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
@@ -669,7 +697,7 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch):
     with _CountingPool(4) as pool:
         monkeypatch.setattr(_kernels, "_pool", pool)
         spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, k=4, gs_orientation="identical")
-        mc.gain_cdf(spec, 6000, 1, np.arange(-10.0, 20.0, 1.0))  # two groups
+        mc.gain_cdf(spec, 6000, 1, np.arange(-10.0, 20.0, 1.0))  # one call of 19 blocks
         mc.estimate_ergodic_rate(spec, 600, 1)  # two groups
         mc.estimate_interference_moment(spec, 3000, 1)
     assert pool.loops > 0  # the blocks did run on the pool
