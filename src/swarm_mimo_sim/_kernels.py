@@ -13,15 +13,17 @@ A lane on the z or y axis of its rotated transmit frame has no polarization
 basis: the call raises ``SingularDirectionError``, and no caller checks, skips
 or redraws such a lane.
 It works element-major on blocks of about ``_BLOCK_LANES`` (element, sample)
-lanes, so a call costs a few dozen numpy operations per block whatever its
-shape. The blocks of a wide call are worked by the calling thread and a pool
-of ``nproc - 1`` threads (numpy releases the interpreter lock inside its
-loops). Each block writes only its own output rows, and the block boundaries
-do not depend on the thread count, so neither do the outputs. A forked child
-builds its own pool. Each block may finish its own lanes (``finish``) into its
-caller's arrays: ``polarization.chi_batch`` sums each sample's gains, and
-``channel`` and ``montecarlo`` synthesize channel entries, so no such call
-builds an ``(n, m)`` coupling or distance array.
+lanes. Each step of the formula is one numpy call over all its components,
+about 70 a block, into three stacks of ``_PLANES`` float64 ``(m, rows)``
+planes that each thread takes once per call. The blocks of a wide call are
+worked by the calling thread and a pool of ``nproc - 1`` threads (numpy
+releases the interpreter lock inside its loops). Each block writes only its
+own output rows, and the block boundaries do not depend on the thread count,
+so neither do the outputs. A forked child builds its own pool. Each block may
+finish its own lanes (``finish``) into its caller's arrays:
+``polarization.chi_batch`` sums each sample's gains, and ``channel`` and
+``montecarlo`` synthesize channel entries, so no such call builds an
+``(n, m)`` coupling or distance array.
 
 ``map_tasks`` is the one way onto the pool, and it has two callers: this
 kernel's row blocks, and ``montecarlo.validate_expectations``' pair rows once
@@ -50,13 +52,15 @@ bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
   other operation there is real or has a scalar operand. So whether a block
   is large enough to be computed in place (16,384 complex lanes reach
   256 KiB), and whether it is finished in the block or over the whole array,
-  changes no operand order and no bit.
-- The per-sample ground rotation of the basis is written out as three-term
-  sums in the order in which numpy's einsum ``"nij,lnj->lni"`` adds, j = 0,
-  2, 1, unfused, from +0.0, so it keeps the bits of the einsum it replaced; in
-  the order j = 0, 1, 2 about a quarter of the components differ. A test
-  compares the sums with a live einsum, so a numpy that adds in another order
-  shows there.
+  changes no operand order and no bit. The block writes its own products
+  ``a * (t11 c + t12 e)`` and ``b * (...)`` with ``out=``, swapped from
+  ``_ELIDE_BYTES`` up as numpy swaps that expression, so they keep its bits.
+- The per-sample ground rotation of the basis is three-term sums (``_sum3``)
+  in the order in which numpy's einsum ``"nij,lnj->lni"`` adds, j = 0, 2, 1,
+  unfused, from +0.0, so it keeps the bits of the einsum it replaced; in the
+  order j = 0, 1, 2 about a quarter of the components differ. A test compares
+  the sums with a live einsum, so a numpy that adds in another order shows
+  there.
 """
 
 from __future__ import annotations
@@ -166,41 +170,47 @@ def si_ci_arrays(x: np.ndarray):
 # (element, sample) lanes per block of the response kernel
 _BLOCK_LANES = 1 << 14
 
+# float64 (m, rows) planes in each of the three stacks a response-kernel block
+# works in; three allocations, not one of 18 planes: glibc keeps more freed heap
+# after larger ones (montecarlo peak RSS +1.5 MB with one, +0.3-0.7 MB with three)
+_PLANES = 6
 
-def _fpat(cosang, ratio):
-    """Normalized dipole field pattern at the cosine of the angle from the axis.
+# numpy computes ``a * tmp`` as ``tmp *= a`` from this size of ``tmp`` (NPY_MIN_ELIDE_BYTES)
+_ELIDE_BYTES = 1 << 18
 
-    Ratio 0 is the flat unit pattern of an isotropic element; the dipole
-    formula would give 0 there on every lane.
+
+def _fpat(c, ratio, s):
+    """Normalized dipole field pattern, in place, at the cosines ``c`` of the angles from the axis.
+
+    ``s`` is scratch. Ratio 0 is the flat unit pattern of an isotropic element;
+    the dipole formula would give 0 there on every lane.
     """
     if ratio == 0.0:
-        return np.ones_like(cosang)
-    s2 = 1.0 - cosang * cosang
-    s = np.sqrt(np.maximum(s2, 0.0))
+        c[...] = 1.0
+        return
+    np.multiply(c, c, out=s)
+    np.subtract(1.0, s, out=s)
+    np.maximum(s, 0.0, out=s)
+    np.sqrt(s, out=s)
     safe = s > 1e-12
-    num = np.cos(np.pi * ratio * cosang) - np.cos(np.pi * ratio)
-    return np.where(safe, num / np.where(safe, s, 1.0), 0.0)
+    np.multiply(c, np.pi * ratio, out=c)
+    np.cos(c, out=c)
+    c -= np.cos(np.pi * ratio)
+    np.divide(c, s, out=c, where=safe)
+    c[~safe] = 0.0
 
 
-# The three-term sums below start from +0.0, as einsum and np.sum do, so a sum
-# of negative zeros comes out +0.0 there too. ``_rt`` and ``_dot3`` add in the
-# order j = 0, 1, 2; ``_rot`` adds in the order j = 0, 2, 1, which is the order
-# of numpy's einsum ``"nij,lnj->lni"`` over ``r`` and ``v``.
+def _sum3(out, tmp, terms):
+    """``0.0 + c0 * v0 + c1 * v1 + c2 * v2`` into ``out``, added in the order of ``terms``.
 
-
-def _rt(r, rx, ry, rz, i):
-    "Component ``i`` of ``R^T rel``."
-    return 0.0 + r[..., 0, i] * rx + r[..., 1, i] * ry + r[..., 2, i] * rz
-
-
-def _rot(r, v):
-    "Components of ``R v`` for per-sample rotations ``r`` (rows, 3, 3)."
-    return [0.0 + r[:, i, 0] * v[0] + r[:, i, 2] * v[2] + r[:, i, 1] * v[1] for i in range(3)]
-
-
-def _dot3(v, u):
-    "``v . u`` over the components of ``v`` and ``u``."
-    return 0.0 + v[0] * u[0] + v[1] * u[1] + v[2] * u[2]
+    From +0.0, as einsum and np.sum add, so negative zeros sum to +0.0 too.
+    """
+    (c, v), *rest = terms
+    np.multiply(c, v, out=out)
+    out += 0.0
+    for c, v in rest:
+        np.multiply(c, v, out=tmp)
+        out += tmp
 
 
 def _row_blocks(n, m):
@@ -311,7 +321,9 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
     finish : ``fn(h, dist, rows)`` to have each block finish its lanes: it gets
         the block's element-major ``(m, rows)`` coupling and distances and the
         slice of samples they belong to, and writes them into arrays that its
-        caller allocated; ``fn`` is one of ``map_tasks``' tasks.
+        caller allocated; ``fn`` is one of ``map_tasks``' tasks. ``h`` and
+        ``dist`` are the block's planes, valid only during the call to ``fn``:
+        the thread's next block overwrites them.
 
     Returns
     -------
@@ -333,68 +345,94 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
         raise ValueError("gs_r must be (m, 3, 3) per element or (n, 1, 3, 3) per sample")
     if uav_r.shape != (n, 3, 3):
         raise ValueError("uav_r must be (n, 3, 3), one rotation per sample")
-    w_tx = np.asarray(w_tx, dtype=np.complex128)
-    w_rx = np.asarray(w_rx, dtype=np.complex128)
-    wt0, wt1, wr0, wr1 = complex(w_tx[0]), complex(w_tx[1]), complex(w_rx[0]), complex(w_rx[1])
+    w_t = np.conj(np.asarray(w_tx, dtype=np.complex128)[:2]).reshape(2, 1, 1)
+    w_r = np.asarray(w_rx, dtype=np.complex128)[:2].reshape(2, 1, 1)
     ratio_tx, ratio_rx = float(ratio_tx), float(ratio_rx)
     if finish is None:
         h, dist = np.empty((n, m), dtype=np.complex128), np.empty((n, m))
+    blocks = _row_blocks(n, m)
+    widest = max((b.stop - b.start for b in blocks), default=0)
+    size, stacks = _PLANES * m * widest, {}  # each thread's stacks, for this call only
 
-    # element-major blocks: every array below is (m, rows); a block writes only
-    # its own rows of the outputs, so blocks may run in any order or at once
+    # element-major blocks of (m, rows) planes named by index (lo_c[j]: lo's planes 2j
+    # and 2j + 1); a block writes only its own output rows, so blocks may run at once
     def block(rows):
-        gs = gs_r[rows] if gs_by_sample else gs_r[:, None]
-        uav = uav_r[rows]
-        rx = pos[rows, 0] - elem[:, 0, None]
-        ry = pos[rows, 1] - elem[:, 1, None]
-        rz = pos[rows, 2] - elem[:, 2, None]
-        d = np.sqrt(rx * rx + ry * ry + rz * rz)
-        # each temporary is freed after its last read, which lowers the peak
-        # memory of a block and leaves every operation's inputs as they were
-        x, y, z = (_rt(gs, rx, ry, rz, i) for i in range(3))
-        ct_t = z / d
-        cp_t = y / d
-        ct_r = -_rt(uav, rx, ry, rz, 2) / d
-        cp_r = -_rt(uav, rx, ry, rz, 1) / d
-        del rx, ry, rz
-        rho_t = np.hypot(x, y)
-        rho_p = np.hypot(x, z)
-        if np.any((rho_t <= _SING_EPS * d) | (rho_p <= _SING_EPS * d)):
+        k = rows.stop - rows.start
+        if (mine := stacks.get(threading.get_ident())) is None:
+            mine = stacks[threading.get_ident()] = [np.empty(size) for _ in range(3)]
+        dw, lo, hi = (a[:_PLANES * m * k].reshape(_PLANES, m, k) for a in mine)
+        lo_c, hi_c = (a[:_PLANES * m * k].view(np.complex128).reshape(3, m, k) for a in mine[1:])
+        # rotation entries against (m, rows) planes, contiguous along the samples: the ground's
+        # R[a, i] as (a, i, 1, rows) or (a, i, m, 1), the drone's z and y axes as (axis, i, rows)
+        g = np.ascontiguousarray((gs_r[rows] if gs_by_sample else gs_r).transpose(1, 2, 0))
+        g = g[:, :, None] if gs_by_sample else g[..., None]
+        ax = np.ascontiguousarray(uav_r[rows, :, 2:0:-1].transpose(2, 1, 0))
+        d, w, rel, sq = dw[0], dw[1:], lo[:3], lo[3:]
+        np.subtract(pos[rows].T[:, None], elem.T[..., None], out=rel)
+        np.multiply(rel, rel, out=sq)
+        np.add(sq[0], sq[1], out=d)
+        d += sq[2]
+        np.sqrt(d, out=d)
+        # w: x, z and y of R^T rel in the ground frame, then u2 and u1 in the drone's
+        _sum3(w[:3], sq, [(g[a, [0, 2, 1]], rel[a]) for a in range(3)])
+        _sum3(w[3:], sq[:2], [(ax[:, a, None], rel[a]) for a in range(3)])
+        # the basis, built in lo per sample and in hi per element; scratch in the other
+        nb, sc = (lo, hi) if gs_by_sample else (hi, lo)
+        rho = sc[:2]  # rho_p, rho_t
+        np.hypot(w[0], w[1:3], out=rho)
+        if np.any(rho <= _SING_EPS * d):
             raise SingularDirectionError("direction singular in the rotated transmit frame")
-        # the basis vectors in the reference frame, by component
-        dt = d * rho_t
-        dp = d * rho_p
-        del rho_t, rho_p
+        rho *= d
+        # the theta and psi basis vectors by component, (-x z, -y z, x x + y y) / (d rho_t)
+        # and (-x y, x x + z z, -y z) / (d rho_p); (-a) * b is -(a * b) bit for bit
+        np.multiply(w[0:3:2], w[1], out=nb[0:2])
+        np.multiply(w[0:2], w[2], out=nb[3:6:2])
+        np.negative(nb[0:2], out=nb[0:2])
+        np.negative(nb[3:6:2], out=nb[3:6:2])
+        np.multiply(w[:3], w[:3], out=sc[2:5])
+        np.add(sc[2], sc[4:2:-1], out=nb[2:5:2])
+        basis = nb.reshape(2, 3, m, k)
+        np.divide(basis, rho[::-1, None], out=basis)
+        # pattern cosines z / d, y / d, -u2 / d and -u1 / d, then their patterns, in w[1:]
+        np.negative(w[3:], out=w[3:])
+        np.divide(w[1:], d, out=w[1:])
+        same = ratio_tx == ratio_rx  # one pass over all four
+        for c, ratio in [(w[1:], ratio_tx)] if same else [(w[1:3], ratio_tx), (w[3:], ratio_rx)]:
+            _fpat(c, ratio, sc[:len(c)])
+        # the basis in the reference frame, (2, 3, m, rows) in hi
         if gs_by_sample:
-            th_ref = _rot(gs, (-x * z / dt, -y * z / dt, (x * x + y * y) / dt))
-            ps_ref = _rot(gs, (-x * y / dp, (x * x + z * z) / dp, -y * z / dp))
+            # by three-term sums in the order j = 0, 2, 1 of numpy's einsum
+            # "nij,lnj->lni", one basis vector at a time
+            ref = hi.reshape(2, 3, m, k)
+            for s, tmp in ((0, ref[1]), (1, basis[0])):
+                _sum3(ref[s], tmp, [(g[:, j], basis[s, j]) for j in (0, 2, 1)])
         else:
-            rt = np.swapaxes(gs_r, 1, 2)
-            th_ref = np.stack([-x * z, -y * z, x * x + y * y], axis=-1) / dt[..., None] @ rt
-            ps_ref = np.stack([-x * y, x * x + z * z, -y * z], axis=-1) / dp[..., None] @ rt
-            th_ref, ps_ref = th_ref.transpose(2, 0, 1), ps_ref.transpose(2, 0, 1)
-        del x, y, z, dt, dp
-        # receive dipole axes in the reference frame
-        ez = uav[..., :, 2].T
-        ey = uav[..., :, 1].T
-        t11 = _dot3(th_ref, ez)
-        t12 = _dot3(th_ref, ey)
-        t21 = _dot3(ps_ref, ez)
-        t22 = _dot3(ps_ref, ey)
-        del th_ref, ps_ref
-        a = np.conj(wt0) * _fpat(ct_t, ratio_tx)
-        b = np.conj(wt1) * _fpat(cp_t, ratio_tx)
-        c = wr0 * _fpat(ct_r, ratio_rx)
-        e = wr1 * _fpat(cp_r, ratio_rx)
-        del ct_t, cp_t, ct_r, cp_r
-        hv = a * (t11 * c + t12 * e)
-        hv += b * (t21 * c + t22 * e)
+            # one dgemm per element and basis vector, on (m, rows, 3) stacks
+            stack = lo.reshape(2, m, k, 3)
+            np.copyto(stack, basis.transpose(0, 2, 3, 1))
+            ref = np.matmul(stack, gs_r.swapaxes(1, 2), out=hi.reshape(2, m, k, 3))
+            ref = ref.transpose(0, 3, 1, 2)
+        # t[a, b]: basis vector b on receive axis a (t11 t21; t12 t22)
+        t = lo[:4].reshape(2, 2, m, k)
+        for a in range(2):
+            _sum3(t[a], lo[4:], [(ax[a, i], ref[:, i]) for i in range(3)])
+        # h = a (t11 c + t12 e) + b (t21 c + t22 e), with a, b, c and e the feeds
+        # times their patterns; numpy swaps a * (...) to (...) * a from _ELIDE_BYTES
+        c, e, x, tmp = lo_c[2], hi_c[0], hi_c[1:], lo_c[0::2]
+        np.multiply(w_r[0], w[3], out=c)
+        np.multiply(w_r[1], w[4], out=e)
+        np.multiply(t[0], c, out=x)
+        np.multiply(t[1], e, out=tmp)
+        x += tmp
+        np.multiply(w_t, w[1:3], out=tmp)
+        np.multiply(*((x, tmp) if x[0].nbytes >= _ELIDE_BYTES else (tmp, x)), out=x)
+        hv = np.add(x[0], x[1], out=x[0])
         if finish is None:
             h[rows].T[...] = hv
             dist[rows].T[...] = d
         else:
             finish(hv, d, rows)
 
-    map_tasks(block, _row_blocks(n, m))
+    map_tasks(block, blocks)
     if finish is None:
         return h, dist

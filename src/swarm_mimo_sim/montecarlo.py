@@ -207,7 +207,7 @@ def _in_groups(take: int, k: int, m: int, blocks: int, gs, group) -> np.ndarray:
 #: A group's calls still spread over the pool, but wait for their slowest block: on
 #: 2 cores at 50 elements, gain sums took about 4 % longer in groups of 16 blocks
 #: than with one call per chunk, and about 20 % in groups of 4.
-_GAIN_GROUP_BLOCKS = 16
+_MOMENT_GROUP_BLOCKS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +239,14 @@ def estimate_interference_moment(spec: ScenarioSpec, n: int, seed: int) -> Estim
             cross = np.abs(np.sum(np.conj(g_k) * g_j, axis=1)) ** 2
             return (spec.rho_u / gain_k) * (spec.rho_u / gain_j) * cross
 
-        return _in_groups(take, 1, spec.geometry.m, _GAIN_GROUP_BLOCKS, gs, moment)
+        return _in_groups(take, 1, spec.geometry.m, _MOMENT_GROUP_BLOCKS, gs, moment)
 
     return _estimate(n, seed, CHUNK, sample)
 
 
 def interference_moment_bytes(m: int) -> int:
     "Bytes a chunk of :func:`estimate_interference_moment` holds: 264 a draw, 50 a group lane."
-    return 264 * CHUNK + 50 * _GAIN_GROUP_BLOCKS * max(2, _BLOCK_LANES // m) * m
+    return 264 * CHUNK + 50 * _MOMENT_GROUP_BLOCKS * max(2, _BLOCK_LANES // m) * m
 
 
 def estimate_zf_inverse_moment(spec: ScenarioSpec, n: int, seed: int) -> EstimatorResult:

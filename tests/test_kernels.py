@@ -4,6 +4,7 @@ import multiprocessing
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 from swarm_mimo_sim import _kernels
-from swarm_mimo_sim._kernels import _rot, _row_blocks, response_batch, si_ci_arrays
+from swarm_mimo_sim._kernels import _row_blocks, _sum3, response_batch, si_ci_arrays
 from swarm_mimo_sim.errors import SingularDirectionError
 from swarm_mimo_sim.geometry import (
     ArrayGeometry,
@@ -22,7 +23,7 @@ from swarm_mimo_sim.geometry import (
     rotation_matrices,
     sample_shell_positions,
 )
-from swarm_mimo_sim.polarization import response_norms
+from swarm_mimo_sim.polarization import field_pattern, polarization_basis, response_norms, t_matrix
 
 
 def test_si_ci_against_scipy():
@@ -145,6 +146,18 @@ def kernel_layout(name):
         elem = element_positions(ArrayGeometry(m, 1, 0.0625, 0.0))
         pos = sample_shell_positions(ShellRegion(20.0, 500.0), rng, n)
         return pos, elem, _rots(rng, n)[:, None], _rots(rng, n), CIRC, CIRC, 0.5, 0.5
+    if name.startswith("elide_"):
+        # per-sample ground rotations in two blocks of 16,384 lanes (at), 16,383
+        # (below) and 18,000 (above): about numpy's 256 KiB temporary elision,
+        # with complex feeds on both sides, so that the operand order of the
+        # complex products shows in the bits
+        n, m = {"elide_at": (4096, 8), "elide_below": (258, 127), "elide_above": (4, 9000)}[name]
+        rng = np.random.default_rng(n + m)
+        pos = rng.normal(size=(n, 3)) * 400.0
+        elem = rng.normal(size=(m, 3))
+        w_tx = np.array([0.6, 0.8 * np.exp(0.7j)])
+        w_rx = np.array([0.9, 0.3 * np.exp(-1.1j)])
+        return pos, elem, _rots(rng, n)[:, None], _rots(rng, n), w_tx, w_rx, 0.5, 0.5
     rng = np.random.default_rng(
         {"mission": 20, "per_sample": 5000, "remainder": 257, "single": 1, "merged": 513}[name])
     if name == "mission":  # per-element ground and per-sample drone rotations
@@ -171,10 +184,37 @@ def kernel_layout(name):
 # per_sample and gain_cdf lanes sit on both sides of each block edge. The
 # singular, remainder and single lanes were recorded with one (3, 3) drone
 # rotation shared by all samples, which the kernel no longer takes; its
-# per-sample repeat keeps their bits.
+# per-sample repeat keeps their bits. The elide_* lanes were recorded from
+# the kernel that built every step per component, before its steps were
+# stacked, and their norms from ``response_norms``.
 # n1sq and n2sq are the squared response norms those kernels returned; they
 # are the reference for ``response_norms`` on the same lanes.
 KERNEL_GOLDEN = {
+    "elide_above": [
+        ((0, 0), ('0x1.2bf9bf71170acp-3', '0x1.6264d30faed36p-3', '0x1.82719164a106bp+9', '0x1.2c60614491969p-3', '0x1.427d1469023d9p-1')),
+        ((1, 4), ('-0x1.5f7fa551e52abp-2', '0x1.1fb19dab624d4p-2', '0x1.dbf1ca3c3e5d0p+7', '0x1.88396c90bf3a2p-1', '0x1.8c2f519f784e1p-1')),
+        ((1, 8999), ('-0x1.5cfa3dbfdec64p-2', '0x1.200f20f2fe8b0p-2', '0x1.d737ba6dae36ap+7', '0x1.8783c313e717ap-1', '0x1.8b317d313f9f0p-1')),
+        ((2, 0), ('0x1.94aacba94f95ep-3', '0x1.3038fe1fbab89p-5', '0x1.382dfaeca145fp+7', '0x1.f35363c2badb1p-2', '0x1.7c4ad846a78d6p-2')),
+        ((2, 8996), ('0x1.920ab091ff633p-3', '0x1.329e33e7f93b2p-5', '0x1.2e6269e0fd710p+7', '0x1.f4bc95a47e8c9p-2', '0x1.7a65be3393426p-2')),
+        ((3, 8999), ('0x1.1942b94323f42p-4', '0x1.b0fc8921b6a22p-3', '0x1.1553a9429ed5ap+10', '0x1.6d13849cf9cb3p-1', '0x1.609ab2b359dfdp-1')),
+    ],
+    "elide_at": [
+        ((0, 0), ('0x1.5abf88732ad58p-3', '-0x1.47d986126e6e7p-3', '0x1.369399be83052p+9', '0x1.808f7d22f5dfep-1', '0x1.5b63d086216ebp-2')),
+        ((1000, 3), ('0x1.de33bea71fd74p-2', '-0x1.970f755ab918cp-4', '0x1.687fc5690ed0dp+8', '0x1.3ecb3c4f7a7f9p-1', '0x1.bbbc3e85fee2ep-1')),
+        ((2047, 1), ('-0x1.6a8d9fcf014d8p-2', '0x1.5e2e98192e474p-2', '0x1.0031b5d47d8f3p+10', '0x1.aaae67bd1d3ccp-2', '0x1.82e61a4f179d7p-1')),
+        ((2047, 7), ('-0x1.6a097889e37c8p-2', '0x1.5eced50fc58bep-2', '0x1.0055660bed4e4p+10', '0x1.a9297ec7c2400p-2', '0x1.832cd49a838a4p-1')),
+        ((2048, 0), ('0x1.2d88825620764p-2', '0x1.16ffb06dfac68p-9', '0x1.4b4956e891099p+9', '0x1.d1c92d2a27af4p-3', '0x1.68d04850e71eap-1')),
+        ((2048, 5), ('0x1.2e2b6b548241fp-2', '0x1.0629e8b333450p-9', '0x1.4ba9875a75ac2p+9', '0x1.d2f96b40b20d5p-3', '0x1.68f59194cde0cp-1')),
+        ((4095, 1), ('-0x1.0f78e9f45fa65p-4', '-0x1.74195460a3813p-4', '0x1.a2d0685f7109ap+9', '0x1.7f88860b689b1p-1', '0x1.9ed927c534e83p-1')),
+    ],
+    "elide_below": [
+        ((0, 0), ('-0x1.f7d6a158e6980p-8', '0x1.9ce2fbce7ae67p-3', '0x1.7bcc109882a2dp+8', '0x1.0074fdc52a94ep-2', '0x1.b16090d088d27p-1')),
+        ((128, 9), ('0x1.8621cdfde784ep-4', '-0x1.db3838ea726fbp-4', '0x1.9118e545f30e9p+9', '0x1.4b0fa03ae3c04p-2', '0x1.aae945687b192p-3')),
+        ((128, 126), ('0x1.8416213a46483p-4', '-0x1.d88de3798a32ap-4', '0x1.91c7628154204p+9', '0x1.49cfc57d313cep-2', '0x1.a9c1653c07837p-3')),
+        ((129, 0), ('-0x1.3ea361ab85a20p-1', '0x1.e0fa2a862ae12p-3', '0x1.6db7eceeb8abfp+7', '0x1.91455a2865e86p-1', '0x1.9cc70f2ab4904p-1')),
+        ((129, 125), ('-0x1.3d6f320dbc2f4p-1', '0x1.d863a1e4d2d03p-3', '0x1.6e715ad1c467fp+7', '0x1.9261e124ea51cp-1', '0x1.98c7f53db80b6p-1')),
+        ((257, 126), ('-0x1.9359ca08e6ab5p-3', '0x1.4639f8e47f6b2p-3', '0x1.5369147915450p+9', '0x1.6c5ddf8be9fadp-1', '0x1.11f1d354c89d7p-1')),
+    ],
     "feeds": [
         ((0, 0), ('-0x1.4c5ced5168ac4p-3', '0x1.e6b21a6153b9bp-3', '0x1.1292aa664f52bp+10', '0x1.ac55c3d21ee65p-2', '0x1.569ea2c88a1f2p-2')),
         ((17, 4), ('-0x1.1eba62cfdc5f4p-4', '0x1.6cbbdd31d0fc4p-2', '0x1.8f50c107689fap+8', '0x1.125beefdee564p-2', '0x1.2554934edc7c3p+0')),
@@ -301,10 +341,10 @@ def test_response_independent_of_worker_count(name, monkeypatch, inline_kernel):
 
 
 def test_block_exception_reaches_caller(monkeypatch):
-    def fail(v, u):
+    def fail(out, tmp, terms):
         raise RuntimeError("block failed")
 
-    monkeypatch.setattr(_kernels, "_dot3", fail)
+    monkeypatch.setattr(_kernels, "_sum3", fail)
     with pytest.raises(RuntimeError, match="block failed"):
         response_batch(*kernel_layout("per_sample"))
 
@@ -523,6 +563,59 @@ def test_singular_lane_in_pooled_call_raises(name, row, monkeypatch):
             response_batch(pos, elem, gs, *rest)
 
 
+def test_lane_on_drone_dipole_axis(monkeypatch, inline_kernel):
+    # a drone whose rotated z axis points at an element, in the second block of
+    # a multi-block call: its receive theta pattern takes its limit 0 there,
+    # with no division by zero, pooled and inline
+    pos, elem, gs, uav, w_tx, w_rx, ratio_tx, ratio_rx = kernel_layout("per_sample")
+    assert len(_row_blocks(pos.shape[0], elem.shape[0])) > 1
+    i, l = 2340, 3
+    pos, elem, uav = pos.copy(), elem.copy(), uav.copy()
+    uav[i] = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]  # its z axis is the reference x
+    elem[l] = [0.25, -0.5, 1.0]
+    pos[i] = elem[l] - [250.0, 0.0, 0.0]  # exact, so the cosine is exactly 1
+    args = (pos, elem, gs, uav, w_tx, w_rx, ratio_tx, ratio_rx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as pyproject sets it for every test
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(_kernels, "_pool", pool)
+            pooled = response_batch(*args)
+        inline_kernel()
+        inline = response_batch(*args)
+    assert _bits(*pooled) == _bits(*inline)
+    rel = pos[i] - elem[l]
+    _, _, p_hat = polarization_basis(gs[i, 0].T @ rel)
+    f_tx = [field_pattern(a, ratio_tx) for a in np.arccos(p_hat[[2, 1]])]
+    back = -(uav[i].T @ rel) / np.linalg.norm(rel)
+    f_rx = [field_pattern(a, ratio_rx) for a in np.arccos(back[[2, 1]])]
+    assert back[2] == 1.0 and f_rx[0] == 0.0
+    want = np.conj(w_tx) * f_tx @ t_matrix(rel, gs[i, 0], uav[i]) @ (w_rx * f_rx)
+    assert abs(want) > 0.1
+    assert pooled[0][i, l] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m, per_sample", [(327, 50, True), (256, 64, False), (2048, 8, False)])
+def test_block_peak_memory(n, m, per_sample, inline_kernel, traced_peak):
+    # one block of the benchmark's shapes, inline, peaks at no more than 21
+    # float64 (m, rows) planes. This read 19.6, 19.4 and 20.1 planes; the
+    # kernel that built each step per component read 21.0, 20.2 and 20.2
+    inline_kernel()
+    rng = np.random.default_rng(n + m)
+    pos = rng.normal(size=(n, 3)) * 400.0
+    elem = rng.normal(size=(m, 3))
+    gs = _rots(rng, n)[:, None] if per_sample else _rots(rng, m)
+    args = (pos, elem, gs, _rots(rng, n), CIRC, CIRC)
+    assert len(_row_blocks(n, m)) == 1
+
+    def call():
+        response_batch(*args, finish=lambda h, dist, rows: None)
+
+    call()  # first-call allocations outside the trace
+    _, peak = traced_peak(call)
+    plane = n * m * np.dtype(np.float64).itemsize
+    assert peak <= 21 * plane, peak / plane
+
+
 @pytest.mark.parametrize("m, rows", [(1, 1), (1, 2), (2, 1), (3, 5), (7, 2340), (50, 327),
                                      (64, 256), (100, 163), (8192, 2), (16384, 1)])
 def test_per_sample_rotation_matches_einsum(m, rows):
@@ -534,9 +627,13 @@ def test_per_sample_rotation_matches_einsum(m, rows):
         zero = rng.uniform(size=a.shape) < 0.2
         a[zero] = np.copysign(0.0, rng.uniform(-1.0, 1.0, size=a.shape))[zero]
     want = np.einsum("nij,lnj->lni", g, v)
-    comps = [np.ascontiguousarray(v[..., j]) for j in range(3)]
-    got = np.stack(_rot(g, comps), axis=-1)
-    assert got.tobytes() == want.tobytes()
+    # as the kernel's block sums it: (i, 1, rows) rotation columns times (m, rows)
+    # component planes, over the three components i at once, in the order j = 0, 2, 1
+    coef = g.transpose(1, 2, 0)[:, :, None]
+    comps = np.ascontiguousarray(v.transpose(2, 0, 1))
+    got, tmp = np.empty((3, m, rows)), np.empty((3, m, rows))
+    _sum3(got, tmp, [(coef[:, j], comps[j]) for j in (0, 2, 1)])
+    assert np.moveaxis(got, 0, -1).tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

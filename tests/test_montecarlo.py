@@ -614,7 +614,7 @@ class TestGainGroups:
 
     def test_benchmark_chunk_groups(self):
         # 50 elements: 25 blocks of 327 rows and one of 17
-        groups = _groups_of(mc.CHUNK, 1, 50, mc._GAIN_GROUP_BLOCKS)
+        groups = _groups_of(mc.CHUNK, 1, 50, mc._MOMENT_GROUP_BLOCKS)
         assert [(g.start, g.stop) for g in groups] == [(0, 5232), (5232, mc.CHUNK)]
 
     @pytest.mark.parametrize("blocks", [1, 4, 16])
@@ -662,7 +662,7 @@ def test_grouped_moment_matches_whole_chunk(orientation, take, blocks, monkeypat
     # the moment's chunk is synthesized and reduced one group of whole kernel
     # blocks at a time, with the bits of each sample of the whole-chunk pipeline
     if blocks != "default":
-        monkeypatch.setattr(mc, "_GAIN_GROUP_BLOCKS", blocks)
+        monkeypatch.setattr(mc, "_MOMENT_GROUP_BLOCKS", blocks)
     spec = spec_for(m=50, spacing=LAM / 2, r_min=20.0, gs_orientation=orientation,
                     orientation_seed=3)
     # the estimator's first chunk, as the samples it hands to _estimate
