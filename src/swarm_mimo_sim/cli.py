@@ -60,10 +60,12 @@ _COHERENCE_KEYS = {
 SCHEMAS: dict[str, dict[str, dict[str, Key]]] = {
     "rate-curve": {
         "array": {
-            "m_values": Key(str, "1:512", help="element counts, comma list or start:stop"),
+            # at most the m_x * m_y of the other experiments
+            "m_values": Key(str, "1:512", 1, 10**8,
+                            help="element counts, comma list or start:stop"),
         },
         "rate": {
-            "k_values": Key(str, "20,50,100", help="drone counts, comma list"),
+            "k_values": Key(str, "20,50,100", 1, 1000, help="drone counts, comma list"),
             "rho_u_db": _db("data SNR target", 0.0),
             "rho_p_db": _db("pilot SNR target", 10.0),
             "kappa_chi_wc": Key(float, 1.0, 0.0, 1.0, help="kappa times chi_wc"),
@@ -221,7 +223,8 @@ _MAX_BUFFER_BYTES = 256 * 2**20  # the working set of any one stage, as its owne
 # least _MIN_CALL_TERMS terms' time (1x2: 0.44 ms; a 50-element line: 2.1-2.5 ms)
 _MAX_PAIR_TERMS = 10**9
 _MIN_CALL_TERMS = 1000
-# (k, m) rows of one rate curve; the shipped preset makes 768
+# (k, m) rows of one rate curve, each computed as it is written: a bound on work, about
+# 9 us and 37 bytes of CSV a row untraced on 2 x86 cores; the shipped preset makes 768
 _MAX_RATE_ROWS = 10**6
 
 
@@ -239,8 +242,8 @@ def _check_buffer(name: str, what: str, nbytes: int):
 def _check_cost(cfg: dict, kind: str):
     "Reject a parsed config whose work or largest array is out of reach."
     if kind == "rate-curve":
-        rows = (len(_parse_int_list(str(cfg["array.m_values"]), "array.m_values"))
-                * len(_parse_int_list(str(cfg["rate.k_values"]), "rate.k_values")))
+        rows = (len(_parse_int_list(cfg, "array.m_values"))
+                * len(_parse_int_list(cfg, "rate.k_values")))
         return _check_limit("array.m_values * rate.k_values", "(k, m) rows", rows, _MAX_RATE_ROWS)
     if kind == "mission-sim":
         duration = cfg["sim.duration_s"] or msn.mission_time(_mission_spec(cfg))
@@ -257,16 +260,12 @@ def _check_cost(cfg: dict, kind: str):
                           f"shell.r_max_m, {cfg['shell.r_max_m']} m")
     if kind == "gain-cdf":
         _check_buffer("mc.n", f"{cfg['mc.n']} samples", mc.gain_cdf_bytes(cfg["mc.n"]))
-        if cfg["array.m_y"] > 1:  # the scenario has no y spacing: rows would stack
-            raise ConfigError("array.m_y: gain-cdf takes a line array, m_y = 1")
         if cfg["mc.threshold_db_min"] >= cfg["mc.threshold_db_max"]:
             raise ConfigError("mc.threshold_db_min: must lie below mc.threshold_db_max, "
                               "or the CDF has no thresholds")
     else:  # validate runs omega too, after its draws and its interference moment
         _check_buffer("array.m_x * array.m_y", f"omega over {m} elements", rates.omega_bytes(m))
     if kind == "validate":  # its stages run one after another, so each is checked alone
-        if cfg["array.m_y"] > 1 and cfg["array.spacing_y_wavelengths"] == 0.0:
-            raise ConfigError("array.spacing_y_wavelengths: 0 with array.m_y > 1 stacks the rows")
         n = cfg["mc.n_pairs"]
         _check_buffer("mc.n_pairs", f"the buffers of {n} draws", mc.validate_bytes(n))
         _check_buffer("array.m_x * array.m_y", "the interference moment's chunk",
@@ -275,22 +274,22 @@ def _check_cost(cfg: dict, kind: str):
         points = cfg["sweep.ratio_points"] ** (2 if cfg["sweep.two_dimensional"] else 1)
         _check_limit("sweep.ratio_points", f"the pair terms of {points} omegas over {m} elements",
                      points * max(m * m, _MIN_CALL_TERMS), _MAX_PAIR_TERMS)
-        if cfg["array.m_y"] > 1 and not cfg["sweep.two_dimensional"]:
-            # a sweep over delta_x alone has no y spacing: rows would stack
-            raise ConfigError("array.m_y: a sweep over delta_x alone takes a line array, "
-                              "m_y = 1; a rectangle needs sweep.two_dimensional = true")
         if cfg["array.m_y"] == 1 and cfg["sweep.two_dimensional"]:
             # one row spans nothing along y: every delta_y column repeats the first
             raise ConfigError("sweep.two_dimensional: a line array, m_y = 1, has no y "
                               "spacing to sweep; set array.m_y > 1 or leave it false")
-        # the widest spacing swept spans the most; a line's y spacing spans nothing
+        # the widest spacing swept spans the most; a sweep over delta_x alone has no y spacing
         ratio = cfg["sweep.ratio_start"]
         if cfg["sweep.ratio_points"] > 1:
             ratio = max(ratio, cfg["sweep.ratio_stop"])
         delta = ratio * geo.wavelength(cfg["rf.f_c_hz"])
-        geometry = geo.ArrayGeometry(cfg["array.m_x"], cfg["array.m_y"], delta, delta)
+        geometry = geo.ArrayGeometry(cfg["array.m_x"], cfg["array.m_y"], delta,
+                                     delta if cfg["sweep.two_dimensional"] else 0.0)
     else:
         geometry = _array_geometry(cfg)
+    if geometry.m_y > 1 and geometry.delta_y == 0.0:  # a second row would sit on the first
+        key = "array.spacing_y_wavelengths" if kind == "validate" else "array.m_y"
+        raise ConfigError(f"{key}: {geometry.m_y} rows with no y spacing stack on the first")
     # omega and the channel refuse drones inside the array, but only after starting
     aperture = geometry.aperture()
     if cfg["shell.r_min_m"] <= aperture:
@@ -336,24 +335,28 @@ def parse_config(text: str, kind: str) -> dict:
     return out
 
 
-def _parse_int_list(raw: str, name: str) -> range | list[int]:
-    """Comma list or inclusive ``start:stop`` of counts >= 1, at least one.
+def _parse_int_list(cfg: dict, name: str) -> range | list[int]:
+    """Rate-curve key ``name``: comma list or inclusive ``start:stop`` of counts, at least one.
 
-    A range comes back as a ``range``, whose length costs nothing.
+    Each count lies in the key's range. A range comes back as a ``range``,
+    whose length costs nothing.
     """
-    raw = raw.strip()
+    section, key_name = name.split(".")
+    key = SCHEMAS["rate-curve"][section][key_name]
+    raw = str(cfg[name]).strip()
     try:
         if ":" in raw:
             start, stop = raw.split(":")
             values = range(int(start), int(stop) + 1)
-            lowest = values.start
+            lowest, highest = values.start, values.stop - 1
         else:
             values = [int(tok) for tok in raw.split(",") if tok.strip()]
-            lowest = min(values, default=0)
+            lowest, highest = min(values, default=0), max(values, default=0)
     except ValueError as exc:
         raise ConfigError(f"{name}: expected comma list or start:stop, got {raw!r}") from exc
-    if not values or lowest < 1:
-        raise ConfigError(f"{name}: expected one or more counts >= 1, got {raw!r}")
+    if not values or lowest < key.lo or highest > key.hi:
+        raise ConfigError(f"{name}: expected one or more counts in [{key.lo}, {key.hi}], "
+                          f"got {raw!r}")
     return values
 
 
@@ -366,8 +369,9 @@ def _linear(db: float) -> float:
 #
 # Each runner takes the parsed config and the seed and returns its CSV tables,
 # ``{file name: (header, rows)}`` in file order, and the summary entries beyond
-# the parameters; run_experiment writes them all. ``rows`` may be any iterable
-# of finished values, read once while its table is written.
+# the parameters; run_experiment writes them all. ``rows``, any iterable, is read once
+# after the output directory is made, so a row built lazily reads only inputs checked
+# before: rate-curve's frames, m_required, RateParams (_far_sphere), counts (_parse_int_list).
 # ---------------------------------------------------------------------------
 
 
@@ -383,7 +387,7 @@ def _far_sphere(cfg, section: str, coh: CoherenceParams, k: int):
 
 
 def _run_rate_curve(cfg, seed):
-    m_values = _parse_int_list(str(cfg["array.m_values"]), "array.m_values")
+    m_values = _parse_int_list(cfg, "array.m_values")
     band = cfg["coherence.bandwidth_hz"]
     coh = CoherenceParams(
         f_c=cfg["coherence.f_c_hz"],
@@ -393,20 +397,20 @@ def _run_rate_curve(cfg, seed):
         tau_dl_frac=cfg["coherence.tau_dl_frac"],
     )
     k_params = [(k, _far_sphere(cfg, "rate", coh, k))
-                for k in _parse_int_list(str(cfg["rate.k_values"]), "rate.k_values")]
-    half_wave = geo.wavelength(coh.f_c) / 2.0  # every k's params.lam / 2
-    # each m's geometry is built once and serves every k; rows are listed k by k
-    k_rows = [[] for _ in k_params]
-    for m in m_values:
-        geom = geo.ArrayGeometry(m, 1, half_wave, 0.0)
-        for (k, params), out in zip(k_params, k_rows):
-            rate = rates.mrc_bound_optimal(replace(params, geometry=geom), "ula")
-            out.append((k, m, rate, rate * band))
-    rows = [row for out in k_rows for row in out]
+                for k in _parse_int_list(cfg, "rate.k_values")]
     m_req = {str(k): rates.m_required(cfg["rate.q_target_mbps"] * 1e6, band, params)
              for k, params in k_params}
+    half_wave = geo.wavelength(coh.f_c) / 2.0  # every k's params.lam / 2
+
+    def rows():  # k by k, each computed as it is written
+        for k, params in k_params:
+            for m in m_values:
+                geom = geo.ArrayGeometry(m, 1, half_wave, 0.0)
+                rate = rates.mrc_bound_optimal(replace(params, geometry=geom), "ula")
+                yield k, m, rate, rate * band
+
     header = ["k", "m", "rate_bps_per_hz", "throughput_bps"]
-    return {"rate_curve.csv": (header, rows)}, {"m_required": m_req}
+    return {"rate_curve.csv": (header, rows())}, {"m_required": m_req}
 
 
 def _run_spacing_sweep(cfg, seed):
@@ -500,7 +504,7 @@ def _run_validate(cfg, seed):
                            rho_u=_linear(cfg["rf.rho_u_db"]), f_c=cfg["rf.f_c_hz"])
     rows_raw, max_dev = mc.validate_expectations(spec, cfg["mc.n_pairs"], seed)
     header = ["l", "lp", "closed_re", "closed_im", "mc_re", "mc_im", "stderr", "dev_se"]
-    rows = [tuple(r[name] for name in header) for r in rows_raw]
+    rows = (tuple(r[name] for name in header) for r in rows_raw)
     moment = mc.estimate_interference_moment(spec, cfg["mc.n_moment"], seed)
     omega_value = rates.omega(geom, spec.lam, region)
     target = spec.rho_u**2 * (geom.m + omega_value)
@@ -559,6 +563,8 @@ def run_experiment(kind: str, config_text: str, seed: int, out_dir: Path) -> lis
     run that fails leaves none behind.
     """
     started = time.monotonic()
+    if seed < 0:  # numpy's generators refuse one, so every experiment does, seeded or not
+        raise ConfigError(f"seed: {seed} is negative; a seed is an integer >= 0")
     cfg = parse_config(config_text, kind)
     runner, stem = _RUNNERS[kind]
     tables, extra = runner(cfg, seed)

@@ -194,8 +194,9 @@ def approx_distance(uav: SphericalPosition, geometry: ArrayGeometry, l: int) -> 
     distance is comparable to the array aperture.
 
     Oracle: this is the expansion whose phase ``montecarlo.validate_expectations``
-    samples and ``rates.cb_db`` integrates in closed form; tests hold it against
-    the exact distance.
+    samples (``test_sampled_phase_of_approx_distance`` holds each row's mean to
+    this function's over the same draws) and ``rates.cb_db`` integrates in closed
+    form; tests hold it against the exact distance.
     """
     if uav.d <= geometry.aperture():
         raise SwarmMimoError(

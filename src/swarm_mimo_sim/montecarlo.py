@@ -197,7 +197,7 @@ def _in_groups(take: int, k: int, m: int, blocks: int, gs, group) -> np.ndarray:
             draws = slice(start, block.stop // k)
             gs_rows = gs  # the array's own (m, 3, 3) rotations
             if gs.ndim == 4:  # one common orientation per draw, shared by its k drones
-                gs_rows = gs[draws] if k == 1 else np.repeat(gs[draws], k, axis=0)
+                gs_rows = np.repeat(gs[draws], k, axis=0)
             values[draws] = group(draws, gs_rows)
             start, joined = block.stop // k, 0
     return values

@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from swarm_mimo_sim import _kernels, cli, spacing
+from swarm_mimo_sim import _kernels, cli, rates, spacing
 from swarm_mimo_sim import geometry as geo
+from swarm_mimo_sim.channel import CoherenceParams
 from swarm_mimo_sim.errors import ConfigError
 
 # every experiment at a small size: (kind, preset, text edits)
@@ -106,6 +108,9 @@ class TestParseConfig:
         # a zero count is no array and no fleet
         ("rate-curve", "[array]\nm_values = 0:3\n", "array.m_values"),
         ("rate-curve", "[rate]\nk_values = 0,5\n", "rate.k_values"),
+        # counts above the other experiments' bounds: m_x * m_y <= 10**8, fleet.k <= 1000
+        ("rate-curve", "[array]\nm_values = 3,100000001\n", "array.m_values"),
+        ("rate-curve", "[rate]\nk_values = 20,1001\n", "rate.k_values"),
         # gain-cdf spaces rows by 0, so a second row would sit on the first
         ("gain-cdf", "[array]\nm_y = 2\n", "array.m_y"),
         # so does a spacing sweep over delta_x alone, and validate with no y spacing
@@ -332,6 +337,40 @@ two_dimensional = true
                 lambda: cli.run_experiment("mission-sim", text, 1, tmp_path / str(duration)))[1]
         assert (peaks[600] - peaks[300]) / (12_020 - 6_020) <= 70, peaks
 
+    def test_rate_curve_rows_stream(self, tmp_path, traced_peak):
+        # 3,000 and 12,000 rows: each is computed as it is written, so the peak
+        # does not grow by the rows (it grew by 147.5 bytes a row when they were listed)
+        text = "[array]\nm_values = 1:1000\n[rate]\nk_values = 20,50,100\n"
+        cli.run_experiment("rate-curve", text, 1, tmp_path / "warm")
+        peaks = {}
+        for stop in (1000, 4000):
+            text = f"[array]\nm_values = 1:{stop}\n[rate]\nk_values = 20,50,100\n"
+            peaks[stop] = traced_peak(
+                lambda: cli.run_experiment("rate-curve", text, 1, tmp_path / str(stop)))[1]
+        assert peaks[4000] - peaks[1000] <= 256 * 1024, peaks
+
+    def test_rate_curve_rows_are_the_bound(self, tmp_path):
+        # every row, k by k in k_values' order, is the bound of one call on its own (k, m)
+        text = "[array]\nm_values = 9,3,500,1\n[rate]\nk_values = 20,1,7,100\n"
+        cfg = cli.parse_config(text, "rate-curve")
+        coh = CoherenceParams(f_c=cfg["coherence.f_c_hz"], bandwidth=cfg["coherence.bandwidth_hz"],
+                              b_c=cfg["coherence.b_c_hz"], v_max=cfg["coherence.v_max_mps"],
+                              tau_dl_frac=cfg["coherence.tau_dl_frac"])
+        expected = []
+        for k in (20, 1, 7, 100):
+            params = cli._far_sphere(cfg, "rate", coh, k)
+            for m in (9, 3, 500, 1):
+                geometry = geo.ArrayGeometry(m, 1, params.lam / 2.0, 0.0)
+                expected.append((k, m, rates.mrc_bound_optimal(replace(params, geometry=geometry))))
+        (header, rows), = cli._run_rate_curve(cfg, 1)[0].values()
+        rows = list(rows)
+        assert [(k, m, rate.hex()) for k, m, rate, _ in rows] == [
+            (k, m, rate.hex()) for k, m, rate in expected]
+        assert all(t == rate * cfg["coherence.bandwidth_hz"] for _, _, rate, t in rows)
+        cli.run_experiment("rate-curve", text, 1, tmp_path)
+        lines = (tmp_path / "rate_curve.csv").read_text().splitlines()[2:]
+        assert lines == [",".join(cli._fmt(v) for v in row) for row in rows]
+
     def test_csv_metadata_line(self, tmp_path):
         cli.run_experiment("tables", preset("tables.ini"), 4, tmp_path)
         first = (tmp_path / "table_image.csv").read_text().splitlines()[0]
@@ -404,6 +443,23 @@ class TestMainEntry:
         assert cli.main(["tables", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert cli.main(["tables", "--config", str(tmp_path / "missing.ini")]) == 4
 
+    def test_400_digit_count_exits_two(self, tmp_path):
+        # such a count once reached float() in the bound and ended in an OverflowError
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text("[array]\nm_values = 1,1" + "0" * 400 + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["rate-curve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, name", [("validate", "validate.ini"), ("tables", "tables.ini")])
+    def test_negative_seed_exits_two(self, kind, name, tmp_path):
+        # one experiment that draws from its seed and one that only records it
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(preset(name))
+        out = tmp_path / "out"
+        assert cli.main([kind, "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["--help"])
@@ -430,4 +486,12 @@ class TestDomainErrorExit:
         cfg.write_text(self.INFEASIBLE)
         out = tmp_path / "fresh"
         assert cli.main(["tables", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_rate_curve_frame_checked_before_writing(self, tmp_path):
+        # rate-curve builds its rows as it writes them, but its frames beforehand
+        cfg = tmp_path / "d.ini"
+        cfg.write_text("[coherence]\nb_c_hz = 1000\n")
+        out = tmp_path / "fresh"
+        assert cli.main(["rate-curve", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()

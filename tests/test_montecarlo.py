@@ -264,6 +264,26 @@ class TestValidateExpectations:
         rows, max_dev = mc.validate_expectations(spec, 100_000, seed=9)
         assert max_dev < 4.0
 
+    @pytest.mark.parametrize("geometry, r_min", [
+        (geo.ArrayGeometry(8, 1, 0.3 * LAM, 0.0), 100.0),
+        (geo.ArrayGeometry(3, 3, 0.4 * LAM, 0.6 * LAM), 20.0),
+    ])
+    def test_sampled_phase_of_approx_distance(self, geometry, r_min):
+        # each row's Monte Carlo mean is that of the phase of geo.approx_distance,
+        # element by element, over the function's own draws (about 3e-14 apart)
+        spec = mc.ScenarioSpec(geometry=geometry, region=geo.ShellRegion(r_min, 500.0))
+        n, seed = 2000, 3
+        rows, _ = mc.validate_expectations(spec, n, seed)
+        draws = zip(*geo._shell_draws(spec.region, mc.substream(seed, 1), n))
+        uavs = [geo.SphericalPosition(float(d), float(t), float(p)) for d, t, p in draws]
+        dist = np.array([[geo.approx_distance(u, geometry, l) for u in uavs]
+                         for l in range(1, geometry.m + 1)])
+        assert len(rows) == min(geometry.m * (geometry.m - 1), mc._MAX_PAIRS)
+        for r in rows:
+            phase = (2.0 * math.pi / LAM) * (dist[r["l"] - 1] - dist[r["lp"] - 1])
+            oracle = np.exp(1j * phase).mean()
+            assert abs(complex(r["mc_re"], r["mc_im"]) - oracle) <= 1e-12, (r["l"], r["lp"])
+
     def test_surface_magnitude(self):
         spec = spec_for(m=4, spacing=0.3 * LAM, r_min=500.0, r_max=500.0)
         rows, _ = mc.validate_expectations(spec, 50_000, seed=10)
