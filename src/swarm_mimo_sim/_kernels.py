@@ -29,15 +29,27 @@ finish its own lanes (``finish``) into its caller's arrays:
 kernel's row blocks, and ``montecarlo.validate_expectations``' pair rows once
 its draws fill a block.
 
+Si and Ci are a Maclaurin series up to x = 2 and, above it, the continued
+fraction of ``E1(i x)`` by the modified Lentz scheme, accurate to ~1e-15 for
+all arguments that arise here. Each series stops at the first k, tested every
+4th, at which every lane's last step is below a quarter of the spacing of its
+sum, so below half the gap to either neighbour. For x <= 2 each step is at
+most 0.22 (Si) or 1/6 (Ci) times the one before, so no later add could move a
+sum: every lane keeps the bits of all 39 terms. The fraction stops a lane at
+``delta.real == 1`` and ``|delta.imag| < 1e-16``, the decision of
+``|delta - 1| < 1e-16`` without its ``hypot``: near 1, ``delta.real - 1`` is
+exact, so 0 or at least 2**-53, and ``|u + iv|`` is at least ``|u|``, and
+``|v|`` when u = 0.
+
 Last bits depend on which numpy and OpenBLAS code paths run, so outputs are
 bit-reproducible only with the same numpy build, BLAS and CPU. Examples:
 
-- The per-element basis rotation is one dgemm per element, which OpenBLAS
-  computes with fused multiply-adds; written out as separate products it
-  differs in about a third of the entries. numpy hands a one-row product to
-  gemv instead, whose bits differ again: 300 single-sample calls and one
-  batched call of the same drones differ in 5,928 of 15,000 ``h`` lanes,
-  while two-row calls match the batched call. Batching single-sample
+- The per-element basis rotation is ``R @ basis``, one dgemm per element,
+  which OpenBLAS computes with fused multiply-adds; written out as separate
+  products it differs in about a third of the entries. numpy hands a one-row
+  product to gemv instead, whose bits differ again: 300 single-sample calls
+  and one batched call of the same drones differ in 5,928 of 15,000 ``h``
+  lanes, while two-row calls match the batched call. Batching single-sample
   callers therefore moves their last bits: ``mission.run_mission`` calls the
   kernel once per group of steps, so a one-drone mission moves, while stacks
   of two-drone or wider calls keep every bit.
@@ -81,17 +93,14 @@ _SING_EPS = 1e-14
 # ---------------------------------------------------------------------------
 # sine and cosine integrals
 # ---------------------------------------------------------------------------
-# Maclaurin series below x = 2; above, the exponential-integral continued
-# fraction evaluated with the modified Lentz scheme, which stays accurate to
-# ~1e-15 for all arguments that arise here.
 
 
-def _cmul_unfused(p, q):
-    "Complex product with every real operation rounded on its own."
-    out = np.empty_like(p)
-    out.real = p.real * q.real - p.imag * q.imag
-    out.imag = p.real * q.imag + p.imag * q.real
-    return out
+def _cmul_unfused(pr, pi, qr, qi):
+    "Complex product, as real and imaginary parts, with every real operation rounded on its own."
+    re, im = pr * qr, pr * qi
+    re -= pi * qi
+    im += pi * qr
+    return re, im
 
 
 def _e1_lentz(x):
@@ -101,30 +110,32 @@ def _e1_lentz(x):
     ``|delta - 1| < 1e-16``, and every complex product is formed unfused, so
     a lane's value depends only on its own argument. (numpy's vector complex
     multiply fuses and its in-place one-element multiply does not, so the
-    products numpy forms would depend on the other lanes of the call.)
+    products numpy forms would depend on the other lanes of the call.) ``h``,
+    ``delta`` and the result are held as real and imaginary parts.
     """
     lane = np.arange(x.size)
     b = 1.0 + 1j * x
     c = np.full_like(b, 1e308)
     d = 1.0 / b
-    h = d.copy()
-    out = np.empty_like(b)
+    hr, hi = d.real.copy(), d.imag.copy()
+    out_r, out_i = np.empty(x.size), np.empty(x.size)
     for i in range(1, 400):
         a = -float(i * i)
         b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
-        delta = _cmul_unfused(c, d)
-        h = _cmul_unfused(h, delta)
-        done = np.abs(delta - 1.0) < 1e-16
+        dr, di = _cmul_unfused(c.real, c.imag, d.real, d.imag)
+        hr, hi = _cmul_unfused(hr, hi, dr, di)
+        done = (dr == 1.0) & (np.abs(di) < 1e-16)
         if done.any():
-            out[lane[done]] = h[done]
+            out_r[lane[done]], out_i[lane[done]] = hr[done], hi[done]
             keep = ~done
-            lane, b, c, d, h = lane[keep], b[keep], c[keep], d[keep], h[keep]
+            lane, b, c, d, hr, hi = lane[keep], b[keep], c[keep], d[keep], hr[keep], hi[keep]
             if lane.size == 0:
                 break
-    out[lane] = h
-    return _cmul_unfused(out, np.exp(-1j * x))
+    out_r[lane], out_i[lane] = hr, hi
+    e = np.exp(-1j * x)
+    return _cmul_unfused(out_r, out_i, e.real, e.imag)
 
 
 def si_ci_arrays(x: np.ndarray):
@@ -147,18 +158,23 @@ def si_ci_arrays(x: np.ndarray):
         for k in range(1, 40):
             term *= -x2 * (2 * k - 1) / ((2 * k) * (2 * k + 1) * (2 * k + 1))
             acc += term
+            if k % 4 == 0 and np.all(np.abs(term) < 0.25 * np.spacing(np.abs(acc))):
+                break  # no later term can move a lane (see the module docstring)
         si[small] = acc
         acc = np.euler_gamma + np.log(xs)
         t = np.ones_like(xs)
         for k in range(1, 40):
             t *= -x2 / ((2 * k - 1) * (2 * k))
-            acc += t / (2 * k)
+            step = t / (2 * k)
+            acc += step
+            if k % 4 == 0 and np.all(np.abs(step) < 0.25 * np.spacing(np.abs(acc))):
+                break
         ci[small] = acc
     big = ~small
     if np.any(big):
-        e1 = _e1_lentz(x[big])
-        si[big] = np.pi / 2 + e1.imag
-        ci[big] = -e1.real
+        e1r, e1i = _e1_lentz(x[big])
+        si[big] = np.pi / 2 + e1i
+        ci[big] = -e1r
     return si, ci
 
 
@@ -376,29 +392,28 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
         # w: x, z and y of R^T rel in the ground frame, then u2 and u1 in the drone's
         _sum3(w[:3], sq, [(g[a, [0, 2, 1]], rel[a]) for a in range(3)])
         _sum3(w[3:], sq[:2], [(ax[:, a, None], rel[a]) for a in range(3)])
-        # the basis, built in lo per sample and in hi per element; scratch in the other
-        nb, sc = (lo, hi) if gs_by_sample else (hi, lo)
-        rho = sc[:2]  # rho_p, rho_t
+        # the basis, built in lo for both layouts; scratch in hi
+        rho = hi[:2]  # rho_p, rho_t
         np.hypot(w[0], w[1:3], out=rho)
         if np.any(rho <= _SING_EPS * d):
             raise SingularDirectionError("direction singular in the rotated transmit frame")
         rho *= d
         # the theta and psi basis vectors by component, (-x z, -y z, x x + y y) / (d rho_t)
         # and (-x y, x x + z z, -y z) / (d rho_p); (-a) * b is -(a * b) bit for bit
-        np.multiply(w[0:3:2], w[1], out=nb[0:2])
-        np.multiply(w[0:2], w[2], out=nb[3:6:2])
-        np.negative(nb[0:2], out=nb[0:2])
-        np.negative(nb[3:6:2], out=nb[3:6:2])
-        np.multiply(w[:3], w[:3], out=sc[2:5])
-        np.add(sc[2], sc[4:2:-1], out=nb[2:5:2])
-        basis = nb.reshape(2, 3, m, k)
+        np.multiply(w[0:3:2], w[1], out=lo[0:2])
+        np.multiply(w[0:2], w[2], out=lo[3:6:2])
+        np.negative(lo[0:2], out=lo[0:2])
+        np.negative(lo[3:6:2], out=lo[3:6:2])
+        np.multiply(w[:3], w[:3], out=hi[2:5])
+        np.add(hi[2], hi[4:2:-1], out=lo[2:5:2])
+        basis = lo.reshape(2, 3, m, k)
         np.divide(basis, rho[::-1, None], out=basis)
         # pattern cosines z / d, y / d, -u2 / d and -u1 / d, then their patterns, in w[1:]
         np.negative(w[3:], out=w[3:])
         np.divide(w[1:], d, out=w[1:])
         same = ratio_tx == ratio_rx  # one pass over all four
         for c, ratio in [(w[1:], ratio_tx)] if same else [(w[1:3], ratio_tx), (w[3:], ratio_rx)]:
-            _fpat(c, ratio, sc[:len(c)])
+            _fpat(c, ratio, hi[:len(c)])
         # the basis in the reference frame, (2, 3, m, rows) in hi
         if gs_by_sample:
             # by three-term sums in the order j = 0, 2, 1 of numpy's einsum
@@ -407,11 +422,9 @@ def response_batch(pos, elem, gs_r, uav_r, w_tx, w_rx, ratio_tx=0.5, ratio_rx=0.
             for s, tmp in ((0, ref[1]), (1, basis[0])):
                 _sum3(ref[s], tmp, [(g[:, j], basis[s, j]) for j in (0, 2, 1)])
         else:
-            # one dgemm per element and basis vector, on (m, rows, 3) stacks
-            stack = lo.reshape(2, m, k, 3)
-            np.copyto(stack, basis.transpose(0, 2, 3, 1))
-            ref = np.matmul(stack, gs_r.swapaxes(1, 2), out=hi.reshape(2, m, k, 3))
-            ref = ref.transpose(0, 3, 1, 2)
+            # R @ basis: one dgemm per element and basis vector, on (3, rows) matrices
+            ref = np.matmul(gs_r, basis.transpose(0, 2, 1, 3), out=hi.reshape(2, m, 3, k))
+            ref = ref.transpose(0, 2, 1, 3)
         # t[a, b]: basis vector b on receive axis a (t11 t21; t12 t22)
         t = lo[:4].reshape(2, 2, m, k)
         for a in range(2):

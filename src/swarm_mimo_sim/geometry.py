@@ -97,7 +97,7 @@ class ArrayGeometry:
             raise SwarmMimoError("element counts must be >= 1")
         if self.delta_x < 0 or self.delta_y < 0:
             raise SwarmMimoError("element spacings must be nonnegative")
-        if not (np.isfinite(self.delta_x) and np.isfinite(self.delta_y)):
+        if not (math.isfinite(self.delta_x) and math.isfinite(self.delta_y)):
             raise SwarmMimoError("element spacings must be finite")
 
     @property

@@ -74,6 +74,12 @@ class TestElementPlacement:
             q, p = divmod(l - 1, g.m_x)
             assert np.allclose(table[l - 1], [p * g.delta_x, q * g.delta_y, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["delta_x", "delta_y"])
+    def test_nonfinite_spacing_refused(self, axis, bad):
+        with pytest.raises(SwarmMimoError, match="spacings"):
+            geo.ArrayGeometry(4, 2, **{"delta_x": 0.1, "delta_y": 0.1, axis: bad})
+
     def test_index_out_of_range(self):
         # approx_distance is the one function left that takes an element index
         g = geo.ArrayGeometry(4, 2, 0.1, 0.1)

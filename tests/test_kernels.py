@@ -114,6 +114,112 @@ def test_si_ci_lane_depends_only_on_its_argument(x, data):
     assert _bits(*si_ci_arrays(x[lanes])) == _bits(si[lanes], ci[lanes])
 
 
+# the Si/Ci as it was before its series stopped early and its continued fraction
+# ran on split parts, verbatim: all 39 terms of each series up to x = 2, and
+# lanes of the fraction stopped at |delta - 1| < 1e-16; si_ci_arrays keeps
+# every bit of it
+
+
+def _ref_cmul_unfused(p, q):
+    "Complex product with every real operation rounded on its own."
+    out = np.empty_like(p)
+    out.real = p.real * q.real - p.imag * q.imag
+    out.imag = p.real * q.imag + p.imag * q.real
+    return out
+
+
+def _ref_e1_lentz(x):
+    lane = np.arange(x.size)
+    b = 1.0 + 1j * x
+    c = np.full_like(b, 1e308)
+    d = 1.0 / b
+    h = d.copy()
+    out = np.empty_like(b)
+    for i in range(1, 400):
+        a = -float(i * i)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = _ref_cmul_unfused(c, d)
+        h = _ref_cmul_unfused(h, delta)
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[lane[done]] = h[done]
+            keep = ~done
+            lane, b, c, d, h = lane[keep], b[keep], c[keep], d[keep], h[keep]
+            if lane.size == 0:
+                break
+    out[lane] = h
+    return _ref_cmul_unfused(out, np.exp(-1j * x))
+
+
+def _ref_si_ci(x):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
+        raise ValueError("si_ci_arrays requires finite x > 0")
+    si = np.empty_like(x)
+    ci = np.empty_like(x)
+    small = x <= 2.0
+    if np.any(small):
+        xs = x[small]
+        x2 = xs * xs
+        term = xs.copy()
+        acc = xs.copy()
+        for k in range(1, 40):
+            term *= -x2 * (2 * k - 1) / ((2 * k) * (2 * k + 1) * (2 * k + 1))
+            acc += term
+        si[small] = acc
+        acc = np.euler_gamma + np.log(xs)
+        t = np.ones_like(xs)
+        for k in range(1, 40):
+            t *= -x2 / ((2 * k - 1) * (2 * k))
+            acc += t / (2 * k)
+        ci[small] = acc
+    big = ~small
+    if np.any(big):
+        e1 = _ref_e1_lentz(x[big])
+        si[big] = np.pi / 2 + e1.imag
+        ci[big] = -e1.real
+    return si, ci
+
+
+def _hex_mismatches(x):
+    got, want = si_ci_arrays(x), _ref_si_ci(x)
+    return [(float.hex(v), name, float.hex(a), float.hex(b))
+            for name, g, w in zip(("si", "ci"), got, want)
+            for v, a, b in zip(x, g, w) if float.hex(a) != float.hex(b)]
+
+
+def _around(x0, ulps):
+    "``x0`` and its ``ulps`` nearest floats on each side."
+    up, down = [x0], [x0]
+    for _ in range(ulps):
+        up.append(np.nextafter(up[-1], np.inf))
+        down.append(np.nextafter(down[-1], 0.0))
+    return np.array(down[:0:-1] + up)
+
+
+SI_CI_EXACT_POINTS = {
+    "x2_underflows": np.array([5e-324, 1e-310, 1e-300, 1e-200, 1.5e-154]),
+    "dense_to_2": np.linspace(1e-3, 2.0, 40_001),
+    "around_2": _around(2.0, 64),
+    "around_ci_zero": _around(0.6165054856207162, 64),
+    "dense_2_to_5": np.linspace(2.0, 5.0, 40_001),
+    "to_1e6": np.geomspace(5.0, 1e6, 20_001),
+}
+
+
+@pytest.mark.parametrize("name", list(SI_CI_EXACT_POINTS))
+def test_si_ci_bits_match_reference(name):
+    assert _hex_mismatches(SI_CI_EXACT_POINTS[name])[:5] == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=200))
+def test_si_ci_bits_match_reference_property(x):
+    assert _hex_mismatches(np.array(x)) == []
+
+
 def _rots(rng, k):
     return rotation_matrices(rng.uniform(-1.5, 1.5, k), rng.uniform(-1.5, 1.5, k),
                              rng.uniform(0.0, 6.3, k))
@@ -634,6 +740,25 @@ def test_per_sample_rotation_matches_einsum(m, rows):
     got, tmp = np.empty((3, m, rows)), np.empty((3, m, rows))
     _sum3(got, tmp, [(coef[:, j], comps[j]) for j in (0, 2, 1)])
     assert np.moveaxis(got, 0, -1).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rotations", ["identity", "random", "signed_zeros"])
+@pytest.mark.parametrize("m", [1, 8, 64, 100])
+@pytest.mark.parametrize("rows", [1, 2, 327, 2048])
+def test_per_element_rotation_matches_stack_form(rows, m, rotations):
+    # the kernel's per-element R @ basis, over (3, rows) matrices, keeps the bits of
+    # the (rows, 3) stacks times R^T that it replaced
+    rng = np.random.default_rng(rows * 1009 + m)
+    gs = np.tile(np.eye(3), (m, 1, 1)) if rotations == "identity" else _rots(rng, m)
+    basis = rng.normal(size=(2, 3, m, rows))
+    if rotations == "signed_zeros":  # a fifth of the entries on both sides
+        for a in (gs, basis):
+            zero = rng.uniform(size=a.shape) < 0.2
+            a[zero] = np.copysign(0.0, rng.uniform(-1.0, 1.0, size=a.shape))[zero]
+    stack = np.ascontiguousarray(basis.transpose(0, 2, 3, 1))
+    want = np.matmul(stack, gs.swapaxes(1, 2)).transpose(0, 3, 1, 2)
+    got = np.matmul(gs, basis.transpose(0, 2, 1, 3), out=np.empty((2, m, 3, rows)))
+    assert got.transpose(0, 2, 1, 3).tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
