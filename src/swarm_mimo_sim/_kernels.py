@@ -106,12 +106,16 @@ def _cmul_unfused(pr, pi, qr, qi):
 def _e1_lentz(x):
     """``E1(i x)`` for x > 2 by the continued fraction, each lane stopped on its own.
 
-    A lane leaves the working arrays at the first step at which its own
+    A lane is recorded at the first step at which its own
     ``|delta - 1| < 1e-16``, and every complex product is formed unfused, so
     a lane's value depends only on its own argument. (numpy's vector complex
     multiply fuses and its in-place one-element multiply does not, so the
-    products numpy forms would depend on the other lanes of the call.) ``h``,
-    ``delta`` and the result are held as real and imaginary parts.
+    products numpy forms would depend on the other lanes of the call.)
+    Recorded lanes keep stepping until they are a quarter of the working
+    arrays, which then drop them: the arrays shrink in a few steps, not
+    through every size, so fewer freed small blocks stay in the allocators'
+    caches. ``h``, ``delta`` and the result are held as real and imaginary
+    parts.
     """
     lane = np.arange(x.size)
     b = 1.0 + 1j * x
@@ -119,21 +123,30 @@ def _e1_lentz(x):
     d = 1.0 / b
     hr, hi = d.real.copy(), d.imag.copy()
     out_r, out_i = np.empty(x.size), np.empty(x.size)
+    live = np.ones(x.size, dtype=bool)  # working lanes not yet recorded
     for i in range(1, 400):
         a = -float(i * i)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
+        b += 2.0
+        # d = 1 / (a d + b) and c = b + a / c, holding no old array beside its new one
+        d = a * d
+        d += b
+        d = 1.0 / d
+        c = a / c
+        c += b
         dr, di = _cmul_unfused(c.real, c.imag, d.real, d.imag)
         hr, hi = _cmul_unfused(hr, hi, dr, di)
-        done = (dr == 1.0) & (np.abs(di) < 1e-16)
+        done = live & (dr == 1.0) & (np.abs(di) < 1e-16)
         if done.any():
             out_r[lane[done]], out_i[lane[done]] = hr[done], hi[done]
-            keep = ~done
-            lane, b, c, d, hr, hi = lane[keep], b[keep], c[keep], d[keep], hr[keep], hi[keep]
-            if lane.size == 0:
+            live &= ~done
+            left = np.count_nonzero(live)
+            if left == 0:
                 break
-    out_r[lane], out_i[lane] = hr, hi
+            if 4 * left <= 3 * lane.size:  # a quarter of the working lanes are done: drop them
+                lane, b, c = lane[live], b[live], c[live]
+                d, hr, hi = d[live], hr[live], hi[live]
+                live = np.ones(left, dtype=bool)
+    out_r[lane[live]], out_i[lane[live]] = hr[live], hi[live]
     e = np.exp(-1j * x)
     return _cmul_unfused(out_r, out_i, e.real, e.imag)
 

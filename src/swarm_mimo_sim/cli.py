@@ -264,7 +264,8 @@ def _check_cost(cfg: dict, kind: str):
             raise ConfigError("mc.threshold_db_min: must lie below mc.threshold_db_max, "
                               "or the CDF has no thresholds")
     else:  # validate runs omega too, after its draws and its interference moment
-        _check_buffer("array.m_x * array.m_y", f"omega over {m} elements", rates.omega_bytes(m))
+        _check_buffer("array.m_x * array.m_y", f"omega over {m} elements",
+                      rates.omega_bytes(cfg["array.m_x"], cfg["array.m_y"]))
     if kind == "validate":  # its stages run one after another, so each is checked alone
         n = cfg["mc.n_pairs"]
         _check_buffer("mc.n_pairs", f"the buffers of {n} draws", mc.validate_bytes(n))

@@ -393,12 +393,14 @@ def gain_cdf(spec: ScenarioSpec, n: int, seed: int, thresholds_db: np.ndarray):
             rots = geo.sample_rotations(rng, take, spec.orientation_ranges)
             gs = _gs_rotations(spec, ground, rng, take)
             sums[index * CHUNK:index * CHUNK + take] = chi_batch(ground, pos, gs, rots)
-    sums.sort()
+    sums.sort()  # a NaN sorts last
     # counts of samples strictly below each threshold
     counts = np.searchsorted(sums, 10.0 ** (thresholds_db / 10.0), side="left")
     below_10 = int(np.searchsorted(sums, 10.0, side="left"))
+    # np.median's value, from the sorted sums: the middle one or the mean of the middle two
+    median = np.nan if np.isnan(sums[-1]) else sums[(n - 1) // 2:n // 2 + 1].mean()
     stats = {
-        "median_db": float(10.0 * np.log10(np.median(sums, overwrite_input=True))),
+        "median_db": float(10.0 * np.log10(median)),
         "p_below_10db": below_10 / n,
         "n": n,
         "seed": seed,

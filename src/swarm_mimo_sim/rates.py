@@ -89,18 +89,71 @@ def expected_phase_sinc(dp: int, dq: int, geometry: ArrayGeometry, lam: float) -
 # ---------------------------------------------------------------------------
 
 
-def _offset_products(count: int, delta: int):
-    "Index products a^2 - (a - delta)^2 for all in-range positions."
-    a = np.arange(max(0, delta), count + min(0, delta))
-    return delta * (2 * a - delta)
-
-
-# lanes per cb_db call in omega; bounds the working set of a large array
+# lanes per cb_db call in omega, and about the pair terms per group of offsets
+# in its passes; bounds the working set of a large array
 _CHUNK_LANES = 4096
 
 
+def _offset_blocks(count: int):
+    """Every offset's index products on one axis, in blocks of about ``_CHUNK_LANES``.
+
+    Offset d from -(count - 1) to count - 1, one after another: its products
+    a^2 - (a - d)^2 = d (2a - d) over the positions a with a - d in range,
+    in increasing a, ``count - |d|`` of them.
+    """
+    a = np.arange(count)
+    rows = max(1, _CHUNK_LANES // count)
+    for lo in range(1 - count, count, rows):
+        d = np.arange(lo, min(lo + rows, count))[:, None]
+        yield (d * (2 * a - d))[(a >= d) & (a < count + d)]
+
+
+def _axis_marks(count: int):
+    """Marks of one axis's index products a^2 - a'^2 (0 <= a, a' < count), at p + (count - 1)^2.
+
+    A direct-address table over [-(count - 1)^2, (count - 1)^2], so the
+    axis's pairs are never held or sorted at once.
+    """
+    top = (count - 1) ** 2
+    seen = np.zeros(2 * top + 1, dtype=bool)
+    for p in _offset_blocks(count):
+        seen[top + p] = True
+    return seen
+
+
+def _axis_ranks(count: int):
+    """One axis's distinct index products, and the rank among them of every offset's products.
+
+    The products in increasing order; the ranks of the products of
+    :func:`_offset_blocks`, in its order; and the index at which each
+    offset's ranks start.
+    """
+    products = np.flatnonzero(_axis_marks(count)) - (count - 1) ** 2
+    ranks = np.empty(count * count, dtype=np.intp)
+    at = 0
+    for p in _offset_blocks(count):
+        ranks[at:at + p.size] = np.searchsorted(products, p)
+        at += p.size
+    sizes = count - np.abs(np.arange(1 - count, count))
+    return products, ranks, np.cumsum(sizes) - sizes
+
+
+_EXACT_COUNT_MAX = 1024  # omega_bytes counts an axis's products up to this many elements
+
+
+def _product_count(count: int) -> int:
+    """How many distinct index products one axis has.
+
+    Counted up to ``_EXACT_COUNT_MAX`` elements; above, bounded by the axis's
+    ordered pairs of distinct positions, plus 0.
+    """
+    if count > _EXACT_COUNT_MAX:
+        return count * (count - 1) + 1
+    return int(np.count_nonzero(_axis_marks(count)))
+
+
 def _kept_offsets(geometry: ArrayGeometry, lam: float):
-    """The (dp, dq) element offsets that enter the pair sum, in order, and their weights.
+    """The (dp, dq) element offsets that enter the pair sum, as rows in order, and their weights.
 
     A weight is :func:`expected_phase_sinc` squared: one ``math.hypot`` per
     offset, as that function computes it, then one ``np.sinc`` over all. The
@@ -108,12 +161,12 @@ def _kept_offsets(geometry: ArrayGeometry, lam: float):
     multiple of half a wavelength keeps no offset.
     """
     mx, my = geometry.m_x, geometry.m_y
-    offsets = [(a, b) for a in range(-(mx - 1), mx) for b in range(-(my - 1), my)]
-    hyp = [math.hypot(a * geometry.delta_x, b * geometry.delta_y) for a, b in offsets]
+    hyp = [math.hypot(a * geometry.delta_x, b * geometry.delta_y)
+           for a in range(-(mx - 1), mx) for b in range(-(my - 1), my)]
     w = np.sinc((2.0 / lam) * np.array(hyp)) ** 2
-    w[len(offsets) // 2] = 0.0  # the (0, 0) offset, in the middle
+    w[len(hyp) // 2] = 0.0  # the (0, 0) offset, in the middle
     kept = np.flatnonzero(w >= 1e-30)
-    return [offsets[i] for i in kept.tolist()], w[kept]
+    return np.column_stack(np.divmod(kept, 2 * my - 1)) - [mx - 1, my - 1], w[kept]
 
 
 def omega(geometry: ArrayGeometry, lam: float, region: ShellRegion) -> float:
@@ -126,13 +179,19 @@ def omega(geometry: ArrayGeometry, lam: float, region: ShellRegion) -> float:
     exceed the array aperture.
 
     A pair's phase constant depends only on its integer index products
-    (p, q). Each distinct product is evaluated once, in :func:`cb_db` calls
-    of at most ``_CHUNK_LANES`` lanes; a lane's Si/Ci value does not depend
-    on the other lanes of its call (see :func:`si_ci_arrays`). Each offset's
-    terms are then added in order from 0.0 with ``np.bincount``, and the
-    weighted offset sums in order with ``cumsum``, so the result is
-    bit-identical to one :func:`cb_db` call per offset whose terms are added
-    with ``sum()``, accumulated over the offsets in order.
+    (p, q). Each axis's distinct products are ranked (see
+    :func:`_axis_ranks`), and a boolean table of (p rank, q rank) cells
+    marks the cells that the kept offsets' pairs reach, over groups of
+    offsets of about ``_CHUNK_LANES`` pair terms. Each marked cell is
+    evaluated once, in table order, which is (p, q) order, in :func:`cb_db`
+    calls of at most ``_CHUNK_LANES`` lanes; a lane's Si/Ci value does not
+    depend on the other lanes of its call (see :func:`si_ci_arrays`). A
+    second pass over the groups adds each offset's terms in order from 0.0
+    with ``np.bincount``, and the weighted offset sums are added in order
+    with ``cumsum``, so the result is bit-identical to one :func:`cb_db`
+    call per offset whose terms are added with ``sum()``, accumulated over
+    the offsets in order. No array is held per pair of elements, only per
+    pair of positions on each axis (see :func:`omega_bytes`).
     """
     if region.r_min <= geometry.aperture():
         raise SwarmMimoError(
@@ -140,40 +199,66 @@ def omega(geometry: ArrayGeometry, lam: float, region: ShellRegion) -> float:
             f"{geometry.aperture():.3f}"
         )
     offsets, weights = _kept_offsets(geometry, lam)
-    if not offsets:
+    if not offsets.size:
         return 0.0
     mx, my = geometry.m_x, geometry.m_y
     dx2, dy2 = geometry.delta_x**2, geometry.delta_y**2
     scale = math.pi / lam
-    qspan = 2 * (my - 1) ** 2 + 1  # code p * qspan + q orders keys as (p, q)
-    px = {a: _offset_products(mx, a) * qspan for a in {a for a, _ in offsets}}
-    qy = {b: _offset_products(my, b) for b in {b for _, b in offsets}}
-    codes = [(px[a][:, None] + qy[b][None, :]).ravel() for a, b in offsets]
-    sizes = [c.size for c in codes]
-    del offsets
-    codes = np.concatenate(codes)  # rebound first, so the list is freed before the sort
-    keys, inverse = np.unique(codes, return_inverse=True)
-    del codes
-    vals = np.empty(keys.size)
-    for lo in range(0, keys.size, _CHUNK_LANES):
-        k = keys[lo:lo + _CHUNK_LANES]
-        p = (k + (qspan - 1) // 2) // qspan
-        q = k - p * qspan
-        c, d = cb_db(scale * (p * dx2 + q * dy2), region)
-        vals[lo:lo + _CHUNK_LANES] = c**2 + d**2
-    # each offset's terms, added in order from 0.0
-    sums = np.bincount(np.repeat(np.arange(len(sizes)), sizes), weights=vals[inverse])
+    p_values, p_ranks, p_starts = _axis_ranks(mx)
+    q_values, q_ranks, q_starts = _axis_ranks(my)
+    cols = q_values.size
+    a, b = offsets.T
+    p_first, q_first = p_starts[a + mx - 1], q_starts[b + my - 1]
+    q_len = my - np.abs(b)
+    sizes = (mx - np.abs(a)) * q_len
+    first = np.cumsum(sizes) - sizes  # each offset's first pair term
+    group = first // _CHUNK_LANES
+    bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), a.size]
+
+    def cells(lo, hi):
+        "Table cells of the pair terms of offsets lo to hi, in order, and each term's offset - lo."
+        offset = np.repeat(np.arange(hi - lo), sizes[lo:hi])
+        at = np.arange(offset.size) - (first[lo:hi] - first[lo])[offset]  # within its offset
+        i, j = np.divmod(at, q_len[lo:hi][offset])
+        row = p_ranks[p_first[lo:hi][offset] + i]
+        return row * cols + q_ranks[q_first[lo:hi][offset] + j], offset
+
+    marked = np.zeros(p_values.size * cols, dtype=bool)
+    for lo, hi in zip(bounds, bounds[1:]):
+        marked[cells(lo, hi)[0]] = True
+    vals = np.empty(marked.size)  # C^2 + D^2 at the marked cells
+    lanes = np.empty(0, dtype=np.intp)  # marked cells found and not yet evaluated
+    for lo in range(0, marked.size, _CHUNK_LANES):
+        lanes = np.concatenate([lanes, lo + np.flatnonzero(marked[lo:lo + _CHUNK_LANES])])
+        last = lo + _CHUNK_LANES >= marked.size
+        while lanes.size >= _CHUNK_LANES or (last and lanes.size):
+            k, lanes = lanes[:_CHUNK_LANES], lanes[_CHUNK_LANES:]
+            p, q = np.divmod(k, cols)
+            c, d = cb_db(scale * (p_values[p] * dx2 + q_values[q] * dy2), region)
+            vals[k] = c**2 + d**2
+    del marked
+    sums = np.empty(a.size)  # each offset's terms, added in order from 0.0
+    for lo, hi in zip(bounds, bounds[1:]):
+        cell, offset = cells(lo, hi)
+        sums[lo:hi] = np.bincount(offset, weights=vals[cell])
     return np.cumsum(weights * sums)[-1]
 
 
-def omega_bytes(m: int) -> int:
-    """Bytes :func:`omega` holds at its peak, in ``np.unique``: about 50 per ordered pair.
+def omega_bytes(m_x: int, m_y: int) -> int:
+    """Bytes :func:`omega` holds at its peak, while it evaluates the marked cells.
 
-    The codes and unique's flattened copy, permutation, sorted copy, running
-    count and inverse (8 bytes each), its mask and keys. tracemalloc read
-    49.4-50.6 on lines of 400 to 2,000 elements and on 24² to 64² arrays.
+    9 a cell of the (p, q) table, taken as all marked: its mark and its
+    C^2 + D^2. 8 an ordered pair of positions on each axis, for the ranks of
+    each offset's products, and 8 a distinct product. 80 an offset, for the
+    kept offsets and where their terms sit. 330 a lane of one :func:`cb_db`
+    call of ``_CHUNK_LANES`` lanes, whose Si/Ci holds less when its
+    arguments lie below 2 (the series) than above (the continued fraction).
+    tracemalloc read 0.90 to 1.08 of this on 16 x 16, 24 x 24, 32 x 32 and
+    500-element arrays. See :func:`_product_count` for the table's size.
     """
-    return 50 * m * (m - 1)
+    p, q = _product_count(m_x), _product_count(m_y)
+    offsets = (2 * m_x - 1) * (2 * m_y - 1)
+    return 9 * p * q + 8 * (m_x**2 + m_y**2 + p + q) + 80 * offsets + 330 * _CHUNK_LANES
 
 
 def omega_surface(geometry: ArrayGeometry, lam: float) -> float:
@@ -185,9 +270,9 @@ def omega_surface(geometry: ArrayGeometry, lam: float) -> float:
     which :func:`omega` adds its offsets. No per-pair work is done.
     """
     offsets, weights = _kept_offsets(geometry, lam)
-    if not offsets:
+    if not offsets.size:
         return 0.0
-    counts = np.array([(geometry.m_x - abs(a)) * (geometry.m_y - abs(b)) for a, b in offsets])
+    counts = np.prod([geometry.m_x, geometry.m_y] - np.abs(offsets), axis=1)
     return np.cumsum(weights * counts)[-1]
 
 

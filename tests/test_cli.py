@@ -82,10 +82,10 @@ class TestParseConfig:
         # 2.5e8 omega calls on a 1 x 2 array: each costs at least 0.44 ms, about 31 h in all
         ("spacing-sweep", "[array]\nm_x = 1\nm_y = 2\n[sweep]\nratio_points = 15811\n"
          "two_dimensional = true\n", "sweep.ratio_points"),
-        # validate runs omega on its array, 50 bytes an ordered pair: 5,888 elements need
-        # about 1.6 GiB, and 4,096 about 800 MiB
-        ("validate", "[array]\nm_x = 256\nm_y = 23\n", r"array.m_x \* array.m_y"),
-        ("validate", "[array]\nm_x = 64\nm_y = 64\nspacing_y_wavelengths = 0.4\n"
+        # validate runs omega on its array, 9 bytes a cell of its (p, q) table:
+        # 256 x 256 elements need about 11 GiB, and 128 x 128 about 800 MiB
+        ("validate", "[array]\nm_x = 256\nm_y = 256\n", r"array.m_x \* array.m_y"),
+        ("validate", "[array]\nm_x = 128\nm_y = 128\nspacing_y_wavelengths = 0.4\n"
          "[shell]\nr_min_m = 100\n", r"array.m_x \* array.m_y"),
         ("spacing-sweep", "[array]\nm_x = 10000\nm_y = 10000\n", r"array.m_x \* array.m_y"),
         ("gain-cdf", "[mc]\nn = 100000000\n", "mc.n"),
@@ -143,9 +143,10 @@ class TestParseConfig:
     @pytest.mark.parametrize("kind, text", [
         # a gain-cdf chunk holds no (rows, M) array, whatever the array's size
         ("gain-cdf", "[array]\nm_x = 3000\n[shell]\nr_min_m = 600\nr_max_m = 900\n"),
-        # 2,316 validate elements, the most that m_x <= 256 allows: omega takes 256 MiB;
-        # half-wave rows span about 7.2 m
+        # 2,316 validate elements: omega takes about 22 MiB; half-wave rows span about 7.2 m
         ("validate", "[array]\nm_x = 193\nm_y = 12\nspacing_y_wavelengths = 0.5\n"),
+        # 2,352 elements, 21.7 MiB
+        ("validate", "[array]\nm_x = 49\nm_y = 48\nspacing_y_wavelengths = 0.5\n"),
         # the benchmark's sweep, 20 omegas over 50 elements, and 961 omegas on a
         # 1 x 2 array, each priced at the 1,000-term floor of a call
         ("spacing-sweep", "[sweep]\nratio_points = 20\n"),
@@ -389,6 +390,8 @@ for kind, text in zip(sys.argv[2::2], sys.argv[3::2]):
     cli.run_experiment(kind, text, 9, out / kind)
 scipy = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
 assert not scipy, f"the six experiments loaded {scipy}"
+# numpy.ma costs a fresh interpreter 12-19 ms; np.median and np.unique import it
+assert "numpy.ma" not in sys.modules, "the six experiments loaded numpy.ma"
 cfgs = [pol.AntennaConfig(pol.DipoleExcitation.circular()) for _ in range(4)]
 coarse = pol.worst_case_gain(cfgs, 2.4e9, budget=50, seed=3, refine_top=0)
 assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded without a refinement"

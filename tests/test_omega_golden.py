@@ -64,6 +64,12 @@ def test_omega_bits(case, expected):
     assert float(value).hex() == expected
 
 
+def _offset_products(count, delta):
+    "Index products a^2 - (a - delta)^2 for all in-range positions."
+    a = np.arange(max(0, delta), count + min(0, delta))
+    return delta * (2 * a - delta)
+
+
 def _omega_per_offset(geometry, lam, cd_of_b):
     "Reference pair sum: one cd_of_b call per (dp, dq) offset, summed with sum()."
     mx, my = geometry.m_x, geometry.m_y
@@ -72,12 +78,12 @@ def _omega_per_offset(geometry, lam, cd_of_b):
     cache = {}
     total = 0.0
     for dp in range(-(mx - 1), mx):
-        px = rates._offset_products(mx, dp)
+        px = _offset_products(mx, dp)
         for dq in range(-(my - 1), my):
             w = rates.expected_phase_sinc(dp, dq, geometry, lam) ** 2
             if (dp == 0 and dq == 0) or w < 1e-30:
                 continue
-            keys = [(int(p), int(q)) for p in px for q in rates._offset_products(my, dq)]
+            keys = [(int(p), int(q)) for p in px for q in _offset_products(my, dq)]
             missing = sorted({k for k in keys if k not in cache})
             if missing:
                 b = np.array([scale * (p * dx2 + q * dy2) for p, q in missing])
@@ -105,6 +111,10 @@ def _check_against_reference(m_x, m_y, rx, ry, shell):
     (3, 9, 0.8, 0.45, (10.0, 11.0)),
     # the benchmark's spacing sweep; at ratio 3.0 every weight is cut off
     *((50, 1, rx, 0.0, (499.0, 500.0)) for rx in np.linspace(0.05, 3.0, 20).tolist()),
+    # a column, and oblong arrays whose axes rank different product counts
+    (1, 9, 0.3, 0.45, (10.0, 11.0)),
+    (31, 9, 0.37, 0.61, (30.0, 400.0)),
+    (2, 40, 1.13, 0.29, (50.0, 60.0)),
 ])
 def test_omega_matches_per_offset_reference(m_x, m_y, rx, ry, shell):
     _check_against_reference(m_x, m_y, rx, ry, shell)
@@ -117,8 +127,8 @@ def _distinct_products(m_x, m_y, rx, ry):
     return len({
         (p, q)
         for a, b in offsets
-        for p in rates._offset_products(m_x, a).tolist()
-        for q in rates._offset_products(m_y, b).tolist()
+        for p in _offset_products(m_x, a).tolist()
+        for q in _offset_products(m_y, b).tolist()
     })
 
 
@@ -182,12 +192,22 @@ def test_omega_surface_40x40_counts_pairs(traced_peak):
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("m_x, m_y", [(500, 1), (24, 24)])
+@pytest.mark.parametrize("m_x, m_y", [(500, 1), (24, 24), (32, 32)])
 def test_omega_bytes_match_the_traced_peak(m_x, m_y, traced_peak):
-    # the config guard prices omega with omega_bytes; this read 50.1 and 49.6 bytes
-    # an ordered pair
+    # the config guard prices omega with omega_bytes; this read 1.07, 0.94 and 0.97
     g = geo.ArrayGeometry(m_x, m_y, 0.3 * LAM, 0.4 * LAM)
     region = geo.ShellRegion(600.0, 900.0)
     rates.omega(geo.ArrayGeometry(4, 1, 0.3 * LAM, 0.0), LAM, region)  # warm up
     _, peak = traced_peak(lambda: rates.omega(g, LAM, region))
-    assert 0.9 <= peak / rates.omega_bytes(g.m) <= 1.1, peak / (g.m * (g.m - 1))
+    assert 0.9 <= peak / rates.omega_bytes(m_x, m_y) <= 1.1, peak
+
+
+def test_omega_32x32_holds_no_per_pair_array(traced_peak):
+    # 1,047,552 ordered element pairs reach 461,484 of 471,969 (p, q) cells;
+    # one 8-byte array per pair would take 8.4 MB on its own
+    g = geo.ArrayGeometry(32, 32, 0.3 * LAM, 0.4 * LAM)
+    region = geo.ShellRegion(600.0, 900.0)
+    rates.omega(geo.ArrayGeometry(4, 1, 0.3 * LAM, 0.0), LAM, region)  # warm up
+    _, peak = traced_peak(lambda: rates.omega(g, LAM, region))
+    assert peak <= rates.omega_bytes(32, 32)
+    assert peak <= 12 * 10**6
